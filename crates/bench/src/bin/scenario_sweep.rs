@@ -23,7 +23,7 @@
 //! Scale knobs: `LNCL_SCALE` (tiny / small / medium / paper / huge),
 //! `LNCL_EPOCHS`, `LNCL_THREADS`, `LNCL_SHARD` — the smoke setting used in
 //! CI is `LNCL_EPOCHS=3` in two shards.  Two more knobs serve the
-//! distributed-sweep and scale-predictivity workflows:
+//! scale-predictivity workflow:
 //!
 //! * `LNCL_SWEEP_METHODS` — comma-separated registry names restricting the
 //!   sweep (unknown names warn; per task the filter intersects with the
@@ -32,8 +32,9 @@
 //!   report (`lncl_bench::quality::quality_only_report`: sorted quality
 //!   rows, fixed environment block, no wall-clock cases) instead of the
 //!   timed report.  This file is deterministic for a fixed scale/seed, so
-//!   the distributed `sweep_coord` merge can be compared against it with a
-//!   literal `cmp`.
+//!   a regenerated sweep can be compared against the checked-in
+//!   `predictivity_sweep_*.json` with a literal `cmp` (CI does, at tiny
+//!   scale).
 
 use lncl_bench::quality::{quality_only_report, record_scenario_outcome, scenario_quality_rows};
 use lncl_bench::timing::{env_shard, BenchReport};
@@ -98,8 +99,7 @@ fn main() {
         record_scenario_outcome(&mut report, outcome);
     }
     if quality_only {
-        // the deterministic twin of the distributed sweep's merged output:
-        // same constructor, same row order, same environment block
+        // deterministic: sorted rows under a fixed environment block
         let rows = outcomes.iter().flat_map(scenario_quality_rows).collect();
         report = quality_only_report(&target, scale, rows);
     } else {

@@ -16,7 +16,6 @@
 //! ingested.
 
 use lncl_bench::timing::{bench_iters, BenchReport, SCENARIO_CASE};
-use lncl_serve::config::bench_connections_from_env;
 use lncl_serve::server::{Server, ServerConfig};
 use lncl_serve::state::AppState;
 use lncl_tensor::env::env_usize_at_least_one;
@@ -121,6 +120,11 @@ fn build_workload(conn: usize, posts: usize, reads: usize) -> Vec<(&'static str,
         ("get_annotators", annotator_requests),
         ("get_stats", stats_requests),
     ]
+}
+
+/// Load-generator client connections (`LNCL_SERVE_CONNS`, default 4).
+fn bench_connections_from_env() -> usize {
+    env_usize_at_least_one("LNCL_SERVE_CONNS").unwrap_or(4)
 }
 
 fn main() {

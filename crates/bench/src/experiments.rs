@@ -255,25 +255,8 @@ pub fn run_scenario_outcome(
     cache: &ScenarioCache,
     method_parallelism: usize,
 ) -> ScenarioOutcome {
-    run_scenario_outcome_with_epochs(config, scale, scale.epochs(), registry, methods, cache, method_parallelism)
-}
-
-/// [`run_scenario_outcome`] with an explicit epoch count instead of the
-/// `LNCL_EPOCHS`-aware per-scale default — the entry point distributed
-/// sweep workers use, so every worker trains with the epoch count the
-/// coordinator resolved once, regardless of the worker's own environment.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_outcome_with_epochs(
-    config: &ScenarioConfig,
-    scale: Scale,
-    epochs: usize,
-    registry: &MethodRegistry,
-    methods: Option<&[&str]>,
-    cache: &ScenarioCache,
-    method_parallelism: usize,
-) -> ScenarioOutcome {
     let dataset = cache.get_or_generate(config);
-    let ctx = scale.run_context_with_epochs(&dataset, config.seed, epochs);
+    let ctx = scale.run_context(&dataset, config.seed);
     let supporting: Vec<String> = registry.supporting(dataset.task).iter().map(|m| m.descriptor().name).collect();
     let names: Vec<&str> = match methods {
         Some(filter) => filter.iter().copied().filter(|n| supporting.iter().any(|s| s == n)).collect(),

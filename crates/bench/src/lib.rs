@@ -35,7 +35,6 @@
 
 pub mod budget;
 pub mod experiments;
-pub mod json;
 pub mod merge;
 pub mod methods;
 pub mod predictivity;
@@ -44,6 +43,10 @@ pub mod rank;
 pub mod scale;
 pub mod tables;
 pub mod timing;
+
+// the JSON value type lives in lncl-tensor (so lncl-serve can use it
+// without linking this crate); re-exported under its historical path
+pub use lncl_tensor::json;
 
 pub use budget::*;
 pub use experiments::*;

@@ -1,6 +1,5 @@
 //! Collision-checked merging of [`BenchReport`]s — the library behind
-//! `bench_diff merge` and the distributed sweep coordinator's shard
-//! recombination.
+//! `bench_diff merge`, which recombines `LNCL_SHARD` sweep shards.
 //!
 //! The original merge assumed disjoint inputs: timed cases were renamed to
 //! `target/case` and quality rows simply concatenated and name-sorted.
@@ -11,7 +10,7 @@
 //! module makes the overlap an **error**: a merge either reproduces the
 //! serial report exactly or refuses.
 
-use crate::timing::{BenchReport, CaseStats, QualityCase};
+use crate::timing::{BenchReport, CaseStats};
 use std::collections::BTreeSet;
 
 /// Why two reports cannot be merged.
@@ -96,26 +95,6 @@ pub fn merge_reports(reports: &[BenchReport]) -> Result<BenchReport, MergeError>
     Ok(merged)
 }
 
-/// [`merge_reports`] over already-extracted quality rows (what the sweep
-/// coordinator holds): checks collisions and returns the sorted table.
-pub fn merge_quality_rows(shards: &[Vec<QualityCase>]) -> Result<Vec<QualityCase>, MergeError> {
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut merged = Vec::new();
-    for shard in shards {
-        for row in shard {
-            if !seen.insert((row.scenario.clone(), row.method.clone())) {
-                return Err(MergeError::DuplicateQuality {
-                    scenario: row.scenario.clone(),
-                    method: row.method.clone(),
-                });
-            }
-            merged.push(row.clone());
-        }
-    }
-    merged.sort_by(|a, b| (&a.scenario, &a.method).cmp(&(&b.scenario, &b.method)));
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +143,5 @@ mod tests {
         let a = report("shard0", &[], &[("s/a", "mv")]);
         let b = report("shard1", &[], &[("s/b", "mv")]);
         assert_eq!(merge_reports(&[a, b]).unwrap().quality.len(), 2);
-    }
-
-    #[test]
-    fn quality_row_merge_mirrors_report_merge() {
-        let row = |s: &str, m: &str| QualityCase {
-            scenario: s.to_string(),
-            method: m.to_string(),
-            metrics: vec![("headline".to_string(), 0.5)],
-        };
-        let merged = merge_quality_rows(&[vec![row("b", "mv")], vec![row("a", "mv")]]).unwrap();
-        assert_eq!(merged[0].scenario, "a");
-        let collision = merge_quality_rows(&[vec![row("a", "mv")], vec![row("a", "mv")]]);
-        assert!(matches!(collision, Err(MergeError::DuplicateQuality { .. })));
     }
 }

@@ -67,8 +67,7 @@ pub fn record_scenario_outcome(report: &mut BenchReport, outcome: &ScenarioOutco
 }
 
 /// The quality rows one swept scenario contributes to a report — exactly
-/// what [`record_scenario_outcome`] records, as plain values.  Distributed
-/// sweep workers ship these over the wire instead of a whole report.
+/// what [`record_scenario_outcome`] records, as plain values.
 pub fn scenario_quality_rows(outcome: &ScenarioOutcome) -> Vec<QualityCase> {
     let sequence_task = outcome.task == TaskKind::SequenceTagging;
     let mut rows: Vec<QualityCase> = outcome
@@ -91,10 +90,9 @@ pub fn scenario_quality_rows(outcome: &ScenarioOutcome) -> Vec<QualityCase> {
 /// A **canonical quality-only** report: sorted quality rows under a fixed,
 /// deterministic environment block (os / arch / scale / package version —
 /// no iteration count, thread cap or wall-clock cases, which vary run to
-/// run).  Both the serial `scenario_sweep` quality-only mode and the
-/// distributed `sweep_coord` merge emit their reports through this one
-/// constructor, which is what makes "the merged distributed report is
-/// bitwise identical to the serial file" a literal `cmp` on disk.
+/// run).  The `scenario_sweep` quality-only mode emits its report through
+/// this constructor, so a regenerated sweep is byte-comparable (`cmp`) to
+/// the checked-in file.
 pub fn quality_only_report(target: &str, scale: Scale, quality: Vec<QualityCase>) -> BenchReport {
     let environment = vec![
         ("os".to_string(), std::env::consts::OS.to_string()),
@@ -111,7 +109,7 @@ pub fn quality_only_report(target: &str, scale: Scale, quality: Vec<QualityCase>
     };
     for row in quality {
         // route through record_quality so the non-finite-metric guard
-        // holds for wire-delivered rows too
+        // holds for caller-supplied rows too
         report.record_quality(&row.scenario, &row.method, row.metrics);
     }
     report.sort_quality();

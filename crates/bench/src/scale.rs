@@ -45,7 +45,7 @@ impl Scale {
     }
 
     /// The stable lower-case name ([`Scale::parse`] round-trips it; used in
-    /// report environment metadata and on the sweep wire).
+    /// report environment metadata).
     pub fn name(&self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
@@ -90,10 +90,8 @@ impl Scale {
         self.default_epochs()
     }
 
-    /// The per-scale epoch default, ignoring the environment.  Distributed
-    /// sweep workers train with the epoch count the coordinator resolved
-    /// and sent on the wire, never their own `LNCL_EPOCHS` — otherwise two
-    /// workers with different environments would break the bitwise merge.
+    /// The per-scale epoch default, ignoring the environment (what
+    /// [`Scale::epochs`] falls back to when `LNCL_EPOCHS` is unset).
     pub fn default_epochs(&self) -> usize {
         match self {
             Scale::Tiny => 6,
@@ -254,12 +252,5 @@ impl Scale {
     /// reduced-width model factory for the dataset.
     pub fn run_context(&self, dataset: &CrowdDataset, seed: u64) -> RunContext {
         RunContext::for_dataset(dataset, self.train_config(dataset.task, seed))
-    }
-
-    /// [`Scale::run_context`] with an explicit epoch count — what a
-    /// distributed sweep worker builds from the coordinator's resolved
-    /// spec, immune to the worker's own environment.
-    pub fn run_context_with_epochs(&self, dataset: &CrowdDataset, seed: u64, epochs: usize) -> RunContext {
-        RunContext::for_dataset(dataset, self.train_config_with_epochs(dataset.task, seed, epochs))
     }
 }

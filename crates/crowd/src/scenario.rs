@@ -162,7 +162,6 @@
 //! ```
 
 pub mod router;
-pub mod wire;
 
 use crate::annotator::{gold_spans, ConfusionAnnotator, NerAnnotator, NerErrorRates};
 use crate::data::{CrowdDataset, CrowdLabel, Instance, TaskKind};

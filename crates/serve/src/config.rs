@@ -1,5 +1,4 @@
-//! Environment-variable configuration shared by the `serve` and
-//! `serve_bench` binaries.
+//! Environment-variable configuration for the `serve` binary.
 //!
 //! Every variable follows the workspace convention (see
 //! [`lncl_tensor::env`]): unset means default, set-but-invalid means a
@@ -12,7 +11,6 @@
 //! | `LNCL_SERVE_CLASSES` | number of label classes (>= 2)        | `2`           |
 //! | `LNCL_SERVE_WINDOW`  | stream window size; unset = pooled    | unset         |
 //! | `LNCL_SERVE_DECAY`   | window decay in `(0, 1]`              | DS-W default  |
-//! | `LNCL_SERVE_CONNS`   | load-generator client connections     | `4`           |
 //! | `LNCL_SERVE_POLICY`  | `/assign` policy (`static`, `uncertainty`, `quarantine` or full names) | `static` |
 //! | `LNCL_SERVE_BUDGET`  | label budget; unset = unlimited       | unset         |
 //! | `LNCL_SERVE_SEED`    | assignment-RNG seed                   | `0`           |
@@ -51,11 +49,6 @@ pub fn streaming_config_from_env() -> StreamingConfig {
     }
 }
 
-/// Load-generator client connections (`LNCL_SERVE_CONNS`, default 4).
-pub fn bench_connections_from_env() -> usize {
-    env_usize_at_least_one("LNCL_SERVE_CONNS").unwrap_or(4)
-}
-
 /// The closed-loop routing configuration from `LNCL_SERVE_POLICY` /
 /// `LNCL_SERVE_BUDGET` / `LNCL_SERVE_SEED`: the `/assign` policy, the
 /// optional label budget and the assignment-RNG seed.
@@ -87,7 +80,6 @@ mod tests {
         let streaming = streaming_config_from_env();
         assert_eq!(streaming.num_classes, 2);
         assert!(streaming.window.is_none());
-        assert!(bench_connections_from_env() >= 1);
         let (policy, budget, seed) = routing_config_from_env();
         assert_eq!(policy, PolicyKind::StaticRedundancy);
         assert!(budget.is_none());

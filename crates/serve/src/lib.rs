@@ -40,17 +40,11 @@
 //! | `/stats`                | GET    | counters and estimator mode                 |
 //! | `/healthz`              | GET    | liveness                                    |
 //!
-//! The `serve` binary wires this up from environment variables; the
-//! `serve_bench` binary starts an in-process server and drives it over
-//! loopback with persistent client connections, writing the
-//! `BENCH_serve.json` latency/throughput report the CI smoke job gates on.
-//!
-//! A second subsystem, [`sweep`], turns the benchmark harness's scenario
-//! sweep into a distributed coordinator/worker pipeline (the
-//! `sweep_coord` / `sweep_worker` binaries): work units are leased over a
-//! small framed TCP protocol, stragglers and crashed workers are
-//! re-issued, duplicate completions are deduplicated, and the merged
-//! report is bitwise identical to the serial sweep.
+//! The `serve` binary wires this up from environment variables.  The
+//! crate links only `lncl-tensor` and `lncl-crowd` — no neural-training
+//! code; its loopback load generator, `serve_bench`, lives in `lncl-bench`
+//! and writes the `BENCH_serve.json` latency/throughput report the CI
+//! smoke job gates on.
 //!
 //! (Where this sits in the workspace: `ARCHITECTURE.md` at the repository
 //! root; the crate README has the quickstart with curl examples and the
@@ -71,7 +65,6 @@ pub mod http;
 pub mod routes;
 pub mod server;
 pub mod state;
-pub mod sweep;
 
 pub use routes::{Route, RouteError};
 pub use server::{Server, ServerConfig};

@@ -9,7 +9,7 @@
 
 use crate::http::{parse_request, reason_phrase, write_response};
 use crate::state::AppState;
-use lncl_bench::json::Json;
+use lncl_tensor::json::Json;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;

@@ -16,9 +16,9 @@
 //! `409`, mirroring the all-or-nothing validation contract.
 
 use crate::routes::{Route, RouteError};
-use lncl_bench::json::Json;
 use lncl_crowd::scenario::router::{LabelBudget, PolicyKind, RoutingView};
 use lncl_crowd::truth::streaming::{StreamingConfig, StreamingTruth};
+use lncl_tensor::json::Json;
 use lncl_tensor::TensorRng;
 use std::collections::HashMap;
 use std::sync::Mutex;

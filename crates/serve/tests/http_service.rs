@@ -1,7 +1,8 @@
 //! End-to-end tests over real loopback sockets: the label → consensus
 //! flow, the closed-loop assign → label → consensus round under a budget,
 //! the HTTP robustness contract (malformed input answers 4xx and
-//! never kills the accept loop, a 405 carries its `Allow` header) and
+//! never kills the accept loop, however deeply a JSON body nests; a 405
+//! carries its `Allow` header) and
 //! concurrent-ingest determinism (the same label multiset, any arrival
 //! interleaving, any connection assignment → the same finalized
 //! consensus).
@@ -220,6 +221,22 @@ fn malformed_requests_answer_4xx_and_do_not_kill_the_server() {
         // the accept loop must still be alive after every abuse
         let (status, _) = get(addr, "/healthz");
         assert_eq!(status, 200, "server died after {name}");
+    }
+}
+
+#[test]
+fn deeply_nested_json_bodies_answer_400() {
+    let server = start_server();
+    let addr = server.addr();
+    // far past the parser's nesting cap: must be a 400, not a stack
+    // overflow that aborts the whole process
+    let body = "[".repeat(500_000);
+    for path in ["/labels", "/assign"] {
+        let (status, response) = post(addr, path, &body);
+        assert_eq!(status, 400, "{path}: {response}");
+        assert!(response.contains("\"error\""), "{path}: {response}");
+        let (status, _) = get(addr, "/healthz");
+        assert_eq!(status, 200, "server died after a nested {path} body");
     }
 }
 

@@ -1,15 +1,23 @@
 //! A minimal hand-rolled JSON value, serialiser and parser.
 //!
-//! The container this workspace builds in has no crates.io access, so the
-//! benchmark reports ([`crate::timing::BenchReport`]) cannot use serde.
-//! This module implements exactly the JSON subset those reports (and the
-//! `bench_diff` tool) need: objects, arrays, strings, finite numbers,
-//! booleans and null, with the standard string escapes.
+//! The workspace builds without crates.io access, so the benchmark
+//! reports (`lncl_bench::timing::BenchReport`) and the `lncl-serve` request
+//! bodies cannot use serde.  This module implements exactly the JSON subset
+//! they need: objects, arrays, strings, finite numbers, booleans and null,
+//! with the standard string escapes.
 //!
 //! Numbers are stored as `f64` and rendered with Rust's shortest-roundtrip
 //! formatting, so a serialise → parse cycle reproduces every value exactly.
+//!
+//! The parser is recursive, so nesting is capped at [`MAX_DEPTH`]: deeper
+//! input is an `Err`, not a stack overflow (request bodies are untrusted).
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.  The checked-in
+/// reports nest at most 4 deep; the cap only exists to turn hostile input
+/// like a body of `[[[[…` into an error before it exhausts the stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +126,7 @@ impl Json {
 
     /// Parses a JSON document (one value plus optional trailing whitespace).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -150,6 +158,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -183,8 +193,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -192,6 +202,18 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs a container parser one nesting level down, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -351,6 +373,20 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "nul", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // mixed containers count alike
+        let mixed = format!("{}1{}", r#"{"a":["#.repeat(MAX_DEPTH / 2 + 1), "]}".repeat(MAX_DEPTH / 2 + 1));
+        assert!(Json::parse(&mixed).is_err());
+        // far past the cap (unterminated, as in a hostile request body)
+        // errors instead of overflowing the stack
+        assert!(Json::parse(&"[".repeat(500_000)).is_err());
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! ```
 
 pub mod env;
+pub mod json;
 pub mod matrix;
 pub mod ops;
 pub mod par;
