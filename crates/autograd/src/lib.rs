@@ -16,6 +16,10 @@
 //! * `Tape::backward(loss)` walks the nodes in reverse creation order and
 //!   accumulates gradients — creation order is already a topological order
 //!   because operands must exist before the ops that consume them.
+//! * Two whole-layer ops ([`Tape::conv_max_pool`], [`Tape::gru_sequence`]
+//!   in [`fused`]) record a max-pooled text convolution and a full GRU
+//!   unroll as one node each, with backward rules bitwise equal to the
+//!   composed node chains they replace.
 //! * Parameters live *outside* the tape (plain `Matrix` values owned by the
 //!   `lncl-nn` layer structs); every forward pass copies them onto a fresh
 //!   tape with [`Tape::leaf`], and the optimiser reads the gradients back
@@ -37,6 +41,7 @@
 //! assert_eq!(tape.grad(w).row(1), &[2.0]);
 //! ```
 
+pub mod fused;
 pub mod gradcheck;
 mod ops;
 

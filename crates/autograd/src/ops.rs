@@ -1,6 +1,7 @@
 //! Operator definitions: eager forward computation plus the per-op backward
 //! rules used by [`Tape::backward`].
 
+use crate::fused::GruGates;
 use crate::{Tape, Var};
 use lncl_tensor::{ops, stats, Matrix};
 
@@ -66,6 +67,15 @@ pub enum Op {
     /// gradient); the intermediate never gets a node or a gradient buffer,
     /// and its backward scatters straight into `x`.
     ConvWindow { x: Var, w: Var, bias: Var, window: usize, cols: Matrix },
+    /// Fused max-pooled text convolution
+    /// `max_over_rows(relu(im2col(x, window) * w + bias))` as one node
+    /// ([`Tape::conv_max_pool`]).  Stores the argmax window of each filter;
+    /// the backward rule visits only those windows.
+    ConvMaxPool { x: Var, w: Var, bias: Var, window: usize, argmax: Vec<usize> },
+    /// Fused GRU unroll over a whole sequence ([`Tape::gru_sequence`]);
+    /// `params` is `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.  Stores the
+    /// per-step gates for the backpropagation through time.
+    GruSequence { x: Var, params: [Var; 9], gates: GruGates },
     /// Fused row-softmax + cross-entropy against fixed soft targets,
     /// averaged over rows.  Stores the softmax probabilities.
     SoftmaxCrossEntropy { logits: Var, targets: Matrix, probs: Matrix },
@@ -480,6 +490,8 @@ impl Tape {
                     }
                 }
             }
+            Op::ConvMaxPool { .. } => self.backward_conv_max_pool(index, &op, &upstream),
+            Op::GruSequence { .. } => self.backward_gru_sequence(index, &op, &upstream),
             Op::SoftmaxCrossEntropy { logits, targets, probs } => {
                 let g = upstream[(0, 0)];
                 let rows = probs.rows().max(1) as f32;

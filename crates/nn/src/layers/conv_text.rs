@@ -3,6 +3,7 @@
 //! a "same-length" 1-D convolution used by the NER tagger.
 
 use crate::module::{Binding, Module, Param};
+use lncl_autograd::fused::conv_max_pool_forward;
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -61,7 +62,8 @@ impl TextConv {
     }
 
     /// Applies the convolution to a `T x emb_dim` node and returns the
-    /// pooled `1 x output_dim` feature node.
+    /// pooled `1 x output_dim` feature node: one fused
+    /// [`Tape::conv_max_pool`] node per window size.
     ///
     /// # Panics
     /// Panics if the sequence is shorter than the largest window.
@@ -77,26 +79,20 @@ impl TextConv {
         for filter in &self.filters {
             let w = binding.bind(tape, &filter.weight);
             let b = binding.bind(tape, &filter.bias);
-            let act = tape.conv_window(embedded, w, b, filter.window);
-            pooled.push(tape.max_over_rows(act));
+            pooled.push(tape.conv_max_pool(embedded, w, b, filter.window));
         }
         tape.hstack(&pooled)
     }
 
-    /// Eval-mode forward on a raw `T x emb_dim` matrix (no tape): the same
-    /// im2col → fused affine+ReLU → max-over-time pipeline through the
-    /// fused tensor ops.
+    /// Eval-mode forward on a raw `T x emb_dim` matrix (no tape): the
+    /// kernel of [`Tape::conv_max_pool`] per window, so both paths run the
+    /// same arithmetic.
     pub fn forward_matrix(&self, embedded: &Matrix) -> Matrix {
-        use lncl_tensor::ops;
         assert_eq!(embedded.cols(), self.emb_dim, "TextConv: embedding dim mismatch");
         let pooled: Vec<Matrix> = self
             .filters
             .iter()
-            .map(|filter| {
-                let cols = ops::im2col(embedded, filter.window);
-                let act = ops::affine_relu(&cols, &filter.weight.value, &filter.bias.value);
-                ops::max_over_rows(&act).0
-            })
+            .map(|filter| conv_max_pool_forward(embedded, &filter.weight.value, &filter.bias.value, filter.window).0)
             .collect();
         Matrix::hstack(&pooled.iter().collect::<Vec<_>>())
     }

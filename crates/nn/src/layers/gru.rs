@@ -1,15 +1,16 @@
 //! Gated recurrent unit (GRU) cell and sequence layer.
 //!
 //! The NER architecture of the paper feeds convolutional features into a GRU
-//! with 50 hidden states; this module provides the cell (one time step) and
-//! a convenience layer that unrolls it over a whole sequence on the autograd
-//! tape.
+//! with 50 hidden states; this module provides the cell (its parameters) and
+//! the layer that unrolls it over a whole sequence as one fused
+//! [`Tape::gru_sequence`] node.
 
 use crate::module::{Binding, Module, Param};
+use lncl_autograd::fused::gru_sequence_forward;
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{Matrix, TensorRng};
 
-/// A single GRU cell.
+/// The parameters of a GRU cell; [`Gru`] runs them over a sequence.
 ///
 /// Update gate `z`, reset gate `r`, candidate `h̃`:
 /// ```text
@@ -65,43 +66,16 @@ impl GruCell {
         self.hidden_dim
     }
 
-    /// One time step: consumes `x` (`1 x in_dim`) and the previous hidden
-    /// state `h` (`1 x hidden_dim`), returning the next hidden state.
-    pub fn step(&self, tape: &mut Tape, binding: &mut Binding, x: Var, h: Var) -> Var {
-        let wz = binding.bind(tape, &self.wz);
-        let uz = binding.bind(tape, &self.uz);
-        let bz = binding.bind(tape, &self.bz);
-        let wr = binding.bind(tape, &self.wr);
-        let ur = binding.bind(tape, &self.ur);
-        let br = binding.bind(tape, &self.br);
-        let wh = binding.bind(tape, &self.wh);
-        let uh = binding.bind(tape, &self.uh);
-        let bh = binding.bind(tape, &self.bh);
-
-        // z = sigmoid(x Wz + h Uz + bz), fused gate pre-activation
-        let sz = tape.dual_affine(x, wz, h, uz, bz);
-        let z = tape.sigmoid(sz);
-
-        // r = sigmoid(x Wr + h Ur + br)
-        let sr = tape.dual_affine(x, wr, h, ur, br);
-        let r = tape.sigmoid(sr);
-
-        // candidate = tanh(x Wh + (r ⊙ h) Uh + bh)
-        let rh = tape.mul(r, h);
-        let sh = tape.dual_affine(x, wh, rh, uh, bh);
-        let cand = tape.tanh(sh);
-
-        // h' = (1-z) ⊙ h + z ⊙ candidate
-        let one_minus_z = tape.one_minus(z);
-        let keep = tape.mul(one_minus_z, h);
-        let update = tape.mul(z, cand);
-        tape.add(keep, update)
+    /// The nine parameters in the order of [`Tape::gru_sequence`]:
+    /// `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.
+    fn ordered(&self) -> [&Param; 9] {
+        [&self.wz, &self.uz, &self.bz, &self.wr, &self.ur, &self.br, &self.wh, &self.uh, &self.bh]
     }
 }
 
 impl Module for GruCell {
     fn params(&self) -> Vec<&Param> {
-        vec![&self.wz, &self.uz, &self.bz, &self.wr, &self.ur, &self.br, &self.wh, &self.uh, &self.bh]
+        self.ordered().to_vec()
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![
@@ -139,59 +113,16 @@ impl Gru {
 
     /// Unrolls the cell over the sequence node `x` (`T x in_dim`), starting
     /// from a zero hidden state, and returns all hidden states stacked into
-    /// a `T x hidden_dim` node.
+    /// a `T x hidden_dim` node — one fused [`Tape::gru_sequence`] node.
     pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, x: Var) -> Var {
-        let (steps, _) = tape.shape(x);
-        assert!(steps > 0, "Gru::forward: empty sequence");
-        let mut h = tape.constant(Matrix::zeros(1, self.cell.hidden_dim()));
-        let mut outputs = Vec::with_capacity(steps);
-        for t in 0..steps {
-            let xt = tape.row_slice(x, t);
-            h = self.cell.step(tape, binding, xt, h);
-            outputs.push(h);
-        }
-        tape.vstack(&outputs)
+        let params = self.cell.ordered().map(|p| binding.bind(tape, p));
+        tape.gru_sequence(x, params)
     }
 
-    /// Eval-mode unroll on a raw `T x in_dim` matrix (no tape).  The input
-    /// projections of all three gates are batched into three matrix
-    /// products up front; the recurrent part runs per step.  Produces
-    /// exactly the values of the tape unroll.
+    /// Eval-mode unroll on a raw `T x in_dim` matrix (no tape): the kernel
+    /// of [`Tape::gru_sequence`], so both paths run the same arithmetic.
     pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        use lncl_tensor::ops;
-        let steps = x.rows();
-        assert!(steps > 0, "Gru::forward_matrix: empty sequence");
-        let hid = self.cell.hidden_dim();
-        let c = &self.cell;
-        let xz = ops::matmul(x, &c.wz.value);
-        let xr = ops::matmul(x, &c.wr.value);
-        let xh = ops::matmul(x, &c.wh.value);
-        let mut out = Matrix::zeros(steps, hid);
-        let mut h = Matrix::zeros(1, hid);
-        for t in 0..steps {
-            let hz = ops::matmul(&h, &c.uz.value);
-            let hr = ops::matmul(&h, &c.ur.value);
-            let mut z = Matrix::zeros(1, hid);
-            let mut r = Matrix::zeros(1, hid);
-            for j in 0..hid {
-                let sz = (xz[(t, j)] + hz[(0, j)]) + c.bz.value[(0, j)];
-                z[(0, j)] = 1.0 / (1.0 + (-sz).exp());
-                let sr = (xr[(t, j)] + hr[(0, j)]) + c.br.value[(0, j)];
-                r[(0, j)] = 1.0 / (1.0 + (-sr).exp());
-            }
-            let rh = ops::mul(&r, &h);
-            let rhu = ops::matmul(&rh, &c.uh.value);
-            let out_row = out.row_mut(t);
-            for j in 0..hid {
-                let sh = (xh[(t, j)] + rhu[(0, j)]) + c.bh.value[(0, j)];
-                let cand = sh.tanh();
-                let keep = (1.0 - z[(0, j)]) * h[(0, j)];
-                let update = z[(0, j)] * cand;
-                out_row[j] = keep + update;
-            }
-            h.as_mut_slice().copy_from_slice(out.row(t));
-        }
-        out
+        gru_sequence_forward(x, self.cell.ordered().map(|p| &p.value)).0
     }
 }
 
@@ -201,6 +132,60 @@ impl Module for Gru {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.cell.params_mut()
+    }
+}
+
+/// The per-step tape unroll the fused op replaces, kept as the bitwise
+/// oracle of the tests.
+#[cfg(test)]
+impl GruCell {
+    /// One time step: consumes `x` (`1 x in_dim`) and the previous hidden
+    /// state `h` (`1 x hidden_dim`), returning the next hidden state.
+    pub fn step(&self, tape: &mut Tape, binding: &mut Binding, x: Var, h: Var) -> Var {
+        let wz = binding.bind(tape, &self.wz);
+        let uz = binding.bind(tape, &self.uz);
+        let bz = binding.bind(tape, &self.bz);
+        let wr = binding.bind(tape, &self.wr);
+        let ur = binding.bind(tape, &self.ur);
+        let br = binding.bind(tape, &self.br);
+        let wh = binding.bind(tape, &self.wh);
+        let uh = binding.bind(tape, &self.uh);
+        let bh = binding.bind(tape, &self.bh);
+
+        // z = sigmoid(x Wz + h Uz + bz), fused gate pre-activation
+        let sz = tape.dual_affine(x, wz, h, uz, bz);
+        let z = tape.sigmoid(sz);
+
+        // r = sigmoid(x Wr + h Ur + br)
+        let sr = tape.dual_affine(x, wr, h, ur, br);
+        let r = tape.sigmoid(sr);
+
+        // candidate = tanh(x Wh + (r ⊙ h) Uh + bh)
+        let rh = tape.mul(r, h);
+        let sh = tape.dual_affine(x, wh, rh, uh, bh);
+        let cand = tape.tanh(sh);
+
+        // h' = (1-z) ⊙ h + z ⊙ candidate
+        let one_minus_z = tape.one_minus(z);
+        let keep = tape.mul(one_minus_z, h);
+        let update = tape.mul(z, cand);
+        tape.add(keep, update)
+    }
+}
+
+#[cfg(test)]
+impl Gru {
+    /// `row_slice` → [`GruCell::step`] per token → `vstack`.
+    fn forward_unrolled(&self, tape: &mut Tape, binding: &mut Binding, x: Var) -> Var {
+        let (steps, _) = tape.shape(x);
+        let mut h = tape.constant(Matrix::zeros(1, self.cell.hidden_dim()));
+        let mut outputs = Vec::with_capacity(steps);
+        for t in 0..steps {
+            let xt = tape.row_slice(x, t);
+            h = self.cell.step(tape, binding, xt, h);
+            outputs.push(h);
+        }
+        tape.vstack(&outputs)
     }
 }
 
@@ -264,6 +249,40 @@ mod tests {
             let out = gru.forward(tape, &mut binding, vars[0]);
             tape.sum_all(out)
         });
+    }
+
+    #[test]
+    fn fused_forward_matches_the_per_step_unroll_bitwise() {
+        let mut rng = TensorRng::seed_from_u64(5);
+        let gru = Gru::new("gru", 4, 6, &mut rng);
+        for steps in [1, 2, 9] {
+            let x = rng.normal_matrix(steps, 4, 1.0);
+            let weights = rng.normal_matrix(steps, 6, 1.0);
+            let run = |fused: bool| {
+                let mut model = gru.clone();
+                let mut tape = Tape::new();
+                let mut binding = Binding::new();
+                let xv = tape.leaf(x.clone());
+                let out = if fused {
+                    model.forward(&mut tape, &mut binding, xv)
+                } else {
+                    model.forward_unrolled(&mut tape, &mut binding, xv)
+                };
+                let w = tape.constant(weights.clone());
+                let weighted = tape.mul(out, w);
+                let loss = tape.sum_all(weighted);
+                tape.backward(loss);
+                binding.accumulate(&tape, model.params_mut());
+                let mut all = vec![tape.value(out).clone(), tape.grad(xv).clone()];
+                all.extend(model.params().iter().map(|p| p.grad.clone()));
+                all
+            };
+            let bits = |ms: Vec<Matrix>| -> Vec<Vec<u32>> {
+                ms.iter().map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(run(true)), bits(run(false)), "T = {steps}");
+            assert_eq!(gru.forward_matrix(&x), run(true)[0], "eval kernel, T = {steps}");
+        }
     }
 
     #[test]
