@@ -4,7 +4,7 @@
 //! README.
 //!
 //! ```text
-//! bench_diff compare <baseline.json> <current.json>... [--gate <factor>] [--rss-gate <factor>]
+//! bench_diff compare <baseline.json> <current.json>... [--gate <factor>]
 //! bench_diff merge <out.json> <in.json>...
 //! bench_diff rank <report.json>... [--metric <key>] [--budget <fraction>] [--baseline <file>] [--gate <max-drop>]
 //! bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]
@@ -13,18 +13,11 @@
 //! * `compare` prints a before/after table of the **timed** cases.  Cases
 //!   are keyed `target/case_name`; with `--gate F` the exit code is 1 if
 //!   any case's mean regresses by more than `F`x against the baseline.
-//!   `--rss-gate F` additionally compares each current report's
-//!   `peak_rss_kb` against the baseline's and fails past `F`x growth (or
-//!   when a gated report stopped recording RSS) — the memory gate of the
-//!   huge-tier streaming path.
-//! * `merge` combines several reports into one: timed cases renamed to
-//!   `target/case_name` (how `bench_baseline.json` is produced), quality
-//!   rows concatenated and name-sorted (how sharded `scenario_sweep`
-//!   reports are recombined — the sorted merge is bitwise identical to the
-//!   serial sweep's quality table).  Overlapping inputs — the same
-//!   `(scenario, method)` quality row or the same qualified case in two
-//!   files — are an **error**, not a silent interleave
-//!   (`lncl_bench::merge`).
+//! * `merge` combines several timed reports into one, with cases renamed
+//!   to `target/case_name` (how `bench_baseline.json` is produced).  The
+//!   same qualified case in two files, or an input that carries quality
+//!   rows, is an **error** (`lncl_bench::merge`): quality tables come from
+//!   a single `scenario_sweep` run.
 //! * `rank` ranks each scenario's methods by a **quality** metric
 //!   (default `headline`), prints the rankings and every pairwise
 //!   ranking flip between scenarios.  With `--baseline` it also reports
@@ -54,7 +47,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: bench_diff compare <baseline.json> <current.json>... [--gate <factor>] [--rss-gate <factor>]");
+    eprintln!("usage: bench_diff compare <baseline.json> <current.json>... [--gate <factor>]");
     eprintln!("       bench_diff merge <out.json> <in.json>...");
     eprintln!(
         "       bench_diff rank <report.json>... [--metric <key>] [--budget <fraction>] [--baseline <file>] [--gate <max-drop>]"
@@ -81,7 +74,6 @@ fn format_secs(secs: f64) -> String {
 
 fn compare(args: &[String]) -> ExitCode {
     let mut gate: Option<f64> = None;
-    let mut rss_gate: Option<f64> = None;
     let mut files = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -90,14 +82,6 @@ fn compare(args: &[String]) -> ExitCode {
                 Some(f) if f > 0.0 => gate = Some(f),
                 _ => {
                     eprintln!("bench_diff: --gate needs a positive factor");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg == "--rss-gate" {
-            match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 => rss_gate = Some(f),
-                _ => {
-                    eprintln!("bench_diff: --rss-gate needs a positive factor");
                     return ExitCode::from(2);
                 }
             }
@@ -117,13 +101,9 @@ fn compare(args: &[String]) -> ExitCode {
     };
     let baseline_cases = qualified_cases(&baseline);
     let mut current_cases = Vec::new();
-    let mut current_rss: Vec<(String, Option<u64>)> = Vec::new();
     for file in &files[1..] {
         match load(file) {
-            Ok(r) => {
-                current_rss.push((r.target.clone(), r.peak_rss_kb));
-                current_cases.extend(qualified_cases(&r));
-            }
+            Ok(r) => current_cases.extend(qualified_cases(&r)),
             Err(e) => {
                 eprintln!("bench_diff: {e}");
                 return ExitCode::FAILURE;
@@ -175,43 +155,6 @@ fn compare(args: &[String]) -> ExitCode {
         }
         println!("gate ok: no case regressed by more than {f}x and none went missing");
     }
-    if let Some(f) = rss_gate {
-        // the memory gate of the streaming tier: peak RSS growing by more
-        // than the factor means the "never materialise the corpus" claim
-        // broke somewhere
-        let Some(base_kb) = baseline.peak_rss_kb else {
-            eprintln!("bench_diff: --rss-gate given but baseline {} has no peak_rss_kb", files[0]);
-            return ExitCode::FAILURE;
-        };
-        let mut rss_regressions = 0usize;
-        for (target, kb) in &current_rss {
-            let Some(kb) = kb else {
-                // a report that stopped recording RSS is a lost protection
-                eprintln!("bench_diff: report {target} has no peak_rss_kb to gate");
-                rss_regressions += 1;
-                continue;
-            };
-            let ratio = *kb as f64 / base_kb as f64;
-            let status = if ratio > f {
-                rss_regressions += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{:<44} {:>9.1} MB {:>9.1} MB {:>7.2}x  {status}",
-                format!("{target} (peak RSS)"),
-                base_kb as f64 / 1024.0,
-                *kb as f64 / 1024.0,
-                ratio
-            );
-        }
-        if rss_regressions > 0 {
-            eprintln!("bench_diff: {rss_regressions} report(s) failed the {f}x peak-RSS gate");
-            return ExitCode::FAILURE;
-        }
-        println!("rss gate ok: no report's peak RSS grew by more than {f}x");
-    }
     ExitCode::SUCCESS
 }
 
@@ -240,7 +183,7 @@ fn merge(args: &[String]) -> ExitCode {
         eprintln!("bench_diff: {}: {e}", args[0]);
         return ExitCode::FAILURE;
     }
-    println!("merged {} case(s) and {} quality row(s) into {}", merged.cases.len(), merged.quality.len(), args[0]);
+    println!("merged {} case(s) into {}", merged.cases.len(), args[0]);
     ExitCode::SUCCESS
 }
 

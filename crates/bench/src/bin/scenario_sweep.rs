@@ -4,26 +4,17 @@
 //! prints one results table per scenario.  Per-method wall-clock times
 //! *and* per-method quality tables land in the benchmark report (cases /
 //! quality rows keyed by scenario and method), which the CI
-//! `scenario-smoke` step merges across shards, ranks with `bench_diff
-//! rank` and archives.
+//! `scenario-smoke` step ranks with `bench_diff rank`, gates against
+//! `quality_baseline.json` and archives.
 //!
-//! Scenarios are sharded two ways, both bitwise identical to the serial
-//! path:
+//! The grid is spread round-robin across up to `LNCL_THREADS` scoped
+//! worker threads in this process (the budget is split with per-scenario
+//! method parallelism, so `LNCL_THREADS` stays the overall cap); the
+//! quality table is bitwise identical to the serial path's.
 //!
-//! * **threads** — the grid is spread round-robin across up to
-//!   `LNCL_THREADS` scoped worker threads in this process (the budget is
-//!   split with per-scenario method parallelism, so `LNCL_THREADS` stays
-//!   the overall cap);
-//! * **processes** — `LNCL_SHARD=i/N` restricts this process to grid
-//!   indices `i, i+N, …` and writes `BENCH_scenario_sweep_shard<i>of<N>.json`;
-//!   recombine the shards with `bench_diff merge` (quality rows are
-//!   name-sorted on both paths, so the merged report's quality table
-//!   equals the serial one).
-//!
-//! Scale knobs: `LNCL_SCALE` (tiny / small / medium / paper / huge),
-//! `LNCL_EPOCHS`, `LNCL_THREADS`, `LNCL_SHARD` — the smoke setting used in
-//! CI is `LNCL_EPOCHS=3` in two shards.  Two more knobs serve the
-//! scale-predictivity workflow:
+//! Scale knobs: `LNCL_SCALE` (tiny / small / medium / paper),
+//! `LNCL_EPOCHS`, `LNCL_THREADS` — the smoke setting used in CI is
+//! `LNCL_EPOCHS=3`.  Two more knobs serve the scale-predictivity workflow:
 //!
 //! * `LNCL_SWEEP_METHODS` — comma-separated registry names restricting the
 //!   sweep (unknown names warn; per task the filter intersects with the
@@ -37,10 +28,8 @@
 //!   scale).
 
 use lncl_bench::quality::{quality_only_report, record_scenario_outcome, scenario_quality_rows};
-use lncl_bench::timing::{env_shard, BenchReport};
-use lncl_bench::{
-    render_classification_table, render_sequence_table, scenario_sweep_configs, shard_configs, sweep_scenarios, Scale,
-};
+use lncl_bench::timing::BenchReport;
+use lncl_bench::{render_classification_table, render_sequence_table, scenario_sweep_configs, sweep_scenarios, Scale};
 use lncl_crowd::TaskKind;
 
 /// Parses `LNCL_SWEEP_METHODS` (comma-separated registry names); unset or
@@ -60,13 +49,10 @@ fn main() {
     let quality_only = std::env::var("LNCL_SWEEP_QUALITY_ONLY").is_ok_and(|v| v == "1");
     let method_filter = env_sweep_methods();
     let methods: Option<Vec<&str>> = method_filter.as_ref().map(|names| names.iter().map(String::as_str).collect());
-    let grid = scenario_sweep_configs(scale, 29);
-    let (configs, target) = match env_shard() {
-        Some((index, total)) => (shard_configs(&grid, index, total), format!("scenario_sweep_shard{index}of{total}")),
-        None => (grid, "scenario_sweep".to_string()),
-    };
+    let configs = scenario_sweep_configs(scale, 29);
+    let target = "scenario_sweep";
     println!(
-        "Scenario sweep — {} scenarios (scale {}, {} epochs per training run, target {target})",
+        "Scenario sweep — {} scenarios (scale {}, {} epochs per training run)",
         configs.len(),
         scale.name(),
         scale.epochs()
@@ -75,7 +61,7 @@ fn main() {
         println!("method filter (LNCL_SWEEP_METHODS): {}", names.join(", "));
     }
     let outcomes = sweep_scenarios(&configs, scale, methods.as_deref(), lncl_tensor::par::max_threads());
-    let mut report = BenchReport::new(&target);
+    let mut report = BenchReport::new(target);
     for (config, outcome) in configs.iter().zip(&outcomes) {
         println!(
             "\n=== {} ({:?}, {} train / {} annotators, redundancy {}-{}, majority share {:.2}) ===",
@@ -101,10 +87,9 @@ fn main() {
     if quality_only {
         // deterministic: sorted rows under a fixed environment block
         let rows = outcomes.iter().flat_map(scenario_quality_rows).collect();
-        report = quality_only_report(&target, scale, rows);
+        report = quality_only_report(target, scale, rows);
     } else {
-        // canonical order: a sorted serial report and merged sorted shard
-        // reports carry bitwise-identical quality tables
+        // canonical order, the same as the quality-only report's
         report.sort_quality();
     }
     let path = report.write().expect("write benchmark report");

@@ -5,7 +5,7 @@
 //! `BENCH_table2_sentiment.json`.
 use lncl_bench::quality::record_quality_rows;
 use lncl_bench::timing::BenchReport;
-use lncl_bench::{render_classification_table, table2_timed, Scale, TABLE2_METHODS};
+use lncl_bench::{render_classification_table, table_timed, Scale, TABLE2_METHODS};
 
 fn main() {
     let scale = Scale::from_env();
@@ -15,7 +15,7 @@ fn main() {
         scale.epochs()
     );
     println!("registry methods: {}", TABLE2_METHODS.join(", "));
-    let timed = table2_timed(scale);
+    let timed = table_timed(scale, scale.repetitions(), TABLE2_METHODS, Scale::sentiment_dataset, 7);
     println!(
         "{}",
         render_classification_table(

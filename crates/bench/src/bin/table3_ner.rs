@@ -5,7 +5,7 @@
 //! `BENCH_table3_ner.json`.
 use lncl_bench::quality::record_quality_rows;
 use lncl_bench::timing::BenchReport;
-use lncl_bench::{render_sequence_table, table3_timed, Scale, TABLE3_METHODS};
+use lncl_bench::{render_sequence_table, table_timed, Scale, TABLE3_METHODS};
 
 fn main() {
     let scale = Scale::from_env();
@@ -15,7 +15,7 @@ fn main() {
         scale.epochs()
     );
     println!("registry methods: {}", TABLE3_METHODS.join(", "));
-    let timed = table3_timed(scale);
+    let timed = table_timed(scale, scale.repetitions(), TABLE3_METHODS, Scale::ner_dataset, 11);
     println!(
         "{}",
         render_sequence_table(

@@ -7,7 +7,7 @@
 //! threads; every run is seeded, so results are reproducible regardless of
 //! the parallelism.
 
-use crate::methods::{validate_methods, TABLE2_METHODS, TABLE3_METHODS, TABLE4_METHODS};
+use crate::methods::validate_methods;
 use crate::scale::Scale;
 use crate::tables::average_repetitions;
 use lncl_crowd::metrics::{
@@ -75,16 +75,6 @@ pub fn run_methods_timed_capped(
     (rows, timings)
 }
 
-/// [`run_methods_timed`] without the timings.
-pub fn run_methods(
-    registry: &MethodRegistry,
-    names: &[&str],
-    dataset: &CrowdDataset,
-    ctx: &RunContext,
-) -> Vec<MethodResult> {
-    run_methods_timed(registry, names, dataset, ctx).0
-}
-
 /// A table's averaged rows plus per-method runtime samples (one sample per
 /// repetition, keyed by registry name) for the benchmark report.
 pub struct TimedTable {
@@ -103,74 +93,31 @@ fn merge_timings(into: &mut Vec<(String, Vec<f64>)>, rep: Vec<(String, f64)>) {
     }
 }
 
-/// Runs all Table-II (sentiment) methods for one repetition.
-pub fn table2_single_run(scale: Scale, seed: u64) -> Vec<MethodResult> {
-    let dataset = scale.sentiment_dataset(seed);
-    let ctx = scale.run_context(&dataset, seed);
-    run_methods(&MethodRegistry::standard(), TABLE2_METHODS, &dataset, &ctx)
-}
-
-/// Table II averaged over the scale's repetitions, with per-method timings.
-pub fn table2_timed(scale: Scale) -> TimedTable {
+/// Runs a paper table: the registry `methods` over `reps` freshly
+/// generated datasets (`dataset(scale, seed)` for seeds `first_seed`,
+/// `first_seed + 1`, …), with rows averaged over the repetitions and one
+/// timing sample per method and repetition.  Tables II and III pass seeds
+/// 7 and 11; Table IV calls it once per dataset with the same first seeds.
+pub fn table_timed(
+    scale: Scale,
+    reps: usize,
+    methods: &[&str],
+    dataset: fn(&Scale, u64) -> CrowdDataset,
+    first_seed: u64,
+) -> TimedTable {
+    let registry = MethodRegistry::standard();
     let mut timings = Vec::new();
-    let reps: Vec<Vec<MethodResult>> = (0..scale.repetitions())
+    let rows: Vec<Vec<MethodResult>> = (0..reps.max(1) as u64)
         .map(|r| {
-            let seed = 7 + r as u64;
-            let dataset = scale.sentiment_dataset(seed);
-            let ctx = scale.run_context(&dataset, seed);
-            let (rows, rep_timings) = run_methods_timed(&MethodRegistry::standard(), TABLE2_METHODS, &dataset, &ctx);
+            let seed = first_seed + r;
+            let data = dataset(&scale, seed);
+            let ctx = scale.run_context(&data, seed);
+            let (rows, rep_timings) = run_methods_timed(&registry, methods, &data, &ctx);
             merge_timings(&mut timings, rep_timings);
             rows
         })
         .collect();
-    TimedTable { rows: average_repetitions(&reps), timings }
-}
-
-/// Table II averaged over the scale's repetitions.
-pub fn table2(scale: Scale) -> Vec<MethodResult> {
-    table2_timed(scale).rows
-}
-
-/// Runs all Table-III (NER) methods for one repetition.
-pub fn table3_single_run(scale: Scale, seed: u64) -> Vec<MethodResult> {
-    let dataset = scale.ner_dataset(seed);
-    let ctx = scale.run_context(&dataset, seed);
-    run_methods(&MethodRegistry::standard(), TABLE3_METHODS, &dataset, &ctx)
-}
-
-/// Table III averaged over the scale's repetitions, with per-method timings.
-pub fn table3_timed(scale: Scale) -> TimedTable {
-    let mut timings = Vec::new();
-    let reps: Vec<Vec<MethodResult>> = (0..scale.repetitions())
-        .map(|r| {
-            let seed = 11 + r as u64;
-            let dataset = scale.ner_dataset(seed);
-            let ctx = scale.run_context(&dataset, seed);
-            let (rows, rep_timings) = run_methods_timed(&MethodRegistry::standard(), TABLE3_METHODS, &dataset, &ctx);
-            merge_timings(&mut timings, rep_timings);
-            rows
-        })
-        .collect();
-    TimedTable { rows: average_repetitions(&reps), timings }
-}
-
-/// Table III averaged over the scale's repetitions.
-pub fn table3(scale: Scale) -> Vec<MethodResult> {
-    table3_timed(scale).rows
-}
-
-/// Runs the Table-IV ablation on one dataset, with per-method timings.
-pub fn table4_for_timed(dataset: &CrowdDataset, scale: Scale, seed: u64) -> TimedTable {
-    let ctx = scale.run_context(dataset, seed);
-    let (rows, rep_timings) = run_methods_timed(&MethodRegistry::standard(), TABLE4_METHODS, dataset, &ctx);
-    let mut timings = Vec::new();
-    merge_timings(&mut timings, rep_timings);
-    TimedTable { rows, timings }
-}
-
-/// Runs the Table-IV ablation on one dataset.
-pub fn table4_for(dataset: &CrowdDataset, scale: Scale, seed: u64) -> Vec<MethodResult> {
-    table4_for_timed(dataset, scale, seed).rows
+    TimedTable { rows: average_repetitions(&rows), timings }
 }
 
 /// The scenario grid the `scenario_sweep` binary covers at a given scale:
@@ -267,7 +214,7 @@ pub fn run_scenario_outcome(
     ScenarioOutcome { name: config.name.clone(), task: config.task, rows, timings, reliability_pearson }
 }
 
-/// Runs a list of scenarios sharded across up to `workers` scoped threads
+/// Runs a list of scenarios spread across up to `workers` scoped threads
 /// (assigned round-robin, so expensive and cheap scenarios spread evenly),
 /// returning outcomes in **input order**.  Every scenario is independently
 /// seeded and every method run is bitwise deterministic, so the outcome
@@ -322,17 +269,6 @@ pub fn sweep_scenarios(
         }
     });
     slots.into_iter().map(|slot| slot.expect("every scenario is assigned to exactly one worker")).collect()
-}
-
-/// The scenario subset process shard `index` of `total` runs: grid indices
-/// `index, index + total, index + 2·total, …` — strided, so every shard
-/// receives a similar mix of cheap and expensive scenarios.  Recombining
-/// all shards' quality tables (e.g. via `bench_diff merge`) reproduces the
-/// unsharded sweep exactly.
-pub fn shard_configs(configs: &[ScenarioConfig], index: usize, total: usize) -> Vec<ScenarioConfig> {
-    assert!(total >= 1, "shard count must be at least 1");
-    assert!(index < total, "shard index {index} out of range for {total} shard(s)");
-    configs.iter().skip(index).step_by(total).cloned().collect()
 }
 
 /// Runs every standard-registry method supporting the scenario's task on
@@ -428,6 +364,36 @@ mod tests {
     use super::*;
     use lncl_crowd::scenario::generate_scenario;
     use std::collections::BTreeSet;
+
+    /// Row keys and metric bits, for exact comparison of result tables.
+    fn row_bits(rows: &[MethodResult]) -> Vec<(String, [u32; 4], Option<[u32; 4]>)> {
+        let bits = |m: &EvalMetrics| [m.accuracy, m.precision, m.recall, m.f1].map(f32::to_bits);
+        rows.iter().map(|r| (r.method.clone(), bits(&r.prediction), r.inference.as_ref().map(bits))).collect()
+    }
+
+    #[test]
+    fn table_runner_averages_repetitions_and_keeps_one_sample_each() {
+        const METHODS: &[&str] = &["mv", "dawid-skene"];
+        let scale = Scale::Tiny;
+        let timed = table_timed(scale, 2, METHODS, Scale::sentiment_dataset, 7);
+        let names: Vec<&str> = timed.timings.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, METHODS);
+        assert!(timed.timings.iter().all(|(_, samples)| samples.len() == 2), "one sample per repetition");
+        // the averaged rows are exactly the mean of the two seeded runs
+        let reps: Vec<Vec<MethodResult>> = [7, 8]
+            .into_iter()
+            .map(|seed| {
+                let dataset = scale.sentiment_dataset(seed);
+                let ctx = scale.run_context(&dataset, seed);
+                run_methods_timed(&MethodRegistry::standard(), METHODS, &dataset, &ctx).0
+            })
+            .collect();
+        assert_ne!(row_bits(&reps[0]), row_bits(&reps[1]), "the two repetitions must see different data");
+        assert_eq!(row_bits(&timed.rows), row_bits(&average_repetitions(&reps)));
+        // one repetition is the first seed's run itself, bit for bit
+        let single = table_timed(scale, 1, METHODS, Scale::sentiment_dataset, 7);
+        assert_eq!(row_bits(&single.rows), row_bits(&reps[0]));
+    }
 
     #[test]
     fn scenario_sweep_grid_covers_every_axis() {

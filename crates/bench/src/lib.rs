@@ -17,8 +17,9 @@
 //! | `budget_curves` | closed-loop routing-policy budget curves ([`budget`]; beyond the paper) |
 //!
 //! Each binary accepts the environment variables `LNCL_SCALE`
-//! (`small` (default) / `medium` / `paper`), `LNCL_REPS` (number of repeated
-//! runs averaged per method), `LNCL_EPOCHS`, `LNCL_BENCH_ITERS` (timed
+//! (`tiny` / `small` (default) / `medium` / `paper`), `LNCL_REPS` (number
+//! of repeated runs averaged per method; per scale 1 / 1 / 3 / 5),
+//! `LNCL_EPOCHS` (per scale 6 / 12 / 20 / 30), `LNCL_BENCH_ITERS` (timed
 //! iterations per bench case) and `LNCL_THREADS` (worker-thread cap) to
 //! trade fidelity for wall time; the defaults finish in minutes on a
 //! laptop-class CPU.  Bench targets and the table binaries additionally
@@ -28,10 +29,10 @@
 //! checked-in `bench_baseline.json` via the `bench_diff` binary, and
 //! `bench_diff rank` ([`rank`]) turns the quality tables into
 //! per-scenario method rankings with flip detection.  `scenario_sweep`
-//! shards across threads (`LNCL_THREADS`) and processes
-//! (`LNCL_SHARD=i/N` + `bench_diff merge`) bitwise-identically — see the
-//! crate README for the schema and workflows, and `ARCHITECTURE.md` at
-//! the repository root for the workspace-level pipeline map.
+//! spreads its grid over `LNCL_THREADS` worker threads bitwise-identically
+//! to the serial path — see the crate README for the schema and
+//! workflows, and `ARCHITECTURE.md` at the repository root for the
+//! workspace-level pipeline map.
 
 pub mod budget;
 pub mod experiments;

@@ -3,7 +3,7 @@
 //! [`BenchReport`], the machine-readable counterpart of the rendered
 //! tables.  Unlike the wall-clock cases these values are deterministic for
 //! a fixed seed, which is what lets `bench_diff rank` compare rankings
-//! across scenarios, reports and shards exactly.
+//! across scenarios and reports exactly.
 
 use crate::experiments::ScenarioOutcome;
 use crate::scale::Scale;
@@ -100,13 +100,7 @@ pub fn quality_only_report(target: &str, scale: Scale, quality: Vec<QualityCase>
         ("scale".to_string(), scale.name().to_string()),
         ("package_version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
     ];
-    let mut report = BenchReport {
-        target: target.to_string(),
-        environment,
-        cases: Vec::new(),
-        quality: Vec::new(),
-        peak_rss_kb: None,
-    };
+    let mut report = BenchReport { target: target.to_string(), environment, cases: Vec::new(), quality: Vec::new() };
     for row in quality {
         // route through record_quality so the non-finite-metric guard
         // holds for caller-supplied rows too

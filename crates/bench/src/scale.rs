@@ -20,17 +20,11 @@ pub enum Scale {
     Medium,
     /// The paper's corpus sizes (4,999 / 5,985 training sentences).  Slow.
     Paper,
-    /// ≥10x the paper's instance counts — the production-scale tier.  Full
-    /// corpora at this size should not be materialised: the streaming
-    /// generation path (`ScenarioStream` + `stream_mv_init`, exercised by
-    /// the `huge_stream` target) folds chunks straight into the flat
-    /// posterior arena under a peak-RSS gate.
-    Huge,
 }
 
 impl Scale {
     /// Every tier, smallest first.
-    pub const ALL: [Scale; 5] = [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Paper, Scale::Huge];
+    pub const ALL: [Scale; 4] = [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Paper];
 
     /// Parses a scale name (the inverse of [`Scale::name`]).
     pub fn parse(raw: &str) -> Option<Self> {
@@ -39,7 +33,6 @@ impl Scale {
             "small" => Some(Scale::Small),
             "medium" => Some(Scale::Medium),
             "paper" => Some(Scale::Paper),
-            "huge" => Some(Scale::Huge),
             _ => None,
         }
     }
@@ -52,7 +45,6 @@ impl Scale {
             Scale::Small => "small",
             Scale::Medium => "medium",
             Scale::Paper => "paper",
-            Scale::Huge => "huge",
         }
     }
 
@@ -61,7 +53,7 @@ impl Scale {
     /// and falls back to the default (the `LNCL_*` convention).
     pub fn from_env() -> Self {
         lncl_tensor::env::parse_env("LNCL_SCALE", |raw| {
-            Scale::parse(raw).ok_or_else(|| "expected tiny|small|medium|paper|huge".to_string())
+            Scale::parse(raw).ok_or_else(|| "expected tiny|small|medium|paper".to_string())
         })
         .unwrap_or(Scale::Small)
     }
@@ -77,7 +69,6 @@ impl Scale {
             Scale::Tiny | Scale::Small => 1,
             Scale::Medium => 3,
             Scale::Paper => 5,
-            Scale::Huge => 1,
         }
     }
 
@@ -97,7 +88,7 @@ impl Scale {
             Scale::Tiny => 6,
             Scale::Small => 12,
             Scale::Medium => 20,
-            Scale::Paper | Scale::Huge => 30,
+            Scale::Paper => 30,
         }
     }
 
@@ -129,16 +120,6 @@ impl Scale {
                 ..SentimentDatasetConfig::default()
             },
             Scale::Paper => SentimentDatasetConfig { seed, ..SentimentDatasetConfig::paper_scale() },
-            // 10x the paper corpus; prefer the streaming scenario path over
-            // materialising datasets of this size
-            Scale::Huge => SentimentDatasetConfig {
-                train_size: 50_000,
-                dev_size: 1_500,
-                test_size: 1_500,
-                num_annotators: 200,
-                seed,
-                ..SentimentDatasetConfig::default()
-            },
         };
         generate_sentiment(&config)
     }
@@ -176,15 +157,6 @@ impl Scale {
                 seed,
             },
             Scale::Paper => NerDatasetConfig { seed, ..NerDatasetConfig::paper_scale() },
-            Scale::Huge => NerDatasetConfig {
-                train_size: 60_000,
-                dev_size: 2_000,
-                test_size: 2_000,
-                num_annotators: 150,
-                min_labels_per_instance: 2,
-                max_labels_per_instance: 4,
-                seed,
-            },
         };
         generate_ner(&config)
     }
@@ -207,10 +179,6 @@ impl Scale {
             (Scale::Medium, TaskKind::SequenceTagging) => base.with_sizes(400, 120, 120).with_annotators(20),
             (Scale::Paper, TaskKind::Classification) => base.with_sizes(2000, 600, 600).with_annotators(60),
             (Scale::Paper, TaskKind::SequenceTagging) => base.with_sizes(1200, 350, 350).with_annotators(40),
-            // ≥10x the paper tier's instance counts (25x / 10x) — sized for
-            // the streaming generation path, not for full materialisation
-            (Scale::Huge, TaskKind::Classification) => base.with_sizes(50_000, 1_000, 1_000).with_annotators(150),
-            (Scale::Huge, TaskKind::SequenceTagging) => base.with_sizes(12_000, 500, 500).with_annotators(80),
         };
         base.with_seed(seed)
     }

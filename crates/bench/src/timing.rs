@@ -25,40 +25,6 @@ pub fn bench_iters() -> usize {
     env_usize("LNCL_BENCH_ITERS").unwrap_or(20).max(1)
 }
 
-/// Parses a shard spec of the form `i/N` (shard `i` of `N`, zero-based).
-/// Rejects malformed input, `N == 0` and `i >= N`.
-pub fn parse_shard(raw: &str) -> Result<(usize, usize), String> {
-    let (index, total) = raw.split_once('/').ok_or_else(|| format!("{raw:?} is not of the form i/N"))?;
-    let index: usize = index.trim().parse().map_err(|_| format!("shard index {index:?} is not an integer"))?;
-    let total: usize = total.trim().parse().map_err(|_| format!("shard count {total:?} is not an integer"))?;
-    if total == 0 {
-        return Err("shard count must be at least 1".to_string());
-    }
-    if index >= total {
-        return Err(format!("shard index {index} out of range for {total} shard(s)"));
-    }
-    Ok((index, total))
-}
-
-/// Reads the `LNCL_SHARD` environment variable (`i/N`).  Unset returns
-/// `None`; set but invalid also returns `None` **with a warning on
-/// stderr** and the caller falls back to the unsharded path, matching the
-/// `LNCL_THREADS`/`LNCL_REPS` convention.
-pub fn env_shard() -> Option<(usize, usize)> {
-    lncl_tensor::env::parse_env("LNCL_SHARD", |raw| {
-        parse_shard(raw).map_err(|reason| format!("{reason}; running unsharded"))
-    })
-}
-
-/// Peak resident set size of this process in kilobytes — `VmHWM` from
-/// `/proc/self/status`.  Returns `None` on platforms without procfs (the
-/// field is then simply omitted from the report).
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// Statistics of one benchmark case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseStats {
@@ -89,7 +55,7 @@ impl CaseStats {
 /// One row of a quality table: the evaluation metrics one method achieved
 /// on one scenario (or table dataset).  Unlike [`CaseStats`] the values are
 /// deterministic given the seed, so `bench_diff rank` can compare and rank
-/// them exactly across reports and shards.
+/// them exactly across scenarios and reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityCase {
     /// Scenario (or dataset) the row belongs to, e.g.
@@ -129,12 +95,6 @@ pub struct BenchReport {
     /// field is omitted from the JSON when empty, so pre-quality reports
     /// still parse).
     pub quality: Vec<QualityCase>,
-    /// Peak resident set size in kB at report time ([`peak_rss_kb`],
-    /// captured by [`BenchReport::record_peak_rss`]).  `None` — and omitted
-    /// from the JSON — when never recorded or unavailable, so pre-RSS
-    /// reports still parse.  The `bench_diff compare --rss-gate` flag turns
-    /// this into the streaming-tier memory regression gate.
-    pub peak_rss_kb: Option<u64>,
 }
 
 impl BenchReport {
@@ -151,17 +111,7 @@ impl BenchReport {
             ("scale".to_string(), scale),
             ("package_version".to_string(), env!("CARGO_PKG_VERSION").to_string()),
         ];
-        Self { target: target.into(), environment, cases: Vec::new(), quality: Vec::new(), peak_rss_kb: None }
-    }
-
-    /// Captures the process's peak RSS ([`peak_rss_kb`]) into the report.
-    /// Call it after the last case ran, right before [`BenchReport::write`],
-    /// so the high-water mark covers every timed iteration.
-    pub fn record_peak_rss(&mut self) {
-        self.peak_rss_kb = peak_rss_kb();
-        if let Some(kb) = self.peak_rss_kb {
-            println!("{:<44} {:>10.1} MB peak RSS", "(process high-water mark)", kb as f64 / 1024.0);
-        }
+        Self { target: target.into(), environment, cases: Vec::new(), quality: Vec::new() }
     }
 
     /// Records one quality-table row.
@@ -173,8 +123,8 @@ impl BenchReport {
     }
 
     /// Sorts the quality rows by `(scenario, method)` — the canonical order
-    /// shard reports are merged in, so a sorted serial report and a merged
-    /// set of shard reports are bitwise identical.
+    /// every written quality table uses, so two reports of the same sweep
+    /// compare row by row however their rows were recorded.
     pub fn sort_quality(&mut self) {
         self.quality.sort_by(|a, b| (&a.scenario, &a.method).cmp(&(&b.scenario, &b.method)));
     }
@@ -261,9 +211,6 @@ impl BenchReport {
             );
             members.push(("quality".to_string(), quality));
         }
-        if let Some(kb) = self.peak_rss_kb {
-            members.push(("peak_rss_kb".to_string(), Json::Num(kb as f64)));
-        }
         Json::Obj(members).render()
     }
 
@@ -319,9 +266,7 @@ impl BenchReport {
                 })
                 .collect::<Result<Vec<_>, String>>()?,
         };
-        // absent in pre-RSS reports and on platforms without procfs
-        let peak_rss_kb = doc.get("peak_rss_kb").and_then(Json::as_f64).map(|kb| kb as u64);
-        Ok(Self { target, environment, cases, quality, peak_rss_kb })
+        Ok(Self { target, environment, cases, quality })
     }
 
     /// Writes `BENCH_<target>.json` and returns the path.  The directory
@@ -441,30 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_rss_is_readable_and_round_trips() {
-        // this test runs on Linux CI, where procfs is always present
-        let kb = peak_rss_kb();
-        if let Some(kb) = kb {
-            assert!(kb > 0, "a live process has a nonzero high-water mark");
-        }
-        let mut report = BenchReport::new("rss");
-        report.record("case", 1, &[0.5]);
-        assert!(!report.to_json().contains("peak_rss_kb"), "unrecorded RSS must stay out of the JSON");
-        report.peak_rss_kb = Some(123_456);
-        let back = BenchReport::from_json(&report.to_json()).expect("parse");
-        assert_eq!(back.peak_rss_kb, Some(123_456));
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn reports_without_peak_rss_still_parse() {
-        // the pre-RSS schema had no "peak_rss_kb" member at all
-        let report = BenchReport::new("legacy_rss");
-        let back = BenchReport::from_json(&report.to_json()).expect("parse");
-        assert_eq!(back.peak_rss_kb, None);
-    }
-
-    #[test]
     fn reports_without_quality_still_parse() {
         // the pre-quality schema had no "quality" member at all
         let report = BenchReport::new("legacy");
@@ -489,15 +410,5 @@ mod tests {
         report.sort_quality();
         let keys: Vec<(&str, &str)> = report.quality.iter().map(|q| (q.scenario.as_str(), q.method.as_str())).collect();
         assert_eq!(keys, vec![("a", "x"), ("a", "y"), ("b", "x")]);
-    }
-
-    #[test]
-    fn shard_specs_parse_or_reject() {
-        assert_eq!(parse_shard("0/2"), Ok((0, 2)));
-        assert_eq!(parse_shard("3/4"), Ok((3, 4)));
-        assert_eq!(parse_shard("0/1"), Ok((0, 1)));
-        for bad in ["", "1", "a/2", "1/b", "2/2", "5/2", "0/0", "-1/2", "1/2/3"] {
-            assert!(parse_shard(bad).is_err(), "{bad:?} should be rejected");
-        }
     }
 }

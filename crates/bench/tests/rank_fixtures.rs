@@ -1,26 +1,26 @@
-//! Golden-fixture tests for the `bench_diff rank` machinery: checked-in
-//! `BENCH_*.json` shard reports (the exact schema `scenario_sweep` writes)
-//! exercised through parsing, ranking, tie handling, flip detection and
-//! the merge-then-rank equivalence the sharded CI workflow relies on.
+//! Golden-fixture tests for the `bench_diff rank` machinery: two
+//! checked-in `BENCH_*.json` reports (the exact schema `scenario_sweep`
+//! writes) exercised through parsing, ranking, tie handling, flip
+//! detection and multi-report ranking (`bench_diff rank a.json b.json`).
 
 use lncl_bench::rank::{quality_regressions, rank_scenarios, ranking_flips, RankingFlip};
 use lncl_bench::timing::{BenchReport, QualityCase, SCENARIO_CASE};
 
-const SHARD_A: &str = include_str!("fixtures/rank_shard_a.json");
-const SHARD_B: &str = include_str!("fixtures/rank_shard_b.json");
+const REPORT_A: &str = include_str!("fixtures/rank_report_a.json");
+const REPORT_B: &str = include_str!("fixtures/rank_report_b.json");
 
 fn load_fixtures() -> (BenchReport, BenchReport) {
-    let a = BenchReport::from_json(SHARD_A).expect("shard A fixture parses");
-    let b = BenchReport::from_json(SHARD_B).expect("shard B fixture parses");
+    let a = BenchReport::from_json(REPORT_A).expect("report A fixture parses");
+    let b = BenchReport::from_json(REPORT_B).expect("report B fixture parses");
     (a, b)
 }
 
-/// The quality merge `bench_diff merge` performs: concatenate, then sort
-/// into the canonical `(scenario, method)` order.
-fn merge_quality(reports: &[&BenchReport]) -> Vec<QualityCase> {
-    let mut merged: Vec<QualityCase> = reports.iter().flat_map(|r| r.quality.iter().cloned()).collect();
-    merged.sort_by(|x, y| (&x.scenario, &x.method).cmp(&(&y.scenario, &y.method)));
-    merged
+/// Both reports' quality rows in the canonical `(scenario, method)` order
+/// every written quality table uses.
+fn sorted_quality(reports: &[&BenchReport]) -> Vec<QualityCase> {
+    let mut rows: Vec<QualityCase> = reports.iter().flat_map(|r| r.quality.iter().cloned()).collect();
+    rows.sort_by(|x, y| (&x.scenario, &x.method).cmp(&(&y.scenario, &y.method)));
+    rows
 }
 
 #[test]
@@ -49,8 +49,8 @@ fn ranking_orders_methods_and_shares_tied_ranks() {
 #[test]
 fn flips_between_clean_and_spam_scenarios() {
     let (a, b) = load_fixtures();
-    let merged = merge_quality(&[&a, &b]);
-    let rankings = rank_scenarios(&merged, "headline");
+    let rows = sorted_quality(&[&a, &b]);
+    let rankings = rank_scenarios(&rows, "headline");
     let clean = rankings.iter().find(|r| r.scenario == "sent/clean").expect("clean ranked");
     let spam = rankings.iter().find(|r| r.scenario == "sent/spam").expect("spam ranked");
     let flips = ranking_flips(clean, spam);
@@ -66,19 +66,20 @@ fn flips_between_clean_and_spam_scenarios() {
 }
 
 #[test]
-fn merge_then_rank_equals_rank_over_individual_reports() {
+fn rank_over_sorted_rows_equals_rank_over_individual_reports() {
     let (a, b) = load_fixtures();
-    // simulate the full process-shard path: merge the two shard reports the
-    // way bench_diff does, write + reparse, then rank
-    let mut merged_report = BenchReport::new("merged");
-    merged_report.quality = merge_quality(&[&a, &b]);
-    let reparsed = BenchReport::from_json(&merged_report.to_json()).expect("merged report round-trips");
-    let merged_rankings = rank_scenarios(&reparsed.quality, "headline");
-    // ranking the concatenated per-shard quality rows directly must agree
+    // one report holding both fixtures' rows in canonical order, written
+    // and reparsed, then ranked
+    let mut combined_report = BenchReport::new("combined");
+    combined_report.quality = sorted_quality(&[&a, &b]);
+    let reparsed = BenchReport::from_json(&combined_report.to_json()).expect("combined report round-trips");
+    let combined_rankings = rank_scenarios(&reparsed.quality, "headline");
+    // ranking the concatenated per-report quality rows directly (what
+    // `bench_diff rank a.json b.json` does) must agree
     let concatenated: Vec<QualityCase> = a.quality.iter().chain(&b.quality).cloned().collect();
     let direct_rankings = rank_scenarios(&concatenated, "headline");
-    assert_eq!(merged_rankings, direct_rankings);
-    assert_eq!(merged_rankings.len(), 3);
+    assert_eq!(combined_rankings, direct_rankings);
+    assert_eq!(combined_rankings.len(), 3);
 }
 
 #[test]

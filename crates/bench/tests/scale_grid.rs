@@ -1,7 +1,7 @@
 //! Coverage for [`Scale`] parsing and the scale grid: `LNCL_SCALE`
-//! round-trips, huge-tier knobs, and the cross-scale determinism the
-//! scale-predictivity study rests on (one config at two scales → distinct
-//! corpora; each scale individually bitwise reproducible).
+//! round-trips and the cross-scale determinism the scale-predictivity
+//! study rests on (one config at two scales → distinct corpora; each
+//! scale individually bitwise reproducible).
 
 use lncl_bench::experiments::scenario_sweep_configs;
 use lncl_bench::predictivity::normalized_scenario_name;
@@ -16,7 +16,8 @@ fn parse_and_name_round_trip_every_tier() {
         // parsing is case- and whitespace-tolerant
         assert_eq!(Scale::parse(&format!("  {}  ", scale.name().to_uppercase())), Some(scale));
     }
-    for raw in ["", "gigantic", "smal", "paper-scale", "0"] {
+    // "huge" is not a tier: it warns and falls back like any unknown name
+    for raw in ["", "gigantic", "smal", "paper-scale", "0", "huge"] {
         assert_eq!(Scale::parse(raw), None, "{raw:?} must not parse");
     }
 }
@@ -51,21 +52,6 @@ fn tiers_are_ordered_by_size() {
     for pair in Scale::ALL.windows(2) {
         assert!(pair[0].default_epochs() <= pair[1].default_epochs());
     }
-}
-
-#[test]
-fn huge_tier_knobs_are_production_scale() {
-    // the documented ≥10x-paper contract of the streaming tier
-    let huge_class = Scale::Huge.scenario_base(TaskKind::Classification, 29);
-    let paper_class = Scale::Paper.scenario_base(TaskKind::Classification, 29);
-    assert_eq!(huge_class.train_size, 50_000);
-    assert!(huge_class.train_size >= 10 * paper_class.train_size);
-    let huge_tag = Scale::Huge.scenario_base(TaskKind::SequenceTagging, 29);
-    let paper_tag = Scale::Paper.scenario_base(TaskKind::SequenceTagging, 29);
-    assert_eq!(huge_tag.train_size, 12_000);
-    assert!(huge_tag.train_size >= 10 * paper_tag.train_size);
-    assert_eq!(Scale::Huge.default_epochs(), 30);
-    assert_eq!(Scale::Huge.repetitions(), 1, "huge runs are too expensive to repeat");
 }
 
 #[test]

@@ -1,7 +1,6 @@
-//! Sharded-sweep determinism: the scenario sweep must produce **bitwise
-//! identical** quality tables no matter how it is split — serially, across
-//! worker threads, or across `LNCL_SHARD` processes recombined with the
-//! `bench_diff merge` quality logic.  Also covers the headline ranking
+//! Sweep determinism across worker threads: the scenario sweep must
+//! produce a **bitwise identical** quality table whether it runs serially
+//! or spread over worker threads.  Also covers the headline ranking
 //! claim: the method ranking flips between the clean and the
 //! spammer-heavy standard mixes on a real (aggregation-only) sweep.
 //!
@@ -13,7 +12,7 @@
 use lncl_bench::quality::{record_scenario_outcome, HEADLINE_METRIC};
 use lncl_bench::rank::{rank_scenarios, ranking_flips};
 use lncl_bench::timing::{BenchReport, QualityCase};
-use lncl_bench::{shard_configs, sweep_scenarios, Scale, ScenarioOutcome};
+use lncl_bench::{sweep_scenarios, Scale, ScenarioOutcome};
 use lncl_crowd::scenario::{standard_mixes, Archetype, DriftSchedule, PropensityProfile, ScenarioConfig, ScenarioGrid};
 use lncl_crowd::TaskKind;
 
@@ -81,36 +80,6 @@ fn thread_sharded_sweep_is_bitwise_identical_to_serial() {
         }
         assert_eq!(s.reliability_pearson.to_bits(), t.reliability_pearson.to_bits());
     }
-}
-
-#[test]
-fn process_sharded_sweep_merges_back_to_the_serial_table() {
-    let configs = test_grid();
-    let serial = quality_table(&sweep_scenarios(&configs, Scale::Small, Some(METHODS), 1));
-
-    // simulate LNCL_SHARD=0/2 and 1/2: each process sweeps its strided
-    // subset, writes a JSON report, and `bench_diff merge` recombines the
-    // parsed quality rows in canonical order
-    let mut merged: Vec<QualityCase> = Vec::new();
-    let mut shard_sizes = Vec::new();
-    for index in 0..2 {
-        let shard = shard_configs(&configs, index, 2);
-        shard_sizes.push(shard.len());
-        let outcomes = sweep_scenarios(&shard, Scale::Small, Some(METHODS), 2);
-        let mut report = BenchReport::new(format!("scenario_sweep_shard{index}of2"));
-        for outcome in &outcomes {
-            record_scenario_outcome(&mut report, outcome);
-        }
-        report.sort_quality();
-        // full serialise -> parse cycle, exactly what separate processes do
-        let reparsed = BenchReport::from_json(&report.to_json()).expect("shard report round-trips");
-        merged.extend(reparsed.quality);
-    }
-    merged.sort_by(|x, y| (&x.scenario, &x.method).cmp(&(&y.scenario, &y.method)));
-
-    assert_eq!(shard_sizes.iter().sum::<usize>(), configs.len(), "shards partition the grid");
-    assert!(shard_sizes.iter().all(|&n| n > 0), "strided sharding loads every shard");
-    assert_bitwise_equal(&serial, &merged, "process shards + merge vs serial");
 }
 
 #[test]

@@ -89,7 +89,6 @@ pub mod method;
 pub mod posterior;
 pub mod predict;
 pub mod report;
-pub mod streaming;
 pub mod trainer;
 
 pub use ablation::{paper_rules, AblationVariant};

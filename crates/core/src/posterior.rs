@@ -94,51 +94,6 @@ impl FlatPosteriors {
     }
 }
 
-/// Incremental [`FlatPosteriors`] constructor for consumers that discover
-/// their instances one chunk at a time — the huge-tier streaming path,
-/// which folds each generated chunk into the arena and drops it.  Unlike
-/// [`FlatPosteriors::zeros`] it never needs the full instance list up
-/// front; the arena grows amortised-O(1) per unit.
-#[derive(Debug, Clone)]
-pub struct FlatPosteriorsBuilder {
-    k: usize,
-    data: Vec<f32>,
-    offsets: Vec<usize>,
-}
-
-impl FlatPosteriorsBuilder {
-    /// An empty arena for `k`-class posteriors.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "FlatPosteriorsBuilder: need at least one class");
-        Self { k, data: Vec::new(), offsets: vec![0] }
-    }
-
-    /// Appends a zero-filled instance of `units` rows and returns its flat
-    /// `units * K` slice for the caller to fill in place.
-    pub fn push_instance(&mut self, units: usize) -> &mut [f32] {
-        let start = self.data.len();
-        self.data.resize(start + units * self.k, 0.0);
-        self.offsets.push(self.offsets.last().unwrap() + units);
-        &mut self.data[start..]
-    }
-
-    /// Instances appended so far.
-    pub fn num_instances(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total unit rows appended so far.
-    pub fn total_units(&self) -> usize {
-        *self.offsets.last().unwrap()
-    }
-
-    /// Finalises the arena.
-    pub fn finish(self) -> FlatPosteriors {
-        let units = *self.offsets.last().unwrap();
-        FlatPosteriors { data: Matrix::from_vec(units, self.k, self.data), offsets: self.offsets }
-    }
-}
-
 /// Computes the truth posterior `q_a` for one instance — a `units x K`
 /// matrix, one row per unit — by Bayes' rule:
 ///

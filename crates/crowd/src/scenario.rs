@@ -923,7 +923,7 @@ impl ScenarioConfig {
 /// A process-wide cache of generated scenario datasets, keyed by
 /// [`ScenarioConfig::content_hash`].  Sweeps that visit the same
 /// configuration more than once (repeated method subsets, quality passes
-/// after timing passes, sharded workers on overlapping grids) share one
+/// after timing passes, sweep workers on overlapping grids) share one
 /// generated corpus instead of regenerating it.  Thread-safe: workers on
 /// scoped threads can share one cache by reference.
 #[derive(Debug, Default)]
@@ -1035,7 +1035,7 @@ pub fn scenario_pool(config: &ScenarioConfig) -> ScenarioPool {
 
 /// Generates the dataset described by a [`ScenarioConfig`] in one batch by
 /// draining a [`ScenarioStream`] — see the stream type for the chunked
-/// (huge-tier) form and the RNG-stream discipline both share.
+/// form and the RNG-stream discipline both share.
 pub fn generate_scenario(config: &ScenarioConfig) -> CrowdDataset {
     let mut stream = ScenarioStream::new(config);
     let mut train = Vec::with_capacity(config.train_size);
@@ -1063,11 +1063,10 @@ impl TextModel {
     }
 }
 
-/// Chunked-iterator form of [`generate_scenario`] — the huge-tier streaming
-/// path.  Training instances are produced in caller-sized chunks and can be
-/// dropped as soon as they are consumed (e.g. folded into a flat posterior
-/// arena), so the corpus never fully resides in memory; [`finish`] then
-/// emits the dev/test splits and the dataset shell.
+/// Chunked-iterator form of [`generate_scenario`].  Training instances are
+/// produced in caller-sized chunks and can be dropped as soon as they are
+/// consumed, so a chunked consumer never needs the whole corpus in memory;
+/// [`finish`] then emits the dev/test splits and the dataset shell.
 ///
 /// The stream **is** the generator: [`generate_scenario`] drains one, so a
 /// chunked consumer sees byte-for-byte the instances the batch call would

@@ -6,7 +6,7 @@
 //! but **invalid** value falls back with a warning on stderr — never a
 //! panic, never a silent misparse.  This module is the single
 //! implementation of that convention; `LNCL_THREADS` (tensor kernels),
-//! `LNCL_REPS` / `LNCL_EPOCHS` / `LNCL_BENCH_ITERS` / `LNCL_SHARD` (bench
+//! `LNCL_SCALE` / `LNCL_REPS` / `LNCL_EPOCHS` / `LNCL_BENCH_ITERS` (bench
 //! harness) and the `LNCL_SERVE_*` family (streaming service) all route
 //! through it.
 
