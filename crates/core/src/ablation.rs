@@ -1,16 +1,18 @@
 //! Ablation variants of Table IV.
 //!
-//! Every variant is a re-configuration of the main trainer or of the
-//! two-stage pipeline; this module names them and builds the corresponding
-//! rule sets / posterior modes so the bench harness and the tests construct
-//! exactly the variants the paper evaluates.
+//! Every variant is a re-configuration of the main trainer; this module
+//! names them and builds the rule sets they train with, so the bench
+//! harness and the tests construct exactly the variants the paper
+//! evaluates.
 
 use crate::distill::TaskRules;
 use lncl_crowd::{CrowdDataset, TaskKind};
 use lncl_logic::rules::ner_transition::{ner_bad_rules, ner_transition_rules};
 use lncl_logic::rules::sentiment_but::SentimentContrastRule;
 
-/// The Table-IV ablation variants (plus the two full models for reference).
+/// The Table-IV ablation variants that need a training of their own.
+/// `w/o-Rule` is the `aggnet` entry's second row and `MV-t` the
+/// `mv-classifier` entry's teacher row, both read from the same training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AblationVariant {
     /// `MV-Rule`: q_a frozen to the majority-voting estimate, rules kept.
@@ -18,16 +20,9 @@ pub enum AblationVariant {
     /// `GLAD-Rule`: q_a frozen to the GLAD estimate (AggNet estimate on the
     /// NER dataset, where GLAD is not applicable), rules kept.
     GladRule,
-    /// `w/o-Rule`: iterative posterior, no rules (equivalent to AggNet).
-    WithoutRule,
-    /// `MV-t`: the plain MV-Classifier evaluated with the teacher output.
-    MvTeacher,
     /// `our-other-rules-*`: the deliberately weaker rules ("however" /
     /// single-transition assumption).
     OtherRules,
-    /// The full Logic-LNCL model (student / teacher chosen at prediction
-    /// time).
-    Full,
 }
 
 impl AblationVariant {
@@ -36,28 +31,13 @@ impl AblationVariant {
         match self {
             AblationVariant::MvRule => "MV-Rule",
             AblationVariant::GladRule => "GLAD-Rule",
-            AblationVariant::WithoutRule => "w/o-Rule",
-            AblationVariant::MvTeacher => "MV-t",
             AblationVariant::OtherRules => "our-other-rules",
-            AblationVariant::Full => "Logic-LNCL",
         }
     }
 
     /// All variants in table order.
-    pub fn all() -> [AblationVariant; 6] {
-        [
-            AblationVariant::MvRule,
-            AblationVariant::GladRule,
-            AblationVariant::WithoutRule,
-            AblationVariant::MvTeacher,
-            AblationVariant::OtherRules,
-            AblationVariant::Full,
-        ]
-    }
-
-    /// Whether this variant freezes `q_a` to an external truth estimate.
-    pub fn uses_fixed_posterior(&self) -> bool {
-        matches!(self, AblationVariant::MvRule | AblationVariant::GladRule)
+    pub fn all() -> [AblationVariant; 3] {
+        [AblationVariant::MvRule, AblationVariant::GladRule, AblationVariant::OtherRules]
     }
 }
 
@@ -88,15 +68,6 @@ pub fn other_rules(dataset: &CrowdDataset) -> TaskRules {
     }
 }
 
-/// The rules a given ablation variant trains with.
-pub fn rules_for(variant: AblationVariant, dataset: &CrowdDataset) -> TaskRules {
-    match variant {
-        AblationVariant::WithoutRule | AblationVariant::MvTeacher => TaskRules::None,
-        AblationVariant::OtherRules => other_rules(dataset),
-        _ => paper_rules(dataset),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,16 +76,7 @@ mod tests {
     #[test]
     fn names_cover_table_four() {
         let names: Vec<&str> = AblationVariant::all().iter().map(|v| v.name()).collect();
-        assert!(names.contains(&"MV-Rule"));
-        assert!(names.contains(&"w/o-Rule"));
-        assert!(names.contains(&"our-other-rules"));
-    }
-
-    #[test]
-    fn fixed_posterior_flags() {
-        assert!(AblationVariant::MvRule.uses_fixed_posterior());
-        assert!(AblationVariant::GladRule.uses_fixed_posterior());
-        assert!(!AblationVariant::Full.uses_fixed_posterior());
+        assert_eq!(names, ["MV-Rule", "GLAD-Rule", "our-other-rules"]);
     }
 
     #[test]
@@ -137,10 +99,9 @@ mod tests {
             TaskRules::Sequence(set) => assert_eq!(set.num_classes(), 9),
             _ => panic!("expected sequence rules"),
         }
-        match rules_for(AblationVariant::OtherRules, &data) {
+        match other_rules(&data) {
             TaskRules::Sequence(set) => assert!(set.name.contains("bad")),
             _ => panic!("expected sequence rules"),
         }
-        assert!(rules_for(AblationVariant::WithoutRule, &data).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! DL-DN / DL-WDN (Guan et al., 2018): train one copy of the network per
 //! annotator on that annotator's labels, then average the predictions —
 //! uniformly (DN) or weighted by how many instances each annotator labelled
-//! (WDN).
+//! (WDN).  Both averages read the same trained ensemble.
 
 use crate::baselines::two_stage::{one_hot_targets, train_supervised};
 use crate::config::TrainConfig;
@@ -10,26 +10,6 @@ use crate::report::EvalMetrics;
 use lncl_crowd::{CrowdDataset, Instance};
 use lncl_nn::{InstanceClassifier, Module};
 use lncl_tensor::stats;
-
-/// Averaging scheme over the per-annotator networks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DlDnKind {
-    /// Uniform average ("DL-DN").
-    Uniform,
-    /// Average weighted by each annotator's number of labelled instances
-    /// ("DL-WDN").
-    Weighted,
-}
-
-impl DlDnKind {
-    /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DlDnKind::Uniform => "DL-DN",
-            DlDnKind::Weighted => "DL-WDN",
-        }
-    }
-}
 
 /// Configuration of the DL-DN baseline.
 #[derive(Debug, Clone)]
@@ -51,54 +31,54 @@ impl Default for DlDnConfig {
     }
 }
 
-/// Trains the per-annotator ensemble and evaluates it on the test split.
-/// `model_factory` builds a fresh (randomly initialised) network for each
-/// annotator.  Returns `(test metrics, ensemble predictions on test)`.
-pub fn train_dl_dn<M, F>(
-    dataset: &CrowdDataset,
-    kind: DlDnKind,
-    config: &DlDnConfig,
-    model_factory: F,
-) -> (EvalMetrics, Vec<Vec<usize>>)
+/// Trains the per-annotator ensemble once and evaluates both of its
+/// averages on the test split.  `model_factory` builds a fresh (randomly
+/// initialised) network for each annotator.  Returns the `(DL-DN,
+/// DL-WDN)` test metrics: the uniform and the count-weighted average.
+pub fn train_dl_dn<M, F>(dataset: &CrowdDataset, config: &DlDnConfig, model_factory: F) -> (EvalMetrics, EvalMetrics)
 where
     M: InstanceClassifier + Module + Clone,
     F: FnMut(u64) -> M,
 {
-    let ensemble = train_ensemble(dataset, kind, config, model_factory);
-    let predictions: Vec<Vec<usize>> =
-        dataset.test.iter().map(|inst| ensemble_predict(&ensemble, &inst.tokens, dataset.num_classes)).collect();
-    let metrics = evaluate_predictions(&predictions, &dataset.test, dataset.task);
-    (metrics, predictions)
+    let ensemble = train_ensemble(dataset, config, model_factory);
+    let evaluate = |weight: fn(usize) -> f32| {
+        let predictions: Vec<Vec<usize>> = dataset
+            .test
+            .iter()
+            .map(|inst| {
+                ensemble_proba(&ensemble, weight, &inst.tokens, dataset.num_classes)
+                    .iter()
+                    .map(|row| stats::argmax(row))
+                    .collect()
+            })
+            .collect();
+        evaluate_predictions(&predictions, &dataset.test, dataset.task)
+    };
+    (evaluate(|_| 1.0), evaluate(|count| count as f32))
 }
 
-/// Trains the per-annotator ensemble and reads out its averaged softmax
-/// posterior over the true class for every unit of the **training split**,
-/// in [`AnnotationView`](lncl_crowd::AnnotationView) order.  The weighted
+/// Trains the per-annotator ensemble and reads out its uniform-average
+/// softmax posterior over the true class for every unit of the **training
+/// split**, in [`AnnotationView`](lncl_crowd::AnnotationView) order.  An
 /// average of per-model distributions is itself a distribution, so every
 /// row sums to 1 — the posterior-normalisation invariant the robustness
 /// suite checks.
-pub fn train_dl_dn_posteriors<M, F>(
-    dataset: &CrowdDataset,
-    kind: DlDnKind,
-    config: &DlDnConfig,
-    model_factory: F,
-) -> Vec<Vec<f32>>
+pub fn train_dl_dn_posteriors<M, F>(dataset: &CrowdDataset, config: &DlDnConfig, model_factory: F) -> Vec<Vec<f32>>
 where
     M: InstanceClassifier + Module + Clone,
     F: FnMut(u64) -> M,
 {
-    let ensemble = train_ensemble(dataset, kind, config, model_factory);
-    dataset.train.iter().flat_map(|inst| ensemble_proba(&ensemble, &inst.tokens, dataset.num_classes)).collect()
+    let ensemble = train_ensemble(dataset, config, model_factory);
+    dataset
+        .train
+        .iter()
+        .flat_map(|inst| ensemble_proba(&ensemble, |_| 1.0, &inst.tokens, dataset.num_classes))
+        .collect()
 }
 
 /// Trains one network per qualifying annotator on that annotator's labels,
-/// returning the `(model, averaging weight)` ensemble.
-fn train_ensemble<M, F>(
-    dataset: &CrowdDataset,
-    kind: DlDnKind,
-    config: &DlDnConfig,
-    mut model_factory: F,
-) -> Vec<(M, f32)>
+/// returning the `(model, labelled-instance count)` ensemble.
+fn train_ensemble<M, F>(dataset: &CrowdDataset, config: &DlDnConfig, mut model_factory: F) -> Vec<(M, usize)>
 where
     M: InstanceClassifier + Module + Clone,
     F: FnMut(u64) -> M,
@@ -116,7 +96,7 @@ where
         counts.into_iter().filter(|&(_, n)| n >= config.min_instances).take(config.max_annotators).collect();
     assert!(!selected.is_empty(), "DL-DN: no annotator has enough labels (min_instances too high?)");
 
-    let mut ensemble: Vec<(M, f32)> = Vec::with_capacity(selected.len());
+    let mut ensemble: Vec<(M, usize)> = Vec::with_capacity(selected.len());
     for (idx, &(annotator, count)) in selected.iter().enumerate() {
         // restrict the dataset to this annotator's labels
         let train: Vec<Instance> = dataset
@@ -136,11 +116,7 @@ where
         let mut model = model_factory(idx as u64);
         let sub_config = TrainConfig { seed: config.train.seed.wrapping_add(idx as u64), ..config.train.clone() };
         train_supervised(&mut model, &sub_dataset, &targets, &sub_config);
-        let weight = match kind {
-            DlDnKind::Uniform => 1.0,
-            DlDnKind::Weighted => count as f32,
-        };
-        ensemble.push((model, weight));
+        ensemble.push((model, count));
     }
     ensemble
 }
@@ -166,21 +142,28 @@ fn stream_fingerprint(dataset: &CrowdDataset, annotator: usize) -> u64 {
     hash
 }
 
-/// Weighted-average class distribution of the ensemble, one row per unit.
-fn ensemble_proba<M: InstanceClassifier>(ensemble: &[(M, f32)], tokens: &[usize], num_classes: usize) -> Vec<Vec<f32>> {
+/// Weighted-average class distribution of the ensemble, one row per unit;
+/// `weight` maps each network's labelled-instance count to its weight.
+fn ensemble_proba<M: InstanceClassifier>(
+    ensemble: &[(M, usize)],
+    weight: fn(usize) -> f32,
+    tokens: &[usize],
+    num_classes: usize,
+) -> Vec<Vec<f32>> {
     let mut total: Vec<Vec<f32>> = Vec::new();
     let mut weight_sum = 0.0f32;
-    for (model, weight) in ensemble {
+    for (model, count) in ensemble {
+        let w = weight(*count);
         let probs = model.predict_proba(tokens);
         if total.is_empty() {
             total = vec![vec![0.0; num_classes]; probs.rows()];
         }
         for (r, acc) in total.iter_mut().enumerate() {
             for (c, a) in acc.iter_mut().enumerate() {
-                *a += weight * probs[(r, c)];
+                *a += w * probs[(r, c)];
             }
         }
-        weight_sum += weight;
+        weight_sum += w;
     }
     for row in &mut total {
         for v in row.iter_mut() {
@@ -188,10 +171,6 @@ fn ensemble_proba<M: InstanceClassifier>(ensemble: &[(M, f32)], tokens: &[usize]
         }
     }
     total
-}
-
-fn ensemble_predict<M: InstanceClassifier>(ensemble: &[(M, f32)], tokens: &[usize], num_classes: usize) -> Vec<usize> {
-    ensemble_proba(ensemble, tokens, num_classes).iter().map(|row| stats::argmax(row)).collect()
 }
 
 #[cfg(test)]
@@ -219,12 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn names_match_paper() {
-        assert_eq!(DlDnKind::Uniform.name(), "DL-DN");
-        assert_eq!(DlDnKind::Weighted.name(), "DL-WDN");
-    }
-
-    #[test]
     fn ensemble_beats_chance_on_sentiment() {
         // a small pool of prolific annotators so every per-annotator network
         // has enough data to learn from
@@ -240,9 +213,8 @@ mod tests {
             ..SentimentDatasetConfig::tiny()
         });
         let config = DlDnConfig { train: TrainConfig::fast(10), min_instances: 50, max_annotators: 6 };
-        let (metrics, predictions) = train_dl_dn(&dataset, DlDnKind::Weighted, &config, factory(&dataset));
-        assert_eq!(predictions.len(), dataset.test.len());
-        assert!(metrics.accuracy > 0.55, "DL-WDN accuracy {}", metrics.accuracy);
+        let (_, weighted) = train_dl_dn(&dataset, &config, factory(&dataset));
+        assert!(weighted.accuracy > 0.55, "DL-WDN accuracy {}", weighted.accuracy);
     }
 
     #[test]
@@ -250,6 +222,6 @@ mod tests {
     fn panics_when_no_annotator_qualifies() {
         let dataset = generate_sentiment(&SentimentDatasetConfig::tiny());
         let config = DlDnConfig { min_instances: 10_000, ..Default::default() };
-        let _ = train_dl_dn(&dataset, DlDnKind::Uniform, &config, factory(&dataset));
+        let _ = train_dl_dn(&dataset, &config, factory(&dataset));
     }
 }

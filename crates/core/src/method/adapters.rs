@@ -5,11 +5,13 @@
 //! training configuration and model factory — from the [`RunContext`], so
 //! the bench harness and the examples construct methods exclusively through
 //! the [`MethodRegistry`](super::MethodRegistry).
+//! One adapter is one training: it emits every table row read from that
+//! training (see [`CrowdMethod::run`]).
 
 use super::{CrowdMethod, Family, MethodDescriptor, RunContext, TaskSupport};
 use crate::ablation::{other_rules, paper_rules, AblationVariant};
 use crate::baselines::two_stage::{gold_targets, inference_metrics_of, one_hot_targets, train_supervised};
-use crate::baselines::{train_dl_dn, CrowdLayerKind, CrowdLayerTrainer, DlDnConfig, DlDnKind};
+use crate::baselines::{train_dl_dn, CrowdLayerKind, CrowdLayerTrainer, DlDnConfig};
 use crate::config::TrainConfig;
 use crate::distill::TaskRules;
 use crate::predict::{evaluate_split, PredictionMode};
@@ -91,42 +93,29 @@ impl<I: TruthInference + Send + Sync> CrowdMethod for TruthOnly<I> {
 
 /// A two-stage baseline: aggregate with the wrapped truth-inference method,
 /// then train the classifier on the hard labels (MV-Classifier,
-/// GLAD-Classifier).
+/// GLAD-Classifier).  With a teacher label the same trained classifier is
+/// also evaluated with the paper rules applied at test time (Table IV's
+/// `MV-t`), as a second row.
 pub struct TwoStage<I: TruthInference + Send + Sync> {
     name: String,
     label: String,
+    teacher_label: Option<&'static str>,
     inference: I,
     tasks: TaskSupport,
 }
 
 impl<I: TruthInference + Send + Sync> TwoStage<I> {
-    /// Wraps a truth-inference method into a two-stage pipeline.
-    pub fn new(name: impl Into<String>, label: impl Into<String>, inference: I, tasks: TaskSupport) -> Self {
-        Self { name: name.into(), label: label.into(), inference, tasks }
+    /// Wraps a truth-inference method into a two-stage pipeline;
+    /// `teacher_label` names the optional teacher-output row.
+    pub fn new(
+        name: impl Into<String>,
+        label: impl Into<String>,
+        teacher_label: Option<&'static str>,
+        inference: I,
+        tasks: TaskSupport,
+    ) -> Self {
+        Self { name: name.into(), label: label.into(), teacher_label, inference, tasks }
     }
-}
-
-/// The two-stage pipeline shared by the [`TwoStage`] adapter and the `MV-t`
-/// ablation: aggregate, train supervised on the hard labels, then evaluate
-/// the classifier under the given output mode.
-fn run_two_stage_pipeline(
-    inference: &dyn TruthInference,
-    label: &str,
-    mode: PredictionMode,
-    rules: &TaskRules,
-    regularization_c: f32,
-    dataset: &CrowdDataset,
-    ctx: &RunContext,
-) -> Vec<MethodResult> {
-    let view = dataset.annotation_view();
-    let estimate = inference.infer(&view);
-    let hard = estimate.hard_by_instance(&view);
-    let inference_metrics = inference_metrics_of(&hard, dataset);
-    let targets = one_hot_targets(&hard, dataset.num_classes);
-    let mut model = ctx.model(ctx.config.seed);
-    train_supervised(&mut model, dataset, &targets, &ctx.config);
-    let prediction = evaluate_split(&model, &dataset.test, dataset.task, mode, rules, regularization_c);
-    vec![MethodResult::new(label, prediction, Some(inference_metrics))]
 }
 
 impl<I: TruthInference + Send + Sync> CrowdMethod for TwoStage<I> {
@@ -135,15 +124,19 @@ impl<I: TruthInference + Send + Sync> CrowdMethod for TwoStage<I> {
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        run_two_stage_pipeline(
-            &self.inference,
-            &self.label,
-            PredictionMode::Student,
-            &TaskRules::None,
-            0.0,
-            dataset,
-            ctx,
-        )
+        let view = dataset.annotation_view();
+        let hard = self.inference.infer(&view).hard_by_instance(&view);
+        let inference = Some(inference_metrics_of(&hard, dataset));
+        let mut model = ctx.model(ctx.config.seed);
+        train_supervised(&mut model, dataset, &one_hot_targets(&hard, dataset.num_classes), &ctx.config);
+        let evaluate = |mode, rules: &TaskRules, c| evaluate_split(&model, &dataset.test, dataset.task, mode, rules, c);
+        let student = evaluate(PredictionMode::Student, &TaskRules::None, 0.0);
+        let mut rows = vec![MethodResult::new(self.label.clone(), student, inference)];
+        if let Some(label) = self.teacher_label {
+            let teacher = evaluate(PredictionMode::Teacher, &paper_rules(dataset), ctx.config.regularization_c);
+            rows.push(MethodResult::new(label, teacher, inference));
+        }
+        rows
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, _ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
@@ -169,7 +162,8 @@ impl CrowdMethod for GoldUpperBound {
 }
 
 /// The EM baseline without rules (AggNet with a neural classifier; the
-/// inference column doubles as the Raykar row of Table II).
+/// inference column doubles as the Raykar row of Table II).  The same
+/// training is Table IV's `w/o-Rule` ablation, so it emits that row too.
 pub struct AggNet;
 
 impl CrowdMethod for AggNet {
@@ -180,7 +174,10 @@ impl CrowdMethod for AggNet {
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
         let (trainer, report) = train_lncl(dataset, ctx, TaskRules::None);
         let prediction = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
-        vec![MethodResult::new("AggNet", prediction, Some(report.inference))]
+        vec![
+            MethodResult::new("AggNet", prediction, Some(report.inference)),
+            MethodResult::new("w/o-Rule", prediction, Some(report.inference)),
+        ]
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
@@ -249,18 +246,13 @@ impl CrowdMethod for CrowdLayerMethod {
     }
 }
 
-/// DL-DN / DL-WDN (Guan et al. 2018): one network per annotator with
-/// (weighted) prediction averaging.
-pub struct DlDnMethod {
-    kind: DlDnKind,
-}
+/// DL-DN / DL-WDN (Guan et al. 2018): one network per annotator.  One
+/// trained ensemble gives both rows: the uniform prediction average
+/// (DL-DN) and the average weighted by each annotator's labelled-instance
+/// count (DL-WDN).
+pub struct DlDnMethod;
 
 impl DlDnMethod {
-    /// Creates the variant.
-    pub fn new(kind: DlDnKind) -> Self {
-        Self { kind }
-    }
-
     /// The per-annotator training configuration shared by `run` and
     /// `infer_posteriors` (kept short: each annotator sees only a slice of
     /// the data).
@@ -275,24 +267,18 @@ impl DlDnMethod {
 
 impl CrowdMethod for DlDnMethod {
     fn descriptor(&self) -> MethodDescriptor {
-        let key = match self.kind {
-            DlDnKind::Uniform => "dl-dn",
-            DlDnKind::Weighted => "dl-wdn",
-        };
-        MethodDescriptor::new(key, self.kind.name(), Family::DlDn, TaskSupport::Both)
+        MethodDescriptor::new("dl-dn", "DL-DN", Family::DlDn, TaskSupport::Both)
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        let (prediction, _) = train_dl_dn(dataset, self.kind, &Self::dl_config(ctx), |seed| ctx.model(seed));
-        vec![MethodResult::new(self.kind.name(), prediction, None)]
+        let (uniform, weighted) = train_dl_dn(dataset, &Self::dl_config(ctx), |seed| ctx.model(seed));
+        vec![MethodResult::new("DL-DN", uniform, None), MethodResult::new("DL-WDN", weighted, None)]
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
-        // the ensemble's weighted-average softmax is its (normalised)
+        // the ensemble's uniform-average softmax is its (normalised)
         // estimate of the truth on the training split
-        Some(crate::baselines::train_dl_dn_posteriors(dataset, self.kind, &Self::dl_config(ctx), |seed| {
-            ctx.model(seed)
-        }))
+        Some(crate::baselines::train_dl_dn_posteriors(dataset, &Self::dl_config(ctx), |seed| ctx.model(seed)))
     }
 }
 
@@ -367,8 +353,7 @@ impl CrowdMethod for LogicLnclWindowedMethod {
     }
 }
 
-/// One Table-IV ablation variant.  [`AblationVariant::Full`] delegates to
-/// [`LogicLnclMethod`] (it is registered under `"logic-lncl"`).
+/// One Table-IV ablation variant that needs a training of its own.
 pub struct AblationMethod {
     variant: AblationVariant,
 }
@@ -383,10 +368,22 @@ impl AblationMethod {
         match self.variant {
             AblationVariant::MvRule => "mv-rule",
             AblationVariant::GladRule => "glad-rule",
-            AblationVariant::WithoutRule => "wo-rule",
-            AblationVariant::MvTeacher => "mv-teacher",
             AblationVariant::OtherRules => "other-rules",
-            AblationVariant::Full => "logic-lncl",
+        }
+    }
+
+    /// The aggregation estimate `MV-Rule` / `GLAD-Rule` freeze `q_a` to —
+    /// which is also their inferred truth posterior — or `None` for the
+    /// other-rules variant, which keeps the iterative posterior.
+    fn frozen_estimate(&self, dataset: &CrowdDataset) -> Option<TruthEstimate> {
+        let view = dataset.annotation_view();
+        match (self.variant, dataset.task) {
+            (AblationVariant::MvRule, _) => Some(MajorityVote.infer(&view)),
+            (AblationVariant::GladRule, TaskKind::Classification) => Some(Glad::default().infer(&view)),
+            // GLAD is not applicable to NER; the paper substitutes the
+            // AggNet estimate, which Dawid–Skene approximates here.
+            (AblationVariant::GladRule, TaskKind::SequenceTagging) => Some(DawidSkene::default().infer(&view)),
+            (AblationVariant::OtherRules, _) => None,
         }
     }
 }
@@ -397,46 +394,18 @@ impl CrowdMethod for AblationMethod {
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        match self.variant {
-            AblationVariant::Full => LogicLnclMethod.run(dataset, ctx),
-            AblationVariant::WithoutRule => {
-                let rows = AggNet.run(dataset, ctx);
-                rows.into_iter().map(|r| MethodResult::new("w/o-Rule", r.prediction, r.inference)).collect()
-            }
-            AblationVariant::MvTeacher => {
-                // MV-Classifier whose *test-time* prediction applies the rules.
-                run_two_stage_pipeline(
-                    &MajorityVote,
-                    "MV-t",
-                    PredictionMode::Teacher,
-                    &paper_rules(dataset),
-                    ctx.config.regularization_c,
-                    dataset,
-                    ctx,
-                )
-            }
-            AblationVariant::MvRule | AblationVariant::GladRule => {
-                let view = dataset.annotation_view();
-                let estimate = if self.variant == AblationVariant::MvRule {
-                    MajorityVote.infer(&view)
-                } else if dataset.task == TaskKind::Classification {
-                    Glad::default().infer(&view)
-                } else {
-                    // GLAD is not applicable to NER; the paper substitutes the
-                    // AggNet estimate, which Dawid–Skene approximates here.
-                    DawidSkene::default().infer(&view)
-                };
-                let fixed = estimate_to_targets(&estimate, dataset);
+        match self.frozen_estimate(dataset) {
+            Some(estimate) => {
                 let mut trainer = LogicLncl::builder(ctx.model(ctx.config.seed))
                     .rules(paper_rules(dataset))
                     .config(ctx.config.clone())
-                    .fixed_posterior(fixed)
+                    .fixed_posterior(estimate_to_targets(&estimate, dataset))
                     .build(dataset);
                 let report = trainer.train(dataset);
                 let prediction = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
                 vec![MethodResult::new(self.variant.name(), prediction, Some(report.inference))]
             }
-            AblationVariant::OtherRules => {
+            None => {
                 let (trainer, report) = train_lncl(dataset, ctx, other_rules(dataset));
                 let student = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
                 let teacher = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Teacher);
@@ -449,24 +418,9 @@ impl CrowdMethod for AblationMethod {
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
-        match self.variant {
-            AblationVariant::Full => LogicLnclMethod.infer_posteriors(dataset, ctx),
-            AblationVariant::WithoutRule => AggNet.infer_posteriors(dataset, ctx),
-            // the fixed-posterior variants train against a frozen aggregation
-            // estimate, which *is* their inferred truth posterior
-            AblationVariant::MvTeacher | AblationVariant::MvRule => {
-                Some(MajorityVote.infer(&dataset.annotation_view()).posteriors)
-            }
-            AblationVariant::GladRule => {
-                let view = dataset.annotation_view();
-                let estimate = if dataset.task == TaskKind::Classification {
-                    Glad::default().infer(&view)
-                } else {
-                    DawidSkene::default().infer(&view)
-                };
-                Some(estimate.posteriors)
-            }
-            AblationVariant::OtherRules => Some(qf_rows(train_lncl(dataset, ctx, other_rules(dataset)).0.qf())),
+        match self.frozen_estimate(dataset) {
+            Some(estimate) => Some(estimate.posteriors),
+            None => Some(qf_rows(train_lncl(dataset, ctx, other_rules(dataset)).0.qf())),
         }
     }
 }

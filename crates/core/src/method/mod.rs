@@ -62,7 +62,8 @@ pub enum Family {
     NeuralEm,
     /// Crowd-layer variants of Rodrigues & Pereira (CL (MW) / (VW) / (VW-B)).
     CrowdLayer,
-    /// Per-annotator network ensembles of Guan et al. (DL-DN / DL-WDN).
+    /// Per-annotator network ensembles of Guan et al.: one entry, whose
+    /// single trained ensemble emits both the DL-DN and DL-WDN rows.
     DlDn,
     /// The Gold upper bound (supervised training on the true labels).
     Gold,
@@ -226,14 +227,16 @@ impl RunContext {
 
 /// One compared method of the paper behind a uniform, trait-object-safe
 /// interface.  `run` trains / infers from scratch and returns the result
-/// rows the method contributes to a table (most methods contribute one;
-/// Logic-LNCL contributes its student and teacher rows from a single
-/// training run).
+/// rows the method contributes to a table.
 pub trait CrowdMethod: Send + Sync {
     /// Static description (registry key, display label, family, tasks).
     fn descriptor(&self) -> MethodDescriptor;
 
-    /// Runs the method on a dataset and returns its table rows.
+    /// Runs the method on a dataset and returns its table rows.  One entry
+    /// is one training, and it emits every row read from that training:
+    /// most methods emit one row, while Logic-LNCL (student, teacher),
+    /// AggNet (`AggNet`, `w/o-Rule`), DL-DN (`DL-DN`, `DL-WDN`) and
+    /// MV-Classifier (`MV-Classifier`, `MV-t`) emit two.
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult>;
 
     /// Runs the method's truth-inference stage and returns its per-unit
@@ -242,8 +245,8 @@ pub trait CrowdMethod: Send + Sync {
     ///
     /// Methods without an explicit truth-inference stage read out the best
     /// normalised proxy they have: the crowd-layer variants return the
-    /// trained backbone's softmax on the training split, DL-DN/DL-WDN the
-    /// ensemble's weighted-average softmax.  Only the Gold upper bound
+    /// trained backbone's softmax on the training split, DL-DN the
+    /// ensemble's uniform-average softmax.  Only the Gold upper bound
     /// returns `None` — it consumes the truth, so a "posterior" would be
     /// vacuous.  The robustness suite uses this hook to assert posterior
     /// invariants (rows normalised, entries in `[0, 1]`,
@@ -257,9 +260,9 @@ pub trait CrowdMethod: Send + Sync {
 /// String-keyed registry of every compared method.
 ///
 /// Keys are the kebab-case [`MethodDescriptor::name`]s; [`MethodRegistry::standard`]
-/// pre-populates all ~17 compared methods of the paper (plus the ablation
-/// variants), so the table/figure binaries are data-driven loops over
-/// registry lookups.
+/// pre-populates the 25 entries behind every row of the paper's tables
+/// (compared methods, ablation variants and two windowed extensions), so
+/// the table/figure binaries are data-driven loops over registry lookups.
 #[derive(Default)]
 pub struct MethodRegistry {
     methods: BTreeMap<String, Box<dyn CrowdMethod>>,
@@ -271,10 +274,12 @@ impl MethodRegistry {
         Self::default()
     }
 
-    /// The full registry of compared methods: the 8 truth-inference
-    /// baselines, the two-stage classifiers, AggNet, the crowd-layer
-    /// variants (with and without MV pre-training), DL-DN/WDN, the Gold
-    /// upper bound, Logic-LNCL and the Table-IV ablation variants.
+    /// The full registry, 25 entries: the 9 truth-inference baselines (the
+    /// paper's 8 plus the stream-windowed DS), the two two-stage
+    /// classifiers, AggNet, the six crowd-layer variants (with and without
+    /// MV pre-training), DL-DN, the Gold upper bound, Logic-LNCL and its
+    /// windowed variant, and the three Table-IV ablation variants that
+    /// need a training of their own.
     pub fn standard() -> Self {
         use lncl_crowd::truth::{BscSeq, Catd, DawidSkene, DsWindowed, Glad, HmmCrowd, Ibcc, MajorityVote, Pm};
 
@@ -290,10 +295,17 @@ impl MethodRegistry {
         registry.register(TruthOnly::new("hmm-crowd", HmmCrowd::default(), TaskSupport::SequenceTagging));
         registry.register(TruthOnly::new("bsc-seq", BscSeq::default(), TaskSupport::SequenceTagging));
         // two-stage classifiers
-        registry.register(TwoStage::new("mv-classifier", "MV-Classifier", MajorityVote, TaskSupport::Both));
+        registry.register(TwoStage::new(
+            "mv-classifier",
+            "MV-Classifier",
+            Some("MV-t"),
+            MajorityVote,
+            TaskSupport::Both,
+        ));
         registry.register(TwoStage::new(
             "glad-classifier",
             "GLAD-Classifier",
+            None,
             Glad::default(),
             TaskSupport::Classification,
         ));
@@ -305,17 +317,15 @@ impl MethodRegistry {
         registry.register(CrowdLayerMethod::new(crate::baselines::CrowdLayerKind::VectorWeight, 2));
         registry.register(CrowdLayerMethod::new(crate::baselines::CrowdLayerKind::VectorWeightBias, 2));
         registry.register(CrowdLayerMethod::new(crate::baselines::CrowdLayerKind::MatrixWeight, 2));
-        registry.register(DlDnMethod::new(crate::baselines::DlDnKind::Uniform));
-        registry.register(DlDnMethod::new(crate::baselines::DlDnKind::Weighted));
+        registry.register(DlDnMethod);
         // bounds and the paper's model
         registry.register(GoldUpperBound);
         registry.register(LogicLnclMethod);
         registry.register(LogicLnclWindowedMethod);
-        // Table-IV ablation variants (`Full` is the logic-lncl entry above)
+        // Table-IV ablation variants with a training of their own; the
+        // full model, `w/o-Rule` and `MV-t` are rows of the entries above
         for variant in crate::ablation::AblationVariant::all() {
-            if variant != crate::ablation::AblationVariant::Full {
-                registry.register(AblationMethod::new(variant));
-            }
+            registry.register(AblationMethod::new(variant));
         }
         registry
     }
@@ -402,7 +412,6 @@ mod tests {
             "cl-vw",
             "cl-vw-b",
             "dl-dn",
-            "dl-wdn",
             "gold",
             "logic-lncl",
             "logic-lncl-windowed",

@@ -17,6 +17,9 @@
 //! * **Bitwise seed determinism** — running any method twice under the same
 //!   `RunContext` seed reproduces identical metrics (the PR-2
 //!   "ascending-k" reproducibility contract, end to end).
+//! * **One row label, one entry** — no row label is emitted by two registry
+//!   entries; rows read from one training (AggNet / `w/o-Rule`,
+//!   MV-Classifier / `MV-t`) share its bits.
 //! * **Redundancy monotonicity & spammer dilution** — MV/DS accuracy grows
 //!   with redundancy on clean pools; Dawid–Skene degrades gracefully when a
 //!   third of the pool are uniform spammers.
@@ -67,8 +70,9 @@ fn context_of(dataset: &CrowdDataset) -> RunContext {
 }
 
 /// Baseline rows of every supporting registry method, computed once per
-/// task and shared across the properties (each full pass trains ~17 neural
-/// methods, so recomputing per test would dominate the suite's runtime).
+/// task and shared across the properties (each full pass trains 16 neural
+/// entries on sentiment and 15 on NER, so recomputing per test would
+/// dominate the suite's runtime).
 fn baseline_rows(task: TaskKind) -> &'static Vec<(String, Vec<MethodResult>)> {
     static SENT: OnceLock<Vec<(String, Vec<MethodResult>)>> = OnceLock::new();
     static NER: OnceLock<Vec<(String, Vec<MethodResult>)>> = OnceLock::new();
@@ -194,6 +198,43 @@ fn posteriors_are_normalised_classification() {
 #[test]
 fn posteriors_are_normalised_tagging() {
     check_posterior_normalisation(TaskKind::SequenceTagging);
+}
+
+// ---------------------------------------------------------------------------
+// one row label, one registry entry
+// ---------------------------------------------------------------------------
+
+/// Every row label comes from exactly one registry entry, and the rows
+/// that entries read from one training share its bits.
+fn check_one_entry_per_row(task: TaskKind) {
+    let baseline = baseline_rows(task);
+    let mut owner = std::collections::BTreeMap::new();
+    for (name, rows) in baseline {
+        for row in rows {
+            let first = owner.entry(row.method.as_str()).or_insert(name);
+            assert_eq!(*first, name, "row {:?} is emitted by both {first} and {name}", row.method);
+        }
+    }
+    let bits_of = |key: &str| row_bits(&baseline.iter().find(|(name, _)| name == key).expect("ran").1);
+    // AggNet and w/o-Rule are one training without rules
+    let aggnet = bits_of("aggnet");
+    assert_eq!((aggnet[0].0.as_str(), aggnet[1].0.as_str()), ("AggNet", "w/o-Rule"));
+    assert_eq!(aggnet[0].1, aggnet[1].1, "AggNet and w/o-Rule must be bitwise equal");
+    // MV-t is the MV-Classifier model in teacher mode: the same inference
+    // bits (the last four of each row)
+    let mv = bits_of("mv-classifier");
+    assert_eq!((mv[0].0.as_str(), mv[1].0.as_str()), ("MV-Classifier", "MV-t"));
+    assert_eq!(mv[0].1[4..], mv[1].1[4..], "MV-t must share MV-Classifier's inference");
+}
+
+#[test]
+fn one_registry_entry_per_row_label_classification() {
+    check_one_entry_per_row(TaskKind::Classification);
+}
+
+#[test]
+fn one_registry_entry_per_row_label_tagging() {
+    check_one_entry_per_row(TaskKind::SequenceTagging);
 }
 
 // ---------------------------------------------------------------------------
