@@ -271,21 +271,6 @@ pub fn sweep_scenarios(
     slots.into_iter().map(|slot| slot.expect("every scenario is assigned to exactly one worker")).collect()
 }
 
-/// Runs every standard-registry method supporting the scenario's task on
-/// the generated dataset, returning the result rows and per-method
-/// wall-clock timings (keyed by registry name).
-pub fn run_scenario(config: &ScenarioConfig, scale: Scale) -> (Vec<MethodResult>, Vec<(String, f64)>) {
-    let outcome = run_scenario_outcome(
-        config,
-        scale,
-        &MethodRegistry::standard(),
-        None,
-        &ScenarioCache::new(),
-        lncl_tensor::par::max_threads(),
-    );
-    (outcome.rows, outcome.timings)
-}
-
 /// Figure 6/7: trains Logic-LNCL and compares its estimated annotator
 /// confusion matrices / reliabilities to the empirical ones.
 pub struct ReliabilityStudy {

@@ -183,16 +183,6 @@ impl Scale {
         base.with_seed(seed)
     }
 
-    /// Training configuration used for sentiment experiments at this scale.
-    pub fn sentiment_train_config(&self, seed: u64) -> TrainConfig {
-        TrainConfig::fast(self.epochs()).with_seed(seed)
-    }
-
-    /// Training configuration used for NER experiments at this scale.
-    pub fn ner_train_config(&self, seed: u64) -> TrainConfig {
-        Self::ner_train_config_with_epochs(seed, self.epochs())
-    }
-
     fn ner_train_config_with_epochs(seed: u64, epochs: usize) -> TrainConfig {
         TrainConfig::builder_from(TrainConfig::fast(epochs))
             .seed(seed)

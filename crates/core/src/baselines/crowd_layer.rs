@@ -14,12 +14,13 @@
 //! configuration of Table III).
 
 use crate::baselines::two_stage::{one_hot_targets, train_supervised};
-use crate::config::{OptimizerKind, TrainConfig};
+use crate::config::TrainConfig;
+use crate::fit::DevSelection;
 use crate::predict::{evaluate_split, PredictionMode};
 use crate::report::EvalMetrics;
 use lncl_crowd::truth::{MajorityVote, TruthInference};
 use lncl_crowd::{CrowdDataset, TaskKind};
-use lncl_nn::optim::{Adadelta, Adam, Optimizer, Sgd};
+use lncl_nn::optim::{Optimizer, Sgd};
 use lncl_nn::{Binding, InstanceClassifier, Module, Param};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -80,14 +81,6 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
         Self { model, kind, weights, biases, config, pretrain_epochs }
     }
 
-    fn make_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.config.optimizer {
-            OptimizerKind::Sgd { lr, momentum } => Box::new(Sgd::new(lr).with_momentum(momentum)),
-            OptimizerKind::Adam { lr } => Box::new(Adam::new(lr)),
-            OptimizerKind::Adadelta { lr } => Box::new(Adadelta::new(lr)),
-        }
-    }
-
     /// Trains the crowd layer end-to-end on the raw crowd labels.
     pub fn train(&mut self, dataset: &CrowdDataset) -> EvalMetrics {
         // optional pre-training on MV labels
@@ -100,19 +93,16 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
         }
 
         let mut rng = TensorRng::seed_from_u64(self.config.seed.wrapping_add(17));
-        let mut optimizer = self.make_optimizer();
+        let mut optimizer = self.config.optimizer.build();
         // The crowd layer is invariant to a global class permutation (the
         // backbone can flip classes as long as every annotator matrix flips
         // them back).  Identity/ones initialisation plus a slow, plain-SGD
         // update of the annotator parameters keeps the class semantics
         // anchored to the backbone, as in the reference implementation.
         let mut annotator_optimizer: Box<dyn Optimizer> = Box::new(Sgd::new(0.01));
-        let sequence_task = dataset.task == TaskKind::SequenceTagging;
-        let mut best_dev = f32::NEG_INFINITY;
-        let mut best_model: Option<M> = None;
-        let mut stale = 0usize;
+        let mut dev = DevSelection::new(&self.config);
 
-        for _epoch in 0..self.config.epochs {
+        for epoch in 0..self.config.epochs {
             let mut order: Vec<usize> = (0..dataset.train.len()).collect();
             rng.shuffle(&mut order);
             for batch in order.chunks(self.config.batch_size) {
@@ -180,30 +170,12 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
                     self.weights.iter_mut().chain(self.biases.iter_mut()).collect();
                 annotator_optimizer.step(&mut annotator_params);
             }
-            let dev_split = if dataset.dev.is_empty() { &dataset.test } else { &dataset.dev };
-            let dev = evaluate_split(
-                &self.model,
-                dev_split,
-                dataset.task,
-                PredictionMode::Student,
-                &crate::distill::TaskRules::None,
-                0.0,
-            )
-            .headline(sequence_task);
-            if dev > best_dev {
-                best_dev = dev;
-                best_model = Some(self.model.clone());
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale > self.config.early_stopping_patience {
-                    break;
-                }
+            if dev.stop_after(&self.model, dataset, epoch) {
+                break;
             }
         }
-        if let Some(best) = best_model {
-            self.model = best;
-        }
+        // restore the best dev epoch's backbone; the history is not reported
+        dev.finish(&mut self.model);
         self.inference_metrics(dataset)
     }
 

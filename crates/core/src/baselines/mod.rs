@@ -16,4 +16,4 @@ pub mod two_stage;
 
 pub use crowd_layer::{CrowdLayerKind, CrowdLayerTrainer};
 pub use dl_dn::{train_dl_dn, train_dl_dn_posteriors, DlDnConfig};
-pub use two_stage::{train_supervised, SupervisedReport};
+pub use two_stage::train_supervised;

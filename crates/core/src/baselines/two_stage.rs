@@ -3,113 +3,37 @@
 //! supervised learning.  Covers MV-Classifier, GLAD-Classifier and the Gold
 //! upper bound of Tables II/III.
 
-use crate::config::{OptimizerKind, TrainConfig};
-use crate::predict::{evaluate_split, PredictionMode};
-use crate::report::EvalMetrics;
+use crate::config::TrainConfig;
+use crate::fit::{DevSelection, MStep};
+use crate::report::{EvalMetrics, TrainReport};
 use lncl_crowd::{CrowdDataset, TaskKind};
-use lncl_nn::optim::{Adadelta, Adam, Optimizer, Sgd};
-use lncl_nn::{Binding, InstanceClassifier, Module};
-use lncl_tensor::{Matrix, TensorRng};
-
-/// Report of a supervised training run.
-#[derive(Debug, Clone, Default)]
-pub struct SupervisedReport {
-    /// Mean training loss per epoch.
-    pub loss_history: Vec<f32>,
-    /// Development metric per epoch.
-    pub dev_history: Vec<f32>,
-    /// Number of epochs actually run.
-    pub epochs_run: usize,
-}
-
-fn make_optimizer(kind: OptimizerKind) -> Box<dyn Optimizer> {
-    match kind {
-        OptimizerKind::Sgd { lr, momentum } => Box::new(Sgd::new(lr).with_momentum(momentum)),
-        OptimizerKind::Adam { lr } => Box::new(Adam::new(lr)),
-        OptimizerKind::Adadelta { lr } => Box::new(Adadelta::new(lr)),
-    }
-}
+use lncl_nn::{InstanceClassifier, Module};
+use lncl_tensor::Matrix;
 
 /// Trains `model` on the training split of `dataset` against the supplied
 /// per-instance *soft* target matrices (`units x K`; use one-hot rows for
 /// hard labels).  Early stopping follows the development split exactly as
-/// in the paper.
+/// in the paper.  The report's `inference` is left at its default: the
+/// targets, not the model, are this pipeline's truth estimate.
 pub fn train_supervised<M: InstanceClassifier + Module + Clone>(
     model: &mut M,
     dataset: &CrowdDataset,
     targets: &[Matrix],
     config: &TrainConfig,
-) -> SupervisedReport {
+) -> TrainReport {
     assert_eq!(targets.len(), dataset.train.len(), "one target per training instance required");
-    let mut rng = TensorRng::seed_from_u64(config.seed);
-    let mut optimizer = make_optimizer(config.optimizer);
-    let base_lr = optimizer.learning_rate();
-    let sequence_task = dataset.task == TaskKind::SequenceTagging;
-
-    let mut report = SupervisedReport::default();
-    let mut best_dev = f32::NEG_INFINITY;
-    let mut best_model: Option<M> = None;
-    let mut stale = 0usize;
-
+    let mut m_step = MStep::new(config);
+    let mut dev = DevSelection::new(config);
+    let mut loss_history = Vec::new();
     for epoch in 0..config.epochs {
-        if let Some((factor, every)) = config.lr_decay {
-            optimizer.set_learning_rate(base_lr * factor.powi((epoch / every) as i32));
-        }
-        let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-        rng.shuffle(&mut order);
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for batch in order.chunks(config.batch_size) {
-            model.zero_grad();
-            let mut batch_loss = 0.0;
-            for &i in batch {
-                let inst = &dataset.train[i];
-                let mut tape = lncl_autograd::Tape::new();
-                let mut binding = Binding::new();
-                let logits = model.forward_logits(&mut tape, &mut binding, &inst.tokens, true, &mut rng);
-                let loss = tape.softmax_cross_entropy(logits, targets[i].clone());
-                batch_loss += tape.scalar(loss);
-                tape.backward(loss);
-                binding.accumulate(&tape, model.params_mut());
-            }
-            model.scale_grads(1.0 / batch.len() as f32);
-            if let Some(clip) = config.grad_clip {
-                model.clip_grad_norm(clip);
-            }
-            let mut params = model.params_mut();
-            optimizer.step(&mut params);
-            epoch_loss += batch_loss / batch.len() as f32;
-            batches += 1;
-        }
-        report.loss_history.push(epoch_loss / batches.max(1) as f32);
-
-        let dev_split = if dataset.dev.is_empty() { &dataset.test } else { &dataset.dev };
-        let dev = evaluate_split(
-            model,
-            dev_split,
-            dataset.task,
-            PredictionMode::Student,
-            &crate::distill::TaskRules::None,
-            0.0,
-        )
-        .headline(sequence_task);
-        report.dev_history.push(dev);
-        report.epochs_run = epoch + 1;
-        if dev > best_dev {
-            best_dev = dev;
-            best_model = Some(model.clone());
-            stale = 0;
-        } else {
-            stale += 1;
-            if stale > config.early_stopping_patience {
-                break;
-            }
+        loss_history.push(m_step.epoch(model, &dataset.train, epoch, |tape, logits, i| {
+            tape.softmax_cross_entropy(logits, targets[i].clone())
+        }));
+        if dev.stop_after(model, dataset, epoch) {
+            break;
         }
     }
-    if let Some(best) = best_model {
-        *model = best;
-    }
-    report
+    TrainReport { loss_history, ..dev.finish(model) }
 }
 
 /// Converts hard per-instance labels into one-hot soft-target matrices.
@@ -150,9 +74,11 @@ pub fn inference_metrics_of(labels: &[Vec<usize>], dataset: &CrowdDataset) -> Ev
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predict::{evaluate_split, PredictionMode};
     use lncl_crowd::datasets::{generate_sentiment, SentimentDatasetConfig};
     use lncl_crowd::truth::{MajorityVote, TruthInference};
     use lncl_nn::models::{SentimentCnn, SentimentCnnConfig};
+    use lncl_tensor::TensorRng;
 
     fn tiny() -> (CrowdDataset, SentimentCnn, TrainConfig) {
         let dataset = generate_sentiment(&SentimentDatasetConfig {

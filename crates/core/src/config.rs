@@ -1,5 +1,7 @@
 //! Training configuration mirroring Table I of the paper.
 
+use lncl_nn::optim::{Adadelta, Adam, Optimizer, Sgd};
+
 /// The imitation-strength schedule `k(t)` balancing the two learning targets
 /// in the pseudo-M-step (Eq. 7/9).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,6 +62,17 @@ pub enum OptimizerKind {
     Adam { lr: f32 },
     /// Adadelta.
     Adadelta { lr: f32 },
+}
+
+impl OptimizerKind {
+    /// A fresh optimiser of this kind.
+    pub fn build(self) -> Box<dyn Optimizer> {
+        match self {
+            OptimizerKind::Sgd { lr, momentum } => Box::new(Sgd::new(lr).with_momentum(momentum)),
+            OptimizerKind::Adam { lr } => Box::new(Adam::new(lr)),
+            OptimizerKind::Adadelta { lr } => Box::new(Adadelta::new(lr)),
+        }
+    }
 }
 
 /// Full training configuration of the Logic-LNCL trainer and of the EM /

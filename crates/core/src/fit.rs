@@ -1,0 +1,138 @@
+//! How every neural method runs its epochs: the mini-batch M-step pass
+//! with the learning-rate step decay ([`MStep`]) and the development-split
+//! model selection with early stopping ([`DevSelection`]).
+//!
+//! [`LogicLncl::train`](crate::trainer::LogicLncl::train) and
+//! [`train_supervised`](crate::baselines::train_supervised) run both;
+//! [`CrowdLayerTrainer::train`](crate::baselines::CrowdLayerTrainer::train)
+//! keeps its own batch body (it also trains the annotator layer) and runs
+//! only the dev selection.  Both follow Table I: patience on the dev metric,
+//! the best dev epoch's model kept, the learning rate optionally decayed in
+//! steps.
+
+use crate::config::TrainConfig;
+use crate::distill::TaskRules;
+use crate::predict::{evaluate_split, PredictionMode};
+use crate::report::TrainReport;
+use lncl_autograd::{Tape, Var};
+use lncl_crowd::{CrowdDataset, Instance, TaskKind};
+use lncl_nn::optim::{EarlyStopping, Optimizer, StepDecay, Verdict};
+use lncl_nn::{Binding, InstanceClassifier, Module};
+use lncl_tensor::TensorRng;
+
+/// The pseudo-M-step's mini-batch pass over the training split.  Owns the
+/// shuffling / dropout RNG, the optimiser and its optional step decay for
+/// the whole training.
+pub(crate) struct MStep {
+    rng: TensorRng,
+    optimizer: Box<dyn Optimizer>,
+    decay: Option<StepDecay>,
+    batch_size: usize,
+    grad_clip: Option<f32>,
+}
+
+impl MStep {
+    /// The M-step of `config`, seeded with `config.seed`.
+    pub(crate) fn new(config: &TrainConfig) -> Self {
+        let optimizer = config.optimizer.build();
+        let decay = config.lr_decay.map(|(factor, every)| StepDecay::new(optimizer.learning_rate(), factor, every));
+        Self {
+            rng: TensorRng::seed_from_u64(config.seed),
+            optimizer,
+            decay,
+            batch_size: config.batch_size,
+            grad_clip: config.grad_clip,
+        }
+    }
+
+    /// One epoch of mini-batch updates of `model` over `train` in a freshly
+    /// shuffled order.  `loss(tape, logits, i)` is training instance `i`'s
+    /// loss; each batch's gradients are averaged over the batch, clipped and
+    /// applied.  Returns the mean of the per-batch mean losses.
+    pub(crate) fn epoch<M: InstanceClassifier + Module>(
+        &mut self,
+        model: &mut M,
+        train: &[Instance],
+        epoch: usize,
+        mut loss: impl FnMut(&mut Tape, Var, usize) -> Var,
+    ) -> f32 {
+        if let Some(decay) = self.decay {
+            self.optimizer.set_learning_rate(decay.learning_rate(epoch));
+        }
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        self.rng.shuffle(&mut order);
+        let mut epoch_loss = 0.0f32;
+        let mut batches = 0usize;
+        for batch in order.chunks(self.batch_size) {
+            model.zero_grad();
+            let mut batch_loss = 0.0f32;
+            for &i in batch {
+                let mut tape = Tape::new();
+                let mut binding = Binding::new();
+                let logits = model.forward_logits(&mut tape, &mut binding, &train[i].tokens, true, &mut self.rng);
+                let instance_loss = loss(&mut tape, logits, i);
+                batch_loss += tape.scalar(instance_loss);
+                tape.backward(instance_loss);
+                binding.accumulate(&tape, model.params_mut());
+            }
+            model.scale_grads(1.0 / batch.len() as f32);
+            if let Some(clip) = self.grad_clip {
+                model.clip_grad_norm(clip);
+            }
+            let mut params = model.params_mut();
+            self.optimizer.step(&mut params);
+            epoch_loss += batch_loss / batch.len() as f32;
+            batches += 1;
+        }
+        epoch_loss / batches.max(1) as f32
+    }
+}
+
+/// Development-split model selection: scores the model after every epoch,
+/// keeps a copy of the best one and decides when to stop.
+pub(crate) struct DevSelection<M> {
+    stopping: EarlyStopping,
+    best: Option<M>,
+    dev_history: Vec<f32>,
+}
+
+impl<M: InstanceClassifier + Clone> DevSelection<M> {
+    /// Selection with `config`'s early-stopping patience.
+    pub(crate) fn new(config: &TrainConfig) -> Self {
+        Self { stopping: EarlyStopping::new(config.early_stopping_patience), best: None, dev_history: Vec::new() }
+    }
+
+    /// Scores `model` after `epoch` on the development split (the test
+    /// split when there is none) in student mode — accuracy, or span F1 for
+    /// tagging — snapshots it when the score is the best so far, and returns
+    /// whether training should stop.
+    pub(crate) fn stop_after(&mut self, model: &M, dataset: &CrowdDataset, epoch: usize) -> bool {
+        let split = if dataset.dev.is_empty() { &dataset.test } else { &dataset.dev };
+        // student mode never applies rules, so none are passed
+        let metrics = evaluate_split(model, split, dataset.task, PredictionMode::Student, &TaskRules::None, 0.0);
+        let score = metrics.headline(dataset.task == TaskKind::SequenceTagging);
+        self.dev_history.push(score);
+        match self.stopping.update(epoch, score) {
+            Verdict::Improved => {
+                self.best = Some(model.clone());
+                false
+            }
+            Verdict::Stale => false,
+            Verdict::Stop => true,
+        }
+    }
+
+    /// Restores the best snapshot into `model` and reports the dev history
+    /// (`loss_history` and `inference` are left for the caller).
+    pub(crate) fn finish(self, model: &mut M) -> TrainReport {
+        if let Some(best) = self.best {
+            *model = best;
+        }
+        TrainReport {
+            best_epoch: self.stopping.best_epoch(),
+            epochs_run: self.dev_history.len(),
+            dev_history: self.dev_history,
+            ..TrainReport::default()
+        }
+    }
+}

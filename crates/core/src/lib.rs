@@ -85,6 +85,7 @@ pub mod annotators;
 pub mod baselines;
 pub mod config;
 pub mod distill;
+mod fit;
 pub mod method;
 pub mod posterior;
 pub mod predict;

@@ -30,16 +30,22 @@ fn qf_rows(qf: &crate::posterior::FlatPosteriors) -> Vec<Vec<f32>> {
 
 /// Builds and trains the shared neural-EM trainer: `TaskRules::None` gives
 /// AggNet / w/o-Rule, [`paper_rules`] gives Logic-LNCL, [`other_rules`]
-/// the rules ablation.  Used by both `run` and `infer_posteriors` of those
-/// adapters, so the posterior the robustness suite validates always comes
-/// from the same construction the tables report.
+/// the rules ablation; `windowed = Some((window, decay))` switches the
+/// E-step to stream-windowed confusions (Logic-LNCL-W).  Used by both `run`
+/// and `infer_posteriors` of those adapters, so the posterior the
+/// robustness suite validates always comes from the same construction the
+/// tables report.
 fn train_lncl(
     dataset: &CrowdDataset,
     ctx: &RunContext,
     rules: TaskRules,
+    windowed: Option<(usize, f32)>,
 ) -> (crate::trainer::LogicLncl<lncl_nn::models::AnyModel>, crate::report::TrainReport) {
-    let mut trainer =
-        LogicLncl::builder(ctx.model(ctx.config.seed)).rules(rules).config(ctx.config.clone()).build(dataset);
+    let mut builder = LogicLncl::builder(ctx.model(ctx.config.seed)).rules(rules).config(ctx.config.clone());
+    if let Some((window, decay)) = windowed {
+        builder = builder.windowed_confusions(window, decay);
+    }
+    let mut trainer = builder.build(dataset);
     let report = trainer.train(dataset);
     (trainer, report)
 }
@@ -172,7 +178,7 @@ impl CrowdMethod for AggNet {
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        let (trainer, report) = train_lncl(dataset, ctx, TaskRules::None);
+        let (trainer, report) = train_lncl(dataset, ctx, TaskRules::None, None);
         let prediction = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
         vec![
             MethodResult::new("AggNet", prediction, Some(report.inference)),
@@ -181,7 +187,7 @@ impl CrowdMethod for AggNet {
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
-        Some(qf_rows(train_lncl(dataset, ctx, TaskRules::None).0.qf()))
+        Some(qf_rows(train_lncl(dataset, ctx, TaskRules::None, None).0.qf()))
     }
 }
 
@@ -292,7 +298,7 @@ impl CrowdMethod for LogicLnclMethod {
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        let (trainer, report) = train_lncl(dataset, ctx, paper_rules(dataset));
+        let (trainer, report) = train_lncl(dataset, ctx, paper_rules(dataset), None);
         let student = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
         let teacher = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Teacher);
         vec![
@@ -302,7 +308,7 @@ impl CrowdMethod for LogicLnclMethod {
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
-        Some(qf_rows(train_lncl(dataset, ctx, paper_rules(dataset)).0.qf()))
+        Some(qf_rows(train_lncl(dataset, ctx, paper_rules(dataset), None).0.qf()))
     }
 }
 
@@ -322,19 +328,6 @@ impl LogicLnclWindowedMethod {
     /// Cross-window count decay in `(0, 1]`, shared like
     /// [`LogicLnclWindowedMethod::WINDOW`].
     pub const DECAY: f32 = lncl_crowd::truth::DsWindowed::DEFAULT_DECAY;
-
-    fn train(
-        dataset: &CrowdDataset,
-        ctx: &RunContext,
-    ) -> (crate::trainer::LogicLncl<lncl_nn::models::AnyModel>, crate::report::TrainReport) {
-        let mut trainer = LogicLncl::builder(ctx.model(ctx.config.seed))
-            .rules(paper_rules(dataset))
-            .config(ctx.config.clone())
-            .windowed_confusions(Self::WINDOW, Self::DECAY)
-            .build(dataset);
-        let report = trainer.train(dataset);
-        (trainer, report)
-    }
 }
 
 impl CrowdMethod for LogicLnclWindowedMethod {
@@ -343,13 +336,13 @@ impl CrowdMethod for LogicLnclWindowedMethod {
     }
 
     fn run(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Vec<MethodResult> {
-        let (trainer, report) = Self::train(dataset, ctx);
+        let (trainer, report) = train_lncl(dataset, ctx, paper_rules(dataset), Some((Self::WINDOW, Self::DECAY)));
         let student = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
         vec![MethodResult::new("Logic-LNCL-W", student, Some(report.inference))]
     }
 
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
-        Some(qf_rows(Self::train(dataset, ctx).0.qf()))
+        Some(qf_rows(train_lncl(dataset, ctx, paper_rules(dataset), Some((Self::WINDOW, Self::DECAY))).0.qf()))
     }
 }
 
@@ -406,7 +399,7 @@ impl CrowdMethod for AblationMethod {
                 vec![MethodResult::new(self.variant.name(), prediction, Some(report.inference))]
             }
             None => {
-                let (trainer, report) = train_lncl(dataset, ctx, other_rules(dataset));
+                let (trainer, report) = train_lncl(dataset, ctx, other_rules(dataset), None);
                 let student = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Student);
                 let teacher = trainer.evaluate(&dataset.test, dataset.task, PredictionMode::Teacher);
                 vec![
@@ -420,7 +413,7 @@ impl CrowdMethod for AblationMethod {
     fn infer_posteriors(&self, dataset: &CrowdDataset, ctx: &RunContext) -> Option<Vec<Vec<f32>>> {
         match self.frozen_estimate(dataset) {
             Some(estimate) => Some(estimate.posteriors),
-            None => Some(qf_rows(train_lncl(dataset, ctx, other_rules(dataset)).0.qf())),
+            None => Some(qf_rows(train_lncl(dataset, ctx, other_rules(dataset), None).0.qf())),
         }
     }
 }

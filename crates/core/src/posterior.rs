@@ -172,13 +172,6 @@ pub fn infer_qa_windowed_into(
     }
 }
 
-/// Batched version of [`infer_qa`] over many instances with their cached
-/// classifier predictions.
-pub fn infer_qa_all(instances: &[Instance], predictions: &[Matrix], annotators: &AnnotatorModel) -> Vec<Matrix> {
-    assert_eq!(instances.len(), predictions.len(), "one prediction matrix per instance required");
-    instances.iter().zip(predictions).map(|(inst, pred)| infer_qa(inst, pred, annotators)).collect()
-}
-
 /// Eq. 13 for a whole split in one allocation: the posteriors of every
 /// instance land in a single [`FlatPosteriors`], which is what the
 /// trainer's pseudo-E-step keeps.

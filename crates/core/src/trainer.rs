@@ -13,18 +13,25 @@
 //! | w/o-Rule ablation      | `TaskRules::None`, iterative posterior                 |
 //! | MV-Rule / GLAD-Rule    | rules attached, posterior fixed to MV / GLAD estimate  |
 //! | our-other-rules        | the weaker rule variants attached                      |
+//!
+//! The epoch loop itself is not written here: the mini-batch pass of the
+//! pseudo-M-step, the learning-rate step decay and the dev-split early
+//! stopping come from the crate's `fit` module, which the supervised and
+//! crowd-layer baselines share.  This module supplies the per-instance
+//! loss on `q_f` and runs the pseudo-E-step between the M-step and the
+//! dev check.
 
 use crate::annotators::{AnnotatorModel, WindowedAnnotatorModel};
-use crate::config::{MStepObjective, OptimizerKind, TrainConfig};
+use crate::config::{MStepObjective, TrainConfig};
 use crate::distill::{infer_qb, TaskRules};
+use crate::fit::{DevSelection, MStep};
 use crate::posterior::{infer_qa_into, infer_qa_windowed_into, FlatPosteriors};
 use crate::predict::{evaluate_split, PredictionMode};
 use crate::report::{EvalMetrics, TrainReport};
 use lncl_crowd::truth::{MajorityVote, TruthInference};
 use lncl_crowd::{metrics, CrowdDataset, TaskKind};
-use lncl_nn::optim::{Adadelta, Adam, Optimizer, Sgd};
-use lncl_nn::{Binding, InstanceClassifier, Module};
-use lncl_tensor::{Matrix, TensorRng};
+use lncl_nn::{InstanceClassifier, Module};
+use lncl_tensor::Matrix;
 
 /// Where the truth posterior `q_a` comes from.
 #[derive(Debug, Clone)]
@@ -58,7 +65,6 @@ pub struct LogicLncl<M: InstanceClassifier + Module + Clone> {
     windowed: Option<WindowedAnnotatorModel>,
     /// Current training target `q_f` for the whole split, stored flat.
     qf: FlatPosteriors,
-    best_model: Option<M>,
 }
 
 /// Builder for the [`LogicLncl`] trainer; see [`LogicLncl::builder`].
@@ -132,7 +138,6 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
             posterior_mode: PosteriorMode::Iterative,
             windowed: None,
             qf: FlatPosteriors::zeros(&[], dataset.num_classes),
-            best_model: None,
         }
     }
 
@@ -172,14 +177,6 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
     /// inference quality during experiments.
     pub fn qf(&self) -> &FlatPosteriors {
         &self.qf
-    }
-
-    fn make_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.config.optimizer {
-            OptimizerKind::Sgd { lr, momentum } => Box::new(Sgd::new(lr).with_momentum(momentum)),
-            OptimizerKind::Adam { lr } => Box::new(Adam::new(lr)),
-            OptimizerKind::Adadelta { lr } => Box::new(Adadelta::new(lr)),
-        }
     }
 
     /// Initialises `q_f` with majority voting (Algorithm 1, line 1).
@@ -258,90 +255,38 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
     /// the parameters of the best development epoch.
     pub fn train(&mut self, dataset: &CrowdDataset) -> TrainReport {
         assert!(!dataset.train.is_empty(), "cannot train on an empty dataset");
-        let mut rng = TensorRng::seed_from_u64(self.config.seed);
-        let mut optimizer = self.make_optimizer();
-        let base_lr = optimizer.learning_rate();
+        let mut m_step = MStep::new(&self.config);
+        let mut dev = DevSelection::new(&self.config);
         self.initialize_qf(dataset);
 
-        let mut report = TrainReport::default();
-        let mut best_dev = f32::NEG_INFINITY;
-        let mut epochs_without_improvement = 0usize;
-        let sequence_task = dataset.task == TaskKind::SequenceTagging;
-
+        let mut loss_history = Vec::new();
         for epoch in 0..self.config.epochs {
-            // learning-rate schedule
-            if let Some((factor, every)) = self.config.lr_decay {
-                optimizer.set_learning_rate(base_lr * factor.powi((epoch / every) as i32));
-            }
             let imitation_k = self.config.imitation.strength(epoch);
 
-            // ---- pseudo-M-step: one pass of mini-batch updates ----------
-            let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-            rng.shuffle(&mut order);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for batch in order.chunks(self.config.batch_size) {
-                self.model.zero_grad();
-                let mut batch_loss = 0.0f32;
-                for &i in batch {
-                    let inst = &dataset.train[i];
-                    let mut tape = lncl_autograd::Tape::new();
-                    let mut binding = Binding::new();
-                    let logits = self.model.forward_logits(&mut tape, &mut binding, &inst.tokens, true, &mut rng);
-                    let mut loss = tape.softmax_cross_entropy(logits, self.qf.instance_matrix(i));
-                    if self.config.objective == MStepObjective::AnnotationWeighted {
-                        loss = tape.scale(loss, inst.num_annotations().max(1) as f32);
-                    }
-                    batch_loss += tape.scalar(loss);
-                    tape.backward(loss);
-                    binding.accumulate(&tape, self.model.params_mut());
+            // ---- pseudo-M-step: one pass of mini-batch updates on q_f ----
+            let qf = &self.qf;
+            let weighted = self.config.objective == MStepObjective::AnnotationWeighted;
+            loss_history.push(m_step.epoch(&mut self.model, &dataset.train, epoch, |tape, logits, i| {
+                let loss = tape.softmax_cross_entropy(logits, qf.instance_matrix(i));
+                if weighted {
+                    tape.scale(loss, dataset.train[i].num_annotations().max(1) as f32)
+                } else {
+                    loss
                 }
-                self.model.scale_grads(1.0 / batch.len() as f32);
-                if let Some(clip) = self.config.grad_clip {
-                    self.model.clip_grad_norm(clip);
-                }
-                let mut params = self.model.params_mut();
-                optimizer.step(&mut params);
-                epoch_loss += batch_loss / batch.len() as f32;
-                batches += 1;
-            }
-            report.loss_history.push(epoch_loss / batches.max(1) as f32);
+            }));
 
             // ---- pseudo-E-step ------------------------------------------
             self.pseudo_e_step(dataset, imitation_k);
 
             // ---- development evaluation & early stopping ----------------
-            let dev_split = if dataset.dev.is_empty() { &dataset.test } else { &dataset.dev };
-            let dev_metrics = evaluate_split(
-                &self.model,
-                dev_split,
-                dataset.task,
-                PredictionMode::Student,
-                &self.rules,
-                self.config.regularization_c,
-            );
-            let dev_metric = dev_metrics.headline(sequence_task);
-            report.dev_history.push(dev_metric);
-            report.epochs_run = epoch + 1;
-            if dev_metric > best_dev {
-                best_dev = dev_metric;
-                report.best_epoch = epoch;
-                epochs_without_improvement = 0;
-                self.best_model = Some(self.model.clone());
-            } else {
-                epochs_without_improvement += 1;
-                if epochs_without_improvement > self.config.early_stopping_patience {
-                    break;
-                }
+            if dev.stop_after(&self.model, dataset, epoch) {
+                break;
             }
         }
 
         // restore the best model seen on the development split
-        if let Some(best) = self.best_model.take() {
-            self.model = best;
-        }
-        report.inference = self.inference_metrics(dataset);
-        report
+        let report = dev.finish(&mut self.model);
+        TrainReport { loss_history, inference: self.inference_metrics(dataset), ..report }
     }
 
     /// Inference quality of the current `q_f` against the training gold
@@ -382,6 +327,7 @@ mod tests {
     use lncl_crowd::datasets::{generate_sentiment, SentimentDatasetConfig};
     use lncl_logic::rules::sentiment_but::SentimentContrastRule;
     use lncl_nn::models::{SentimentCnn, SentimentCnnConfig};
+    use lncl_tensor::TensorRng;
 
     fn tiny_dataset() -> CrowdDataset {
         generate_sentiment(&SentimentDatasetConfig {

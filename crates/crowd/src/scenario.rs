@@ -1002,19 +1002,6 @@ fn apply_temporal_noise(
     }
 }
 
-/// Generates the dataset described by a [`ScenarioConfig`].
-///
-/// Four independent RNG streams are forked from the seed — gold text,
-/// pool compilation, crowd assignment/annotation, and temporal corruption
-/// (drift / difficulty) — so two configs sharing a seed, task, sizes and
-/// imbalance draw the **same gold corpus** no matter how their pools,
-/// mixes, redundancies or temporal knobs differ.  Cross-scenario
-/// comparisons (the redundancy-monotonicity and spammer-dilution
-/// properties, sweep rankings, static-vs-drifted ranking flips) therefore
-/// vary only the crowd condition, never the underlying corpus.  Because the
-/// temporal stream is separate, a config whose drift is
-/// [`DriftSchedule::Static`] (or rate `0`) and whose difficulty is
-/// degenerate reproduces the pre-temporal generator **bitwise**.
 /// The compiled annotator pool of a configuration — the same pool, drawn
 /// from the same forked RNG stream, that [`generate_scenario`] labels with.
 /// Lets closed-loop tests and diagnostics inspect archetypes and
@@ -1033,19 +1020,7 @@ pub fn scenario_pool(config: &ScenarioConfig) -> ScenarioPool {
     )
 }
 
-/// Generates the dataset described by a [`ScenarioConfig`] in one batch by
-/// draining a [`ScenarioStream`] — see the stream type for the chunked
-/// form and the RNG-stream discipline both share.
-pub fn generate_scenario(config: &ScenarioConfig) -> CrowdDataset {
-    let mut stream = ScenarioStream::new(config);
-    let mut train = Vec::with_capacity(config.train_size);
-    while !stream.is_drained() {
-        train.append(&mut stream.next_train_chunk(config.train_size.max(1)));
-    }
-    stream.finish(train)
-}
-
-/// Gold-text sampler per task (shared by the batch and streaming paths).
+/// Gold-text sampler per task.
 enum TextModel {
     Sent { text: SentimentTextModel, zero_share: f32 },
     Ner(NerTextModel),
@@ -1063,195 +1038,125 @@ impl TextModel {
     }
 }
 
-/// Chunked-iterator form of [`generate_scenario`].  Training instances are
-/// produced in caller-sized chunks and can be dropped as soon as they are
-/// consumed, so a chunked consumer never needs the whole corpus in memory;
-/// [`finish`] then emits the dev/test splits and the dataset shell.
+/// Generates the dataset described by a [`ScenarioConfig`].
 ///
-/// The stream **is** the generator: [`generate_scenario`] drains one, so a
-/// chunked consumer sees byte-for-byte the instances the batch call would
-/// have built, regardless of chunk size — the four forked RNG streams
-/// (gold text, pool, crowd, temporal) advance identically because the
-/// per-instance loop body is the same code.
-///
-/// [`finish`]: ScenarioStream::finish
-pub struct ScenarioStream {
-    config: ScenarioConfig,
-    text_model: TextModel,
-    text_rng: TensorRng,
-    crowd_rng: TensorRng,
-    temporal_rng: TensorRng,
-    pool: ScenarioPool,
-    stream_pos: Vec<usize>,
-    drift_horizon: f32,
-    num_classes: usize,
-    emitted: usize,
-}
+/// Four independent RNG streams are forked from the seed — gold text,
+/// pool compilation, crowd assignment/annotation, and temporal corruption
+/// (drift / difficulty) — so two configs sharing a seed, task, sizes and
+/// imbalance draw the **same gold corpus** no matter how their pools,
+/// mixes, redundancies or temporal knobs differ.  Cross-scenario
+/// comparisons (the redundancy-monotonicity and spammer-dilution
+/// properties, sweep rankings, static-vs-drifted ranking flips) therefore
+/// vary only the crowd condition, never the underlying corpus.  Because the
+/// temporal stream is separate, a config whose drift is
+/// [`DriftSchedule::Static`] (or rate `0`) and whose difficulty is
+/// degenerate reproduces the pre-temporal generator **bitwise**.
+pub fn generate_scenario(config: &ScenarioConfig) -> CrowdDataset {
+    assert!(config.num_annotators >= config.max_labels_per_instance, "annotator pool smaller than labels per instance");
+    assert!(config.min_labels_per_instance >= 1 && config.min_labels_per_instance <= config.max_labels_per_instance);
+    assert!((0.0..=1.0).contains(&config.majority_share), "majority_share must be in [0, 1]");
+    if let Err(message) = config.drift.validate() {
+        panic!("invalid drift schedule for scenario {:?}: {message}", config.name);
+    }
+    if let Err(message) = config.difficulty.validate() {
+        panic!("invalid difficulty model for scenario {:?}: {message}", config.name);
+    }
+    let num_classes = config.num_classes();
+    let mut master = TensorRng::seed_from_u64(config.seed);
+    let mut text_rng = master.fork();
+    let mut pool_rng = master.fork();
+    let mut crowd_rng = master.fork();
+    // temporal corruption (drift + difficulty) draws from its own stream,
+    // so configurations that never corrupt — `DriftSchedule::Static` /
+    // degenerate difficulty — reproduce the static generator bitwise
+    let mut temporal_rng = master.fork();
+    let pool = ScenarioPool::generate(
+        config.task,
+        num_classes,
+        &config.mix,
+        config.num_annotators,
+        config.propensity,
+        &mut pool_rng,
+    );
+    let text_model = match config.task {
+        TaskKind::Classification => TextModel::Sent {
+            text: SentimentTextModel::new(config.filler_vocab.max(1), 0.30, 0.10, 0.6),
+            zero_share: config.majority_share,
+        },
+        TaskKind::SequenceTagging => {
+            let w0 = config.majority_share;
+            let rest = (1.0 - w0) / (NUM_ENTITY_TYPES - 1) as f32;
+            let mut weights = [rest; NUM_ENTITY_TYPES];
+            weights[0] = w0;
+            TextModel::Ner(NerTextModel::with_type_weights(weights))
+        }
+    };
+    // expected instances each annotator labels — the normaliser that turns
+    // an annotator's absolute stream position into drift "progress"
+    let avg_redundancy = (config.min_labels_per_instance + config.max_labels_per_instance) as f32 / 2.0;
+    let drift_horizon = (config.train_size as f32 * avg_redundancy / config.num_annotators as f32).max(1.0);
+    let mut stream_pos = vec![0usize; config.num_annotators];
 
-impl ScenarioStream {
-    /// Validates the configuration and forks the RNG streams, exactly as
-    /// the batch generator does.
-    pub fn new(config: &ScenarioConfig) -> Self {
-        assert!(
-            config.num_annotators >= config.max_labels_per_instance,
-            "annotator pool smaller than labels per instance"
-        );
-        assert!(
-            config.min_labels_per_instance >= 1 && config.min_labels_per_instance <= config.max_labels_per_instance
-        );
-        assert!((0.0..=1.0).contains(&config.majority_share), "majority_share must be in [0, 1]");
-        if let Err(message) = config.drift.validate() {
-            panic!("invalid drift schedule for scenario {:?}: {message}", config.name);
-        }
-        if let Err(message) = config.difficulty.validate() {
-            panic!("invalid difficulty model for scenario {:?}: {message}", config.name);
-        }
-        let num_classes = config.num_classes();
-        let mut master = TensorRng::seed_from_u64(config.seed);
-        let text_rng = master.fork();
-        let mut pool_rng = master.fork();
-        let crowd_rng = master.fork();
-        // temporal corruption (drift + difficulty) draws from its own
-        // stream, so configurations that never corrupt —
-        // `DriftSchedule::Static` / degenerate difficulty — reproduce the
-        // static generator bitwise
-        let temporal_rng = master.fork();
-        let pool = ScenarioPool::generate(
-            config.task,
-            num_classes,
-            &config.mix,
-            config.num_annotators,
-            config.propensity,
-            &mut pool_rng,
-        );
-        let text_model = match config.task {
-            TaskKind::Classification => TextModel::Sent {
-                text: SentimentTextModel::new(config.filler_vocab.max(1), 0.30, 0.10, 0.6),
-                zero_share: config.majority_share,
-            },
-            TaskKind::SequenceTagging => {
-                let w0 = config.majority_share;
-                let rest = (1.0 - w0) / (NUM_ENTITY_TYPES - 1) as f32;
-                let mut weights = [rest; NUM_ENTITY_TYPES];
-                weights[0] = w0;
-                TextModel::Ner(NerTextModel::with_type_weights(weights))
-            }
-        };
-        // expected instances each annotator labels — the normaliser that
-        // turns an annotator's absolute stream position into drift
-        // "progress"
-        let avg_redundancy = (config.min_labels_per_instance + config.max_labels_per_instance) as f32 / 2.0;
-        let drift_horizon = (config.train_size as f32 * avg_redundancy / config.num_annotators as f32).max(1.0);
-        let stream_pos = vec![0usize; config.num_annotators];
-        Self {
-            config: config.clone(),
-            text_model,
-            text_rng,
-            crowd_rng,
-            temporal_rng,
-            pool,
-            stream_pos,
+    let mut train = Vec::with_capacity(config.train_size);
+    for _ in 0..config.train_size {
+        let (tokens, gold) = text_model.sentence(&mut text_rng);
+        let span = config.max_labels_per_instance - config.min_labels_per_instance + 1;
+        let count = config.min_labels_per_instance + crowd_rng.usize_below(span);
+        let selected = pool.select(count, &mut crowd_rng);
+        let mut crowd_labels = pool.annotate_instance(&selected, &gold, &mut crowd_rng);
+        apply_temporal_noise(
+            &mut crowd_labels,
+            config.drift,
+            config.difficulty,
+            &stream_pos,
             drift_horizon,
             num_classes,
-            emitted: 0,
-        }
-    }
-
-    /// Training instances not yet emitted.
-    pub fn remaining_train(&self) -> usize {
-        self.config.train_size - self.emitted
-    }
-
-    /// True once every training instance has been emitted.
-    pub fn is_drained(&self) -> bool {
-        self.remaining_train() == 0
-    }
-
-    /// Generates the next `min(max_chunk, remaining)` training instances.
-    /// Concatenating the chunks of any chunk-size schedule reproduces the
-    /// batch generator's training split exactly.
-    pub fn next_train_chunk(&mut self, max_chunk: usize) -> Vec<Instance> {
-        assert!(max_chunk >= 1, "next_train_chunk: chunk size must be at least 1");
-        let count = max_chunk.min(self.remaining_train());
-        let mut chunk = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (tokens, gold) = self.text_model.sentence(&mut self.text_rng);
-            let span = self.config.max_labels_per_instance - self.config.min_labels_per_instance + 1;
-            let count = self.config.min_labels_per_instance + self.crowd_rng.usize_below(span);
-            let selected = self.pool.select(count, &mut self.crowd_rng);
-            let mut crowd_labels = self.pool.annotate_instance(&selected, &gold, &mut self.crowd_rng);
-            apply_temporal_noise(
-                &mut crowd_labels,
-                self.config.drift,
-                self.config.difficulty,
-                &self.stream_pos,
-                self.drift_horizon,
-                self.num_classes,
-                &mut self.temporal_rng,
-            );
-            for cl in &crowd_labels {
-                self.stream_pos[cl.annotator] += 1;
-            }
-            chunk.push(Instance { tokens, gold, crowd_labels });
-        }
-        self.emitted += count;
-        chunk
-    }
-
-    /// Generates the dev/test splits and assembles the dataset around the
-    /// training split the caller retained — pass `Vec::new()` when the
-    /// instances were consumed on the fly (the streaming first-E-pass
-    /// path).  Panics if training instances are still pending.
-    pub fn finish(mut self, train: Vec<Instance>) -> CrowdDataset {
-        assert!(
-            self.is_drained(),
-            "ScenarioStream::finish: {} training instance(s) not yet generated",
-            self.remaining_train()
+            &mut temporal_rng,
         );
-        let _streamed = train.is_empty() && self.config.train_size > 0;
-        let mut make_eval = |size: usize| -> Vec<Instance> {
-            (0..size)
-                .map(|_| {
-                    let (tokens, gold) = self.text_model.sentence(&mut self.text_rng);
-                    Instance { tokens, gold, crowd_labels: Vec::new() }
-                })
-                .collect()
-        };
-        let dev = make_eval(self.config.dev_size);
-        let test = make_eval(self.config.test_size);
-
-        let (vocab, class_names, but_token, however_token) = match &self.text_model {
-            TextModel::Sent { text, .. } => (
-                text.vocab().to_vec(),
-                vec!["NEG".to_string(), "POS".to_string()],
-                Some(text.but_token()),
-                Some(text.however_token()),
-            ),
-            TextModel::Ner(text) => (text.vocab().to_vec(), bio_class_names(), None, None),
-        };
-
-        let dataset = CrowdDataset {
-            task: self.config.task,
-            num_classes: self.num_classes,
-            num_annotators: self.config.num_annotators,
-            vocab,
-            class_names,
-            train,
-            dev,
-            test,
-            but_token,
-            however_token,
-        };
-        // streamed consumers hand back an empty training split, which the
-        // whole-dataset invariants would reject — skip validation for them
-        #[cfg(debug_assertions)]
-        if !_streamed {
-            if let Err(message) = dataset.validate() {
-                panic!("generate_scenario({:?}) produced an invalid dataset: {message}", self.config.name);
-            }
+        for cl in &crowd_labels {
+            stream_pos[cl.annotator] += 1;
         }
-        dataset
+        train.push(Instance { tokens, gold, crowd_labels });
     }
+
+    let mut make_eval = |size: usize| -> Vec<Instance> {
+        (0..size)
+            .map(|_| {
+                let (tokens, gold) = text_model.sentence(&mut text_rng);
+                Instance { tokens, gold, crowd_labels: Vec::new() }
+            })
+            .collect()
+    };
+    let dev = make_eval(config.dev_size);
+    let test = make_eval(config.test_size);
+
+    let (vocab, class_names, but_token, however_token) = match &text_model {
+        TextModel::Sent { text, .. } => (
+            text.vocab().to_vec(),
+            vec!["NEG".to_string(), "POS".to_string()],
+            Some(text.but_token()),
+            Some(text.however_token()),
+        ),
+        TextModel::Ner(text) => (text.vocab().to_vec(), bio_class_names(), None, None),
+    };
+
+    let dataset = CrowdDataset {
+        task: config.task,
+        num_classes,
+        num_annotators: config.num_annotators,
+        vocab,
+        class_names,
+        train,
+        dev,
+        test,
+        but_token,
+        however_token,
+    };
+    #[cfg(debug_assertions)]
+    if let Err(message) = dataset.validate() {
+        panic!("generate_scenario({:?}) produced an invalid dataset: {message}", config.name);
+    }
+    dataset
 }
 
 /// The named archetype mixes the `scenario_sweep` binary and the robustness
@@ -1413,58 +1318,6 @@ mod tests {
                 assert_eq!(dataset.train.len(), config.train_size);
             }
         }
-    }
-
-    #[test]
-    fn chunked_stream_reproduces_the_batch_generator_exactly() {
-        // any chunk-size schedule — including ragged last chunks — must
-        // concatenate to the batch corpus byte for byte, with identical
-        // dev/test splits; drifted + difficulty configs exercise every
-        // forked RNG stream
-        for task in [TaskKind::Classification, TaskKind::SequenceTagging] {
-            let config = ScenarioConfig::tiny(task)
-                .with_mix(standard_mixes()[3].1.clone())
-                .with_drift(DriftSchedule::StepChange { at: 0.5, level: 0.8 })
-                .with_difficulty(DifficultyModel::with_strength(0.4))
-                .with_seed(41);
-            let batch = generate_scenario(&config);
-            for chunk_size in [1usize, 7, 64, usize::MAX] {
-                let mut stream = ScenarioStream::new(&config);
-                let mut train = Vec::new();
-                while !stream.is_drained() {
-                    let chunk = stream.next_train_chunk(chunk_size);
-                    assert!(!chunk.is_empty(), "undrained stream must emit instances");
-                    train.extend(chunk);
-                }
-                assert_eq!(stream.remaining_train(), 0);
-                let streamed = stream.finish(train);
-                assert_eq!(streamed.train, batch.train, "{task:?} chunk {chunk_size}: train split diverged");
-                assert_eq!(streamed.dev, batch.dev, "{task:?} chunk {chunk_size}: dev split diverged");
-                assert_eq!(streamed.test, batch.test, "{task:?} chunk {chunk_size}: test split diverged");
-                assert_eq!(streamed.vocab, batch.vocab);
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_finish_without_train_keeps_eval_splits() {
-        let config = ScenarioConfig::tiny(TaskKind::Classification);
-        let batch = generate_scenario(&config);
-        let mut stream = ScenarioStream::new(&config);
-        while !stream.is_drained() {
-            stream.next_train_chunk(16); // consumed on the fly and dropped
-        }
-        let shell = stream.finish(Vec::new());
-        assert!(shell.train.is_empty());
-        assert_eq!(shell.dev, batch.dev);
-        assert_eq!(shell.test, batch.test);
-    }
-
-    #[test]
-    #[should_panic(expected = "not yet generated")]
-    fn finishing_an_undrained_stream_panics() {
-        let stream = ScenarioStream::new(&ScenarioConfig::tiny(TaskKind::Classification));
-        let _ = stream.finish(Vec::new());
     }
 
     #[test]

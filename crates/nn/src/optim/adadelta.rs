@@ -28,12 +28,6 @@ impl Adadelta {
         Self { lr, rho: 0.95, eps: 1e-6, weight_decay: 0.0, state: HashMap::new() }
     }
 
-    /// Overrides the decay constant `rho`.
-    pub fn with_rho(mut self, rho: f32) -> Self {
-        self.rho = rho;
-        self
-    }
-
     /// Enables L2 weight decay.
     pub fn with_weight_decay(mut self, decay: f32) -> Self {
         self.weight_decay = decay;

@@ -29,13 +29,6 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, state: HashMap::new() }
     }
 
-    /// Overrides the exponential-decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Enables L2 weight decay.
     pub fn with_weight_decay(mut self, decay: f32) -> Self {
         self.weight_decay = decay;

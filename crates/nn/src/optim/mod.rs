@@ -12,7 +12,7 @@ pub mod sgd;
 
 pub use adadelta::Adadelta;
 pub use adam::Adam;
-pub use schedule::{ConstantLr, EarlyStopping, LrSchedule, StepDecay};
+pub use schedule::{EarlyStopping, StepDecay, Verdict};
 pub use sgd::Sgd;
 
 use crate::module::Param;

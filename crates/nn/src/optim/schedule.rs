@@ -1,21 +1,4 @@
-//! Learning-rate schedules and early stopping.
-
-/// A learning-rate schedule maps an epoch index (0-based) to a learning
-/// rate.
-pub trait LrSchedule {
-    /// Learning rate to use during `epoch`.
-    fn learning_rate(&self, epoch: usize) -> f32;
-}
-
-/// A constant learning rate.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLr(pub f32);
-
-impl LrSchedule for ConstantLr {
-    fn learning_rate(&self, _epoch: usize) -> f32 {
-        self.0
-    }
-}
+//! Learning-rate step decay and early stopping.
 
 /// Step decay: the learning rate is multiplied by `factor` every `every`
 /// epochs.  The paper's sentiment configuration halves the Adadelta learning
@@ -33,12 +16,22 @@ impl StepDecay {
         assert!(every > 0, "StepDecay: `every` must be positive");
         Self { initial, factor, every }
     }
-}
 
-impl LrSchedule for StepDecay {
-    fn learning_rate(&self, epoch: usize) -> f32 {
+    /// Learning rate to use during `epoch` (0-based).
+    pub fn learning_rate(&self, epoch: usize) -> f32 {
         self.initial * self.factor.powi((epoch / self.every) as i32)
     }
+}
+
+/// What [`EarlyStopping::update`] decided about one epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The metric beat every earlier epoch: keep this epoch's model.
+    Improved,
+    /// No improvement, but still within the patience.
+    Stale,
+    /// No improvement for more than `patience` epochs: stop training.
+    Stop,
 }
 
 /// Early stopping on a validation metric where **larger is better**
@@ -49,32 +42,31 @@ pub struct EarlyStopping {
     best: f32,
     best_epoch: usize,
     epochs_since_best: usize,
-    min_delta: f32,
 }
 
 impl EarlyStopping {
     /// Creates an early-stopping monitor with the given patience.
     pub fn new(patience: usize) -> Self {
-        Self { patience, best: f32::NEG_INFINITY, best_epoch: 0, epochs_since_best: 0, min_delta: 0.0 }
+        Self { patience, best: f32::NEG_INFINITY, best_epoch: 0, epochs_since_best: 0 }
     }
 
-    /// Requires improvements to exceed `min_delta` to reset the counter.
-    pub fn with_min_delta(mut self, min_delta: f32) -> Self {
-        self.min_delta = min_delta;
-        self
-    }
-
-    /// Records the metric for `epoch`; returns `true` when training should
-    /// stop (no improvement for more than `patience` epochs).
-    pub fn update(&mut self, epoch: usize, metric: f32) -> bool {
-        if metric > self.best + self.min_delta {
+    /// Records the metric for `epoch`: [`Verdict::Improved`] when it is the
+    /// best so far, [`Verdict::Stop`] after more than `patience` epochs
+    /// without improvement, [`Verdict::Stale`] otherwise.
+    pub fn update(&mut self, epoch: usize, metric: f32) -> Verdict {
+        if metric > self.best {
             self.best = metric;
             self.best_epoch = epoch;
             self.epochs_since_best = 0;
+            Verdict::Improved
         } else {
             self.epochs_since_best += 1;
+            if self.epochs_since_best > self.patience {
+                Verdict::Stop
+            } else {
+                Verdict::Stale
+            }
         }
-        self.epochs_since_best > self.patience
     }
 
     /// Best metric seen so far.
@@ -93,13 +85,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_schedule() {
-        let s = ConstantLr(0.01);
-        assert_eq!(s.learning_rate(0), 0.01);
-        assert_eq!(s.learning_rate(100), 0.01);
-    }
-
-    #[test]
     fn step_decay_halves_every_five_epochs() {
         let s = StepDecay::new(1.0, 0.5, 5);
         assert_eq!(s.learning_rate(0), 1.0);
@@ -112,20 +97,12 @@ mod tests {
     #[test]
     fn early_stopping_triggers_after_patience() {
         let mut es = EarlyStopping::new(2);
-        assert!(!es.update(0, 0.5));
-        assert!(!es.update(1, 0.6)); // improvement
-        assert!(!es.update(2, 0.55));
-        assert!(!es.update(3, 0.58));
-        assert!(es.update(4, 0.57)); // third epoch without improvement > patience=2
+        assert_eq!(es.update(0, 0.5), Verdict::Improved);
+        assert_eq!(es.update(1, 0.6), Verdict::Improved);
+        assert_eq!(es.update(2, 0.55), Verdict::Stale);
+        assert_eq!(es.update(3, 0.6), Verdict::Stale); // a tie is no improvement
+        assert_eq!(es.update(4, 0.57), Verdict::Stop); // third epoch without improvement > patience=2
         assert_eq!(es.best_epoch(), 1);
         assert!((es.best() - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn early_stopping_min_delta() {
-        let mut es = EarlyStopping::new(1).with_min_delta(0.05);
-        assert!(!es.update(0, 0.5));
-        assert!(!es.update(1, 0.52)); // below min_delta: counts as no improvement
-        assert!(es.update(2, 0.53));
     }
 }
