@@ -5,8 +5,9 @@
 
 use crate::config::TrainConfig;
 use crate::fit::{DevSelection, MStep};
+use crate::predict::evaluate_predictions;
 use crate::report::{EvalMetrics, TrainReport};
-use lncl_crowd::{CrowdDataset, TaskKind};
+use lncl_crowd::CrowdDataset;
 use lncl_nn::{InstanceClassifier, Module};
 use lncl_tensor::Matrix;
 
@@ -52,23 +53,7 @@ pub fn gold_targets(dataset: &CrowdDataset) -> Vec<Matrix> {
 /// Evaluates the inference quality of a set of hard labels against the
 /// training gold (the "Inference" column for two-stage methods).
 pub fn inference_metrics_of(labels: &[Vec<usize>], dataset: &CrowdDataset) -> EvalMetrics {
-    let gold: Vec<Vec<usize>> = dataset.train.iter().map(|i| i.gold.clone()).collect();
-    match dataset.task {
-        TaskKind::Classification => {
-            let pred: Vec<usize> = labels.iter().map(|l| l[0]).collect();
-            let flat: Vec<usize> = gold.iter().map(|g| g[0]).collect();
-            EvalMetrics::from_accuracy(lncl_crowd::metrics::accuracy(&pred, &flat))
-        }
-        TaskKind::SequenceTagging => {
-            let prf = lncl_crowd::metrics::span_f1(labels, &gold);
-            EvalMetrics {
-                accuracy: lncl_crowd::metrics::token_accuracy(labels, &gold),
-                precision: prf.precision,
-                recall: prf.recall,
-                f1: prf.f1,
-            }
-        }
-    }
+    evaluate_predictions(labels, &dataset.train, dataset.task)
 }
 
 #[cfg(test)]

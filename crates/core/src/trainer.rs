@@ -26,10 +26,10 @@ use crate::config::{MStepObjective, TrainConfig};
 use crate::distill::{infer_qb, TaskRules};
 use crate::fit::{DevSelection, MStep};
 use crate::posterior::{infer_qa_into, infer_qa_windowed_into, FlatPosteriors};
-use crate::predict::{evaluate_split, PredictionMode};
+use crate::predict::{evaluate_predictions, evaluate_split, PredictionMode};
 use crate::report::{EvalMetrics, TrainReport};
 use lncl_crowd::truth::{MajorityVote, TruthInference};
-use lncl_crowd::{metrics, CrowdDataset, TaskKind};
+use lncl_crowd::{CrowdDataset, TaskKind};
 use lncl_nn::{InstanceClassifier, Module};
 use lncl_tensor::Matrix;
 
@@ -296,23 +296,7 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
             return EvalMetrics::default();
         }
         let predictions: Vec<Vec<usize>> = (0..self.qf.num_instances()).map(|i| self.qf.instance_argmax(i)).collect();
-        let gold: Vec<Vec<usize>> = dataset.train.iter().map(|i| i.gold.clone()).collect();
-        match dataset.task {
-            TaskKind::Classification => {
-                let flat_pred: Vec<usize> = predictions.iter().map(|p| p[0]).collect();
-                let flat_gold: Vec<usize> = gold.iter().map(|g| g[0]).collect();
-                EvalMetrics::from_accuracy(metrics::accuracy(&flat_pred, &flat_gold))
-            }
-            TaskKind::SequenceTagging => {
-                let prf = metrics::span_f1(&predictions, &gold);
-                EvalMetrics {
-                    accuracy: metrics::token_accuracy(&predictions, &gold),
-                    precision: prf.precision,
-                    recall: prf.recall,
-                    f1: prf.f1,
-                }
-            }
-        }
+        evaluate_predictions(&predictions, &dataset.train, dataset.task)
     }
 
     /// Evaluates the trained model on a split with the given output mode.
@@ -325,6 +309,7 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
 mod tests {
     use super::*;
     use lncl_crowd::datasets::{generate_sentiment, SentimentDatasetConfig};
+    use lncl_crowd::metrics;
     use lncl_logic::rules::sentiment_but::SentimentContrastRule;
     use lncl_nn::models::{SentimentCnn, SentimentCnnConfig};
     use lncl_tensor::TensorRng;

@@ -1,9 +1,10 @@
 //! Dawid–Skene EM aggregation (Dawid & Skene, 1979).
 
+use super::ds_windowed::Windows;
 use super::{class_prior, estimate_confusions, TruthEstimate, TruthInference};
 use crate::data::AnnotationView;
 use crate::truth::MajorityVote;
-use lncl_tensor::stats;
+use lncl_tensor::{stats, Matrix};
 
 /// The classic Dawid–Skene model: a latent true class per unit, a class
 /// prior, and one confusion matrix per annotator, fitted with EM.
@@ -23,26 +24,39 @@ impl Default for DawidSkene {
     }
 }
 
-impl TruthInference for DawidSkene {
-    fn name(&self) -> &'static str {
-        "DS"
-    }
-
-    fn infer(&self, view: &AnnotationView) -> TruthEstimate {
+impl DawidSkene {
+    /// The crate's one Dawid–Skene EM, run by [`DawidSkene`],
+    /// [`DsWindowed`](super::DsWindowed) and streaming finalization.
+    /// `None` fits classic DS; `Some(windows)` fits DS-W, judging each
+    /// label by its stream window's confusion unless that window's column
+    /// is too weakly supported (see [`Windows`]).  Returns the posteriors,
+    /// the final pooled per-annotator confusions and the iterations run.
+    pub(crate) fn fit(&self, view: &AnnotationView, windows: Option<&Windows>) -> (Vec<Vec<f32>>, Vec<Matrix>, usize) {
         let k = view.num_classes;
         // initialise with majority voting
         let mut posteriors = MajorityVote.infer(view).posteriors;
-        let mut confusions = estimate_confusions(view, &posteriors, self.smoothing);
+        // M-step: under DS-W both confusion families track the evolving
+        // posteriors, so the backoff always compares like with like
+        let m_step = |posteriors: &[Vec<f32>]| {
+            let windowed = windows.map(|w| w.confusions(view, posteriors, self.smoothing));
+            (estimate_confusions(view, posteriors, self.smoothing), windowed)
+        };
+        let (mut pooled, mut windowed) = m_step(&posteriors);
         let mut prior = class_prior(&posteriors, k);
-
-        for _ in 0..self.max_iters {
+        let mut iterations = 0;
+        while iterations < self.max_iters {
+            iterations += 1;
             // E-step: p(t=m | labels) ∝ prior_m * Π_j pi^{(j)}_{m, y_j}
             let mut max_delta = 0.0f32;
             for (u, annotations) in view.annotations.iter().enumerate() {
                 let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for &(annotator, class) in annotations {
+                for (slot, &(annotator, class)) in annotations.iter().enumerate() {
+                    let confusion = match (windows, &windowed) {
+                        (Some(w), Some(windowed)) => w.judge(u, slot, annotator, class, windowed, &pooled),
+                        _ => &pooled[annotator],
+                    };
                     for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusions[annotator][(m, class)].max(1e-12).ln();
+                        *lp += confusion[(m, class)].max(1e-12).ln();
                     }
                 }
                 let new_post = stats::softmax(&log_post);
@@ -51,13 +65,23 @@ impl TruthInference for DawidSkene {
                 max_delta = max_delta.max(delta);
                 posteriors[u] = new_post;
             }
-            // M-step
-            confusions = estimate_confusions(view, &posteriors, self.smoothing);
+            (pooled, windowed) = m_step(&posteriors);
             prior = class_prior(&posteriors, k);
             if max_delta < self.tol {
                 break;
             }
         }
+        (posteriors, pooled, iterations)
+    }
+}
+
+impl TruthInference for DawidSkene {
+    fn name(&self) -> &'static str {
+        "DS"
+    }
+
+    fn infer(&self, view: &AnnotationView) -> TruthEstimate {
+        let (posteriors, confusions, _) = self.fit(view, None);
         TruthEstimate::from_posteriors(posteriors).with_confusions(confusions)
     }
 }

@@ -2,10 +2,10 @@
 //! so drifting annotators (fatigue, learning, step changes) are tracked
 //! instead of averaged away.
 
-use super::{class_prior, estimate_confusions, TruthEstimate, TruthInference};
+use super::{DawidSkene, TruthEstimate, TruthInference};
 use crate::data::AnnotationView;
-use crate::truth::MajorityVote;
-use lncl_tensor::{stats, Matrix};
+use crate::metrics::normalize_confusion_rows;
+use lncl_tensor::Matrix;
 
 /// Dawid–Skene with **windowed, exponentially-decayed sufficient
 /// statistics**: each annotator's label stream (their labels in unit order,
@@ -14,7 +14,7 @@ use lncl_tensor::{stats, Matrix};
 /// smoothed across neighbouring windows with weight `decay^distance`.
 ///
 /// * `decay == 1.0` pools every window — the estimator degenerates to
-///   classic [`DawidSkene`](super::DawidSkene) (all windows share the
+///   classic [`DawidSkene`] (all windows share the
 ///   global counts);
 /// * `decay → 0` trusts each window alone — maximal drift tracking,
 ///   maximal variance.
@@ -110,41 +110,106 @@ impl DsWindowed {
     }
 }
 
-/// Stream bookkeeping: for every unit and every annotation on it, the
-/// position of that label in the annotator's own stream, plus each
-/// annotator's window count.
-struct StreamIndex {
-    /// Parallel to `view.annotations`: per annotation, the label's position
-    /// in its annotator's stream.
-    positions: Vec<Vec<usize>>,
+/// The stream-window layout of a view's labels, which turns
+/// [`DawidSkene::fit`] into DS-W: the window each label was produced in,
+/// and each window column's label-count support for the weak-column
+/// backoff.
+pub(crate) struct Windows {
+    /// Parallel to `view.annotations`: per label, its window index in its
+    /// annotator's stream.
+    window: Vec<Vec<usize>>,
     /// Windows per annotator (at least 1 each).
-    windows: Vec<usize>,
-    window_size: usize,
+    count: Vec<usize>,
+    /// Per annotator, entry `window * k + class`: the decay-blended number
+    /// of labels of observed class `class` in `window` — the evidence mass
+    /// a windowed confusion column rests on.  Posterior-independent, so it
+    /// is computed once per fit.
+    support: Vec<Vec<f32>>,
+    num_classes: usize,
+    decay: f32,
+    backoff_min_support: f32,
 }
 
-impl StreamIndex {
-    fn build(view: &AnnotationView, window_size: usize) -> Self {
-        let mut counters = vec![0usize; view.num_annotators];
-        let mut positions = Vec::with_capacity(view.num_units());
-        for annotations in &view.annotations {
-            let per_unit = annotations
-                .iter()
-                .map(|&(annotator, _)| {
-                    let p = counters[annotator];
-                    counters[annotator] += 1;
-                    p
-                })
-                .collect();
-            positions.push(per_unit);
+impl Windows {
+    /// Cuts each annotator's stream into windows of `size` labels.
+    /// `positions` is parallel to `view.annotations`: each label's position
+    /// in its annotator's stream (`0..len` per annotator).
+    pub(crate) fn new(
+        view: &AnnotationView,
+        positions: &[Vec<usize>],
+        size: usize,
+        decay: f32,
+        backoff_min_support: f32,
+    ) -> Self {
+        let k = view.num_classes;
+        let window: Vec<Vec<usize>> = positions.iter().map(|unit| unit.iter().map(|&p| p / size).collect()).collect();
+        let mut count = vec![1; view.num_annotators];
+        for (annotations, windows) in view.annotations.iter().zip(&window) {
+            for (&(annotator, _), &w) in annotations.iter().zip(windows) {
+                count[annotator] = count[annotator].max(w + 1);
+            }
         }
-        let windows = counters.iter().map(|&len| len.div_ceil(window_size).max(1)).collect();
-        Self { positions, windows, window_size }
+        let mut raw: Vec<Vec<f32>> = count.iter().map(|&w| vec![0.0; w * k]).collect();
+        for (annotations, windows) in view.annotations.iter().zip(&window) {
+            for (&(annotator, class), &w) in annotations.iter().zip(windows) {
+                raw[annotator][w * k + class] += 1.0;
+            }
+        }
+        let support = raw.into_iter().map(|counts| decay_blend_flat(&counts, k, decay)).collect();
+        Self { window, count, support, num_classes: k, decay, backoff_min_support }
     }
 
-    /// Window index of a stream position for an annotator.
-    #[inline]
-    fn window_of(&self, annotator: usize, position: usize) -> usize {
-        (position / self.window_size).min(self.windows[annotator] - 1)
+    /// Per-annotator, per-window confusion matrices from soft posteriors:
+    /// raw window counts, decay blending, smoothing, row normalisation.
+    pub(crate) fn confusions(
+        &self,
+        view: &AnnotationView,
+        posteriors: &[Vec<f32>],
+        smoothing: f32,
+    ) -> Vec<Vec<Matrix>> {
+        let k = view.num_classes;
+        let mut raw: Vec<Vec<Matrix>> = self.count.iter().map(|&w| vec![Matrix::zeros(k, k); w]).collect();
+        for (u, annotations) in view.annotations.iter().enumerate() {
+            for (&(annotator, class), &w) in annotations.iter().zip(&self.window[u]) {
+                for m in 0..k {
+                    raw[annotator][w][(m, class)] += posteriors[u][m];
+                }
+            }
+        }
+        raw.into_iter()
+            .map(|windows| {
+                let mut blended = decay_blend(&windows, self.decay);
+                for c in &mut blended {
+                    for v in c.as_mut_slice() {
+                        *v += smoothing;
+                    }
+                    normalize_confusion_rows(c);
+                }
+                blended
+            })
+            .collect()
+    }
+
+    /// The confusion that judges label `slot` of unit `u`: its window's,
+    /// unless that window's observed-class column has less support than
+    /// `backoff_min_support` — then it is little more than the label's own
+    /// circular self-evidence, and the annotator's pooled confusion judges
+    /// it instead.
+    pub(crate) fn judge<'a>(
+        &self,
+        u: usize,
+        slot: usize,
+        annotator: usize,
+        class: usize,
+        windowed: &'a [Vec<Matrix>],
+        pooled: &'a [Matrix],
+    ) -> &'a Matrix {
+        let w = self.window[u][slot];
+        if self.support[annotator][w * self.num_classes + class] < self.backoff_min_support {
+            &pooled[annotator]
+        } else {
+            &windowed[annotator][w]
+        }
     }
 }
 
@@ -161,8 +226,8 @@ impl StreamIndex {
 pub fn decay_blend_flat(raw: &[f32], block: usize, decay: f32) -> Vec<f32> {
     // the chunked passes below walk whole blocks, so a ragged tail would be
     // passed through unblended — catch the caller's sizing bug loudly
-    debug_assert!(block >= 1, "decay_blend_flat: block size must be at least 1");
-    debug_assert!(
+    assert!(block >= 1, "decay_blend_flat: block size must be at least 1");
+    assert!(
         raw.len().is_multiple_of(block),
         "decay_blend_flat: {} count(s) do not divide into blocks of {block} — the {} trailing element(s) would be \
          silently dropped from the blend",
@@ -209,56 +274,22 @@ pub(crate) fn decay_blend(raw: &[Matrix], decay: f32) -> Vec<Matrix> {
         .collect()
 }
 
-/// Estimates per-annotator, per-window confusion matrices from soft
-/// posteriors: raw window counts, decay blending, smoothing, row
-/// normalisation.
-fn estimate_windowed_confusions(
-    view: &AnnotationView,
-    index: &StreamIndex,
-    posteriors: &[Vec<f32>],
-    smoothing: f32,
-    decay: f32,
-) -> Vec<Vec<Matrix>> {
-    let k = view.num_classes;
-    let mut raw: Vec<Vec<Matrix>> = index.windows.iter().map(|&w| vec![Matrix::zeros(k, k); w]).collect();
-    for (u, annotations) in view.annotations.iter().enumerate() {
-        for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-            let window = index.window_of(annotator, index.positions[u][slot]);
-            let counts = &mut raw[annotator][window];
-            for m in 0..k {
-                counts[(m, class)] += posteriors[u][m];
-            }
-        }
-    }
-    raw.into_iter()
-        .map(|windows| {
-            let mut blended = decay_blend(&windows, decay);
-            for c in &mut blended {
-                for v in c.as_mut_slice() {
-                    *v += smoothing;
-                }
-                crate::metrics::normalize_confusion_rows(c);
-            }
-            blended
+/// Each label's position in its annotator's stream when the stream is the
+/// annotator's labels in unit order (parallel to `view.annotations`).
+fn unit_order_positions(view: &AnnotationView) -> Vec<Vec<usize>> {
+    let mut next = vec![0usize; view.num_annotators];
+    view.annotations
+        .iter()
+        .map(|annotations| {
+            annotations
+                .iter()
+                .map(|&(annotator, _)| {
+                    next[annotator] += 1;
+                    next[annotator] - 1
+                })
+                .collect()
         })
         .collect()
-}
-
-/// Blended per-annotator label-count support: entry `window * k + class`
-/// is the decay-blended number of labels of observed class `class` the
-/// annotator produced in `window`.  This is the evidence mass a windowed
-/// confusion column rests on — posterior-independent, so it is computed
-/// once per inference, not per EM iteration.
-fn windowed_support(view: &AnnotationView, index: &StreamIndex, decay: f32) -> Vec<Vec<f32>> {
-    let k = view.num_classes;
-    let mut raw: Vec<Vec<f32>> = index.windows.iter().map(|&w| vec![0.0; w * k]).collect();
-    for (u, annotations) in view.annotations.iter().enumerate() {
-        for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-            let window = index.window_of(annotator, index.positions[u][slot]);
-            raw[annotator][window * k + class] += 1.0;
-        }
-    }
-    raw.into_iter().map(|counts| decay_blend_flat(&counts, k, decay)).collect()
 }
 
 impl TruthInference for DsWindowed {
@@ -268,52 +299,12 @@ impl TruthInference for DsWindowed {
 
     fn infer(&self, view: &AnnotationView) -> TruthEstimate {
         self.validate();
-        let k = view.num_classes;
-        let index = StreamIndex::build(view, self.window);
-        let support = windowed_support(view, &index, self.decay);
-        let mut posteriors = MajorityVote.infer(view).posteriors;
-        let mut confusions = estimate_windowed_confusions(view, &index, &posteriors, self.smoothing, self.decay);
-        let mut pooled = estimate_confusions(view, &posteriors, self.smoothing);
-        let mut prior = class_prior(&posteriors, k);
-
-        for _ in 0..self.max_iters {
-            // E-step: each label is judged by its annotator's confusion in
-            // the window the label was produced in — unless that window's
-            // observed-class column is too weakly supported to be more than
-            // the label's own circular self-evidence, in which case the
-            // pooled (static) confusion judges it instead
-            let mut max_delta = 0.0f32;
-            for (u, annotations) in view.annotations.iter().enumerate() {
-                let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-                    let window = index.window_of(annotator, index.positions[u][slot]);
-                    let confusion = if support[annotator][window * k + class] < self.backoff_min_support {
-                        &pooled[annotator]
-                    } else {
-                        &confusions[annotator][window]
-                    };
-                    for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusion[(m, class)].max(1e-12).ln();
-                    }
-                }
-                let new_post = stats::softmax(&log_post);
-                let delta: f32 =
-                    new_post.iter().zip(&posteriors[u]).map(|(a, b)| (a - b).abs()).sum::<f32>() / k as f32;
-                max_delta = max_delta.max(delta);
-                posteriors[u] = new_post;
-            }
-            // M-step: both confusion families track the evolving posteriors
-            // so the backoff always compares like-for-like estimates
-            confusions = estimate_windowed_confusions(view, &index, &posteriors, self.smoothing, self.decay);
-            pooled = estimate_confusions(view, &posteriors, self.smoothing);
-            prior = class_prior(&posteriors, k);
-            if max_delta < self.tol {
-                break;
-            }
-        }
+        let positions = unit_order_positions(view);
+        let windows = Windows::new(view, &positions, self.window, self.decay, self.backoff_min_support);
+        let ds = DawidSkene { max_iters: self.max_iters, tol: self.tol, smoothing: self.smoothing };
         // report the *pooled* per-annotator confusions for compatibility
         // with consumers that expect one matrix per annotator
-        let pooled = estimate_confusions(view, &posteriors, self.smoothing);
+        let (posteriors, pooled, _) = ds.fit(view, Some(&windows));
         TruthEstimate::from_posteriors(posteriors).with_confusions(pooled)
     }
 }
@@ -417,9 +408,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "do not divide into blocks")]
-    fn ragged_flat_counts_are_rejected_in_debug_builds() {
+    fn ragged_flat_counts_are_rejected() {
         // 7 counts over blocks of 4: the trailing 3 would silently vanish
         let _ = decay_blend_flat(&[1.0; 7], 4, 0.5);
     }

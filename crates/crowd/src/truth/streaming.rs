@@ -10,105 +10,87 @@
 //! * **Ingest** appends a label, credits the annotator's (windowed)
 //!   confusion counts with the instance's current posterior mass, and marks
 //!   the instance *dirty*.
-//! * A **bounded refresh pass** (at most [`StreamingConfig::refresh_budget`]
-//!   instances per ingest) re-runs the E-step on dirty instances only,
-//!   propagating the posterior delta into the touched annotators' counts.
-//!   When an instance's posterior moves by more than
-//!   [`StreamingConfig::propagation_tol`], every instance sharing one of
-//!   its annotators is re-dirtied — the dirty-set propagation that lets a
-//!   newly unmasked spammer's past labels be re-judged without a global
-//!   sweep.
-//! * [`StreamingTruth::finalize`] runs the full batch EM (identical
-//!   operation order to [`DawidSkene`](super::DawidSkene) /
-//!   [`DsWindowed`]) over the accumulated labels and
-//!   resets the running statistics to the converged state.
+//! * A **bounded refresh pass** (at most `REFRESH_BUDGET` = 8 instances per
+//!   ingest) re-runs the E-step on dirty instances only, propagating the
+//!   posterior delta into the touched annotators' counts.  When an
+//!   instance's posterior moves by more than `PROPAGATION_TOL` = 0.02 (mean
+//!   absolute change), every instance sharing one of its annotators is
+//!   re-dirtied — the dirty-set propagation that lets a newly unmasked
+//!   spammer's past labels be re-judged without a global sweep.
+//! * [`StreamingTruth::finalize`] runs the batch estimators' own fit — the
+//!   one Dawid–Skene EM behind [`DawidSkene`] and [`DsWindowed`], not a
+//!   copy of it — over the accumulated labels and resets the running
+//!   statistics to the converged state.
 //!
 //! # The replay-equivalence contract
 //!
 //! After ingesting a dataset label-by-label **in unit order** and calling
 //! [`finalize`](StreamingTruth::finalize) once, the posteriors equal the
-//! batch estimator's on the same data: bitwise when each unit's label list
-//! arrives in the batch view's per-unit order is canonical (sorted by
-//! annotator), and within a tight tolerance otherwise — `finalize`
-//! canonicalises each unit's labels by `(annotator, class, arrival)` before
-//! iterating, so the converged state is *independent of arrival
-//! interleaving* in pooled mode (asserted by
-//! `crates/crowd/tests/streaming_equivalence.rs`).  In windowed mode the
-//! arrival order **is** the stream clock (each label is judged by the
-//! confusion matrix of the window it arrived in), so interleavings that
-//! reorder one annotator's stream legitimately change the estimate, exactly
-//! as they would change [`DsWindowed`]'s `StreamIndex`.
+//! batch estimator's on the same data: bitwise when each unit's labels
+//! arrive in canonical (annotator-sorted) order, and within a tight
+//! tolerance otherwise, since `finalize` canonicalises each unit's labels
+//! by `(annotator, class, arrival)` before fitting and a different per-unit
+//! order changes the float summation order.  The canonical sort makes the
+//! converged state *independent of arrival interleaving* in pooled mode
+//! (asserted by `crates/crowd/tests/streaming_equivalence.rs`).  In
+//! windowed mode the arrival order **is** the stream clock (each label is
+//! judged by the confusion matrix of the window it arrived in), so
+//! interleavings that reorder one annotator's stream legitimately change
+//! the estimate, exactly as reordering units changes [`DsWindowed`]'s
+//! unit-order stream positions.
 
-use super::ds_windowed::{decay_blend, decay_blend_flat, DsWindowed};
-use super::{class_prior, TruthEstimate};
+use super::ds_windowed::{decay_blend, DsWindowed, Windows};
+use super::{DawidSkene, TruthEstimate};
 use crate::data::AnnotationView;
 use crate::metrics::{normalize_confusion_rows, overall_reliability};
 use lncl_tensor::{stats, Matrix};
 use std::collections::VecDeque;
 
-/// Stream-window parameters for the windowed (DS-W-equivalent) mode.
+/// Diagonal pseudo-count added to the *online* confusion estimates — an
+/// "annotators are better than chance" prior (IBCC-style) that breaks the
+/// cold-start symmetry batch EM breaks with its majority-vote
+/// initialisation.  Washes out as real counts accumulate; finalization
+/// never uses it.
+const DIAG_PRIOR: f32 = 1.0;
+/// Dirty instances re-estimated per ingest (the bounded refresh pass).
+const REFRESH_BUDGET: usize = 8;
+/// Mean-absolute posterior change above which a refreshed instance
+/// re-dirties its annotators' other instances.
+const PROPAGATION_TOL: f32 = 0.02;
+
+/// Stream-window parameters for the windowed (DS-W) mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamWindow {
     /// Maximum labels per estimation window in each annotator's stream.
     pub size: usize,
     /// Cross-window count decay in `(0, 1]` (`1.0` pools every window).
     pub decay: f32,
-    /// Minimum blended label-count support before a window's observed-class
-    /// column is trusted during finalization; below it the label is judged
-    /// by the annotator's pooled confusion instead (mirrors
-    /// [`DsWindowed::backoff_min_support`]).
-    pub backoff_min_support: f32,
 }
 
-/// Configuration of a [`StreamingTruth`] estimator.
+/// Configuration of a [`StreamingTruth`] estimator.  Everything else —
+/// smoothing and EM settings, the windowed backoff threshold, the online
+/// refresh knobs — comes from the batch estimators' defaults
+/// ([`DawidSkene::default`], [`DsWindowed::DEFAULT_BACKOFF_MIN_SUPPORT`])
+/// or this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Number of classes `K`.
     pub num_classes: usize,
-    /// Additive smoothing used when normalising confusion counts.
-    pub smoothing: f32,
-    /// Diagonal pseudo-count added to the *online* confusion estimates — an
-    /// "annotators are better than chance" prior (IBCC-style) that breaks
-    /// the cold-start symmetry batch EM breaks with its majority-vote
-    /// initialisation.  Washes out as real counts accumulate; finalization
-    /// passes never use it (they mirror the batch estimators exactly).
-    pub diag_prior: f32,
-    /// Dirty instances re-estimated per ingest (the bounded refresh pass).
-    pub refresh_budget: usize,
-    /// Mean-absolute posterior change above which a refreshed instance
-    /// re-dirties its annotators' other instances.
-    pub propagation_tol: f32,
-    /// Maximum EM iterations of a finalization pass.
-    pub max_iters: usize,
-    /// Convergence tolerance of a finalization pass.
-    pub tol: f32,
     /// `None` = pooled Dawid–Skene statistics; `Some` = per-stream-window
     /// statistics with `decay^distance` blending (DS-W semantics).
     pub window: Option<StreamWindow>,
 }
 
 impl StreamingConfig {
-    /// Pooled (classic Dawid–Skene) statistics over `num_classes` classes,
-    /// with the same EM defaults as [`DawidSkene`](super::DawidSkene).
+    /// Pooled (classic Dawid–Skene) statistics over `num_classes` classes.
     pub fn pooled(num_classes: usize) -> Self {
-        Self {
-            num_classes,
-            smoothing: 0.01,
-            diag_prior: 1.0,
-            refresh_budget: 8,
-            propagation_tol: 0.02,
-            max_iters: 50,
-            tol: 1e-4,
-            window: None,
-        }
+        Self { num_classes, window: None }
     }
 
-    /// Stream-windowed (DS-W) statistics; `window`/`decay` default to the
-    /// shared [`DsWindowed`] constants when `0` / non-finite input is not
-    /// wanted — pass explicit values otherwise.
+    /// Stream-windowed (DS-W) statistics with windows of `size` labels and
+    /// cross-window decay `decay` (validated by [`StreamingTruth::new`]).
     pub fn windowed(num_classes: usize, size: usize, decay: f32) -> Self {
-        let backoff_min_support = DsWindowed::DEFAULT_BACKOFF_MIN_SUPPORT;
-        Self { window: Some(StreamWindow { size, decay, backoff_min_support }), ..Self::pooled(num_classes) }
+        Self { num_classes, window: Some(StreamWindow { size, decay }) }
     }
 
     /// The default windowed configuration (window
@@ -120,20 +102,12 @@ impl StreamingConfig {
     /// Panics with a descriptive message on degenerate parameters.
     fn validate(&self) {
         assert!(self.num_classes >= 2, "streaming truth needs at least 2 classes, got {}", self.num_classes);
-        assert!(self.smoothing >= 0.0, "streaming smoothing must be non-negative, got {}", self.smoothing);
-        assert!(self.diag_prior >= 0.0, "streaming diagonal prior must be non-negative, got {}", self.diag_prior);
-        assert!(self.max_iters >= 1, "streaming finalization needs at least 1 EM iteration");
         if let Some(w) = self.window {
             assert!(w.size >= 1, "stream window must hold at least one label, got {}", w.size);
             assert!(
                 w.decay > 0.0 && w.decay <= 1.0 && w.decay.is_finite(),
                 "stream window decay must be in (0, 1], got {}",
                 w.decay
-            );
-            assert!(
-                w.backoff_min_support >= 0.0 && w.backoff_min_support.is_finite(),
-                "stream window backoff_min_support must be finite and non-negative, got {}",
-                w.backoff_min_support
             );
         }
     }
@@ -290,7 +264,7 @@ impl StreamingTruth {
         self.by_annotator[annotator].push(instance);
         self.ingested += 1;
         self.mark_dirty(instance);
-        self.refresh(self.config.refresh_budget);
+        self.refresh(REFRESH_BUDGET);
         Ok(())
     }
 
@@ -319,7 +293,7 @@ impl StreamingTruth {
             self.apply_posterior(u, new_post);
             self.refreshed += 1;
             done += 1;
-            if delta > self.config.propagation_tol {
+            if delta > PROPAGATION_TOL {
                 // the instance moved: everything its annotators touched is
                 // now judged by stale confusions — re-dirty the neighbourhood
                 for slot in 0..self.labels[u].len() {
@@ -366,7 +340,7 @@ impl StreamingTruth {
     pub fn annotator(&self, annotator: usize) -> Option<AnnotatorStat> {
         let windows = self.counts.get(annotator)?;
         let k = self.config.num_classes;
-        let mut pooled = Matrix::full(k, k, self.config.smoothing);
+        let mut pooled = Matrix::full(k, k, DawidSkene::default().smoothing);
         for window in windows {
             for (dst, &src) in pooled.as_mut_slice().iter_mut().zip(window.as_slice()) {
                 *dst += src;
@@ -387,161 +361,44 @@ impl StreamingTruth {
         TruthEstimate::from_posteriors(self.posteriors.clone()).with_confusions(confusions)
     }
 
-    /// Runs the full batch EM over the accumulated labels — identical
-    /// operation order to [`DawidSkene`](super::DawidSkene) (pooled) /
-    /// [`DsWindowed`] (windowed) — and resets the running statistics to the
-    /// converged state.  Returns the number of EM iterations run.
+    /// Runs the batch estimators' own fit ([`DawidSkene`] pooled,
+    /// [`DsWindowed`] windowed) over the accumulated labels and resets the
+    /// running statistics to the converged state.  Returns the number of
+    /// EM iterations run.
     ///
-    /// Pooled mode first canonicalises each instance's label list by
-    /// `(annotator, class, arrival)`, so the converged state is independent
-    /// of the arrival interleaving; windowed mode keeps the recorded stream
-    /// positions (the arrival order is the windowed clock).
+    /// Each instance's label list is first canonicalised by
+    /// `(annotator, class, arrival)`, so the pooled state is independent of
+    /// the arrival interleaving; windowed mode judges each label by the
+    /// window of its recorded stream position (the arrival order is the
+    /// windowed clock).
     pub fn finalize(&mut self) -> usize {
-        let k = self.config.num_classes;
         for labels in &mut self.labels {
             labels.sort_by_key(|l| (l.annotator, l.class, l.position));
         }
-        // majority-vote initialisation, exactly like the batch estimators
-        for (u, labels) in self.labels.iter().enumerate() {
-            let mut votes = vec![0.0f32; k];
-            for l in labels {
-                votes[l.class] += 1.0;
-            }
-            self.posteriors[u] = stats::normalized(&votes);
+        // the fit reads only the labels, never gold or the instance layout
+        let mut view = AnnotationView {
+            num_classes: self.config.num_classes,
+            num_annotators: self.num_annotators(),
+            annotations: Vec::with_capacity(self.labels.len()),
+            gold: Vec::new(),
+            unit_instance: Vec::new(),
+            unit_position: Vec::new(),
+            instance_len: Vec::new(),
+        };
+        let mut positions: Vec<Vec<usize>> = Vec::with_capacity(self.labels.len());
+        for labels in &self.labels {
+            let (annotations, arrivals) = labels.iter().map(|l| ((l.annotator, l.class), l.position)).unzip();
+            view.annotations.push(annotations);
+            positions.push(arrivals);
         }
-        // windowed mode mirrors DsWindowed's weak-column backoff: labels in
-        // weakly-supported window columns are judged by the pooled confusion
-        let backoff = self.config.window.map(|w| w.backoff_min_support).unwrap_or(0.0);
-        let support = self.config.window.map(|_| self.windowed_support());
-        let mut confusions = self.m_step();
-        let mut pooled = self.config.window.map(|_| self.pooled_m_step());
-        let mut prior = class_prior(&self.posteriors, k);
-        let mut iterations = 0;
-        for _ in 0..self.config.max_iters {
-            iterations += 1;
-            let mut max_delta = 0.0f32;
-            for (u, labels) in self.labels.iter().enumerate() {
-                let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for l in labels {
-                    let window = self.config.window_of(l.position);
-                    let confusion = match (&support, &pooled) {
-                        (Some(s), Some(p)) if s[l.annotator][window * k + l.class] < backoff => &p[l.annotator],
-                        _ => &confusions[l.annotator][window],
-                    };
-                    for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusion[(m, l.class)].max(1e-12).ln();
-                    }
-                }
-                let new_post = stats::softmax(&log_post);
-                let delta: f32 =
-                    new_post.iter().zip(&self.posteriors[u]).map(|(a, b)| (a - b).abs()).sum::<f32>() / k as f32;
-                max_delta = max_delta.max(delta);
-                self.posteriors[u] = new_post;
-            }
-            confusions = self.m_step();
-            if let Some(p) = &mut pooled {
-                *p = self.pooled_m_step();
-            }
-            prior = class_prior(&self.posteriors, k);
-            if max_delta < self.config.tol {
-                break;
-            }
-        }
+        let windows = self
+            .config
+            .window
+            .map(|w| Windows::new(&view, &positions, w.size, w.decay, DsWindowed::DEFAULT_BACKOFF_MIN_SUPPORT));
+        let (posteriors, _, iterations) = DawidSkene::default().fit(&view, windows.as_ref());
+        self.posteriors = posteriors;
         self.rebuild_running_state();
         iterations
-    }
-
-    /// Blended per-annotator label-count support (`window * k + class`
-    /// layout) over the accumulated labels — the replay twin of
-    /// `ds_windowed::windowed_support`.  Posterior-independent, so it is
-    /// computed once per finalization pass.
-    fn windowed_support(&self) -> Vec<Vec<f32>> {
-        let k = self.config.num_classes;
-        let size = self.config.window.expect("support is a windowed-mode statistic").size;
-        let mut raw: Vec<Vec<f32>> =
-            self.stream_len.iter().map(|&len| vec![0.0; len.div_ceil(size).max(1) * k]).collect();
-        for labels in &self.labels {
-            for l in labels {
-                raw[l.annotator][self.config.window_of(l.position) * k + l.class] += 1.0;
-            }
-        }
-        raw.into_iter().map(|counts| decay_blend_flat(&counts, k, self.config.blend_decay())).collect()
-    }
-
-    /// Pooled per-annotator confusions over the accumulated labels —
-    /// reproduces `estimate_confusions` (smoothing first, mass in unit
-    /// order) for the windowed finalization backoff.
-    fn pooled_m_step(&self) -> Vec<Matrix> {
-        let k = self.config.num_classes;
-        let mut confusions = vec![Matrix::full(k, k, self.config.smoothing); self.num_annotators()];
-        for (u, labels) in self.labels.iter().enumerate() {
-            for l in labels {
-                for m in 0..k {
-                    confusions[l.annotator][(m, l.class)] += self.posteriors[u][m];
-                }
-            }
-        }
-        for c in &mut confusions {
-            normalize_confusion_rows(c);
-        }
-        confusions
-    }
-
-    /// The batch M-step over the accumulated labels: per annotator, per
-    /// window, smoothed row-normalised confusions.  Pooled mode reproduces
-    /// `estimate_confusions` bit for bit (smoothing first, mass added in
-    /// unit order); windowed mode reproduces `estimate_windowed_confusions`
-    /// (mass first, blend, then smoothing).
-    fn m_step(&self) -> Vec<Vec<Matrix>> {
-        let k = self.config.num_classes;
-        match self.config.window {
-            None => {
-                let mut confusions: Vec<Matrix> =
-                    vec![Matrix::full(k, k, self.config.smoothing); self.num_annotators()];
-                for (u, labels) in self.labels.iter().enumerate() {
-                    for l in labels {
-                        for m in 0..k {
-                            confusions[l.annotator][(m, l.class)] += self.posteriors[u][m];
-                        }
-                    }
-                }
-                confusions
-                    .into_iter()
-                    .map(|mut c| {
-                        normalize_confusion_rows(&mut c);
-                        vec![c]
-                    })
-                    .collect()
-            }
-            Some(window) => {
-                let mut raw: Vec<Vec<Matrix>> = (0..self.num_annotators())
-                    .map(|a| {
-                        let windows = self.stream_len[a].div_ceil(window.size).max(1);
-                        vec![Matrix::zeros(k, k); windows]
-                    })
-                    .collect();
-                for (u, labels) in self.labels.iter().enumerate() {
-                    for l in labels {
-                        let counts = &mut raw[l.annotator][self.config.window_of(l.position)];
-                        for m in 0..k {
-                            counts[(m, l.class)] += self.posteriors[u][m];
-                        }
-                    }
-                }
-                raw.into_iter()
-                    .map(|windows| {
-                        let mut blended = decay_blend(&windows, window.decay);
-                        for c in &mut blended {
-                            for v in c.as_mut_slice() {
-                                *v += self.config.smoothing;
-                            }
-                            normalize_confusion_rows(c);
-                        }
-                        blended
-                    })
-                    .collect()
-            }
-        }
     }
 
     /// Recomputes the running raw counts and prior from the current
@@ -623,14 +480,15 @@ impl StreamingTruth {
         }
         let mut blended = decay_blend(&self.counts[annotator], self.config.blend_decay());
         let k = self.config.num_classes;
+        let smoothing = DawidSkene::default().smoothing;
         for c in &mut blended {
             for v in c.as_mut_slice() {
                 // running counts are maintained by float deltas; tiny
                 // negative drift must not survive into a probability
-                *v = v.max(0.0) + self.config.smoothing;
+                *v = v.max(0.0) + smoothing;
             }
             for m in 0..k {
-                c[(m, m)] += self.config.diag_prior;
+                c[(m, m)] += DIAG_PRIOR;
             }
             normalize_confusion_rows(c);
         }

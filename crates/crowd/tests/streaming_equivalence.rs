@@ -1,15 +1,18 @@
 //! The replay-equivalence contract of the incremental estimator
-//! ([`lncl_crowd::truth::streaming`]): ingesting a dataset label-by-label
-//! and running one finalization pass must reproduce the batch estimators —
-//! bitwise when each unit's labels arrive in canonical (annotator-sorted)
-//! order, within a tight tolerance otherwise, on a seeded grid over both
-//! tasks and clean / mixed / drifted scenarios.  Pooled-mode convergence
-//! must additionally be independent of the arrival interleaving.
+//! ([`lncl_crowd::truth::streaming`]).  Finalization runs the batch
+//! estimators' own fit, so ingesting a dataset label-by-label and
+//! finalizing once must reproduce `DawidSkene` / `DsWindowed` — bitwise
+//! when each unit's labels arrive in canonical (annotator-sorted) order,
+//! within a tight tolerance otherwise, on a seeded grid over both tasks
+//! and clean / mixed / drifted scenarios.  Pooled-mode convergence must
+//! additionally be independent of the arrival interleaving, and
+//! shuffled-arrival finalization, which has no batch reference, is pinned
+//! to recorded bits.
 
 use lncl_crowd::data::AnnotationView;
 use lncl_crowd::scenario::{generate_scenario, Archetype, DriftSchedule, ScenarioConfig};
 use lncl_crowd::truth::streaming::{StreamingConfig, StreamingTruth};
-use lncl_crowd::truth::{DawidSkene, DsWindowed, TruthInference};
+use lncl_crowd::truth::{DawidSkene, DsWindowed, TruthEstimate, TruthInference};
 use lncl_crowd::TaskKind;
 use lncl_tensor::TensorRng;
 
@@ -92,39 +95,55 @@ fn replayed_stream_matches_batch_ds_windowed_across_grid() {
 fn canonical_order_replay_is_bitwise_identical_to_batch() {
     for task in [TaskKind::Classification, TaskKind::SequenceTagging] {
         let view = canonical(&generate_scenario(&ScenarioConfig::tiny(task).with_seed(5)).annotation_view());
-        let mut stream = StreamingTruth::new(StreamingConfig::pooled(view.num_classes));
-        stream.ingest_view(&view);
-        stream.finalize();
-        let batch = DawidSkene::default().infer(&view);
-        let streamed = stream.estimate().posteriors;
-        assert_eq!(
-            streamed, batch.posteriors,
-            "{task:?}: canonical-order replay must be bitwise identical to batch DS"
-        );
+        let k = view.num_classes;
+        let pairs: [(StreamingConfig, &dyn TruthInference); 2] = [
+            (StreamingConfig::pooled(k), &DawidSkene::default()),
+            (StreamingConfig::windowed_default(k), &DsWindowed::default()),
+        ];
+        for (config, batch) in pairs {
+            let mut stream = StreamingTruth::new(config);
+            stream.ingest_view(&view);
+            stream.finalize();
+            assert_eq!(
+                stream.estimate().posteriors,
+                batch.infer(&view).posteriors,
+                "{task:?}: canonical-order replay must be bitwise identical to batch {}",
+                batch.name()
+            );
+        }
     }
+}
+
+/// The view's labels as `(unit, annotator, class)` in a seeded
+/// Fisher–Yates arrival order.
+fn shuffled_arrivals(view: &AnnotationView, seed: u64) -> Vec<(usize, usize, usize)> {
+    let mut labels: Vec<(usize, usize, usize)> =
+        view.annotations.iter().enumerate().flat_map(|(u, anns)| anns.iter().map(move |&(a, c)| (u, a, c))).collect();
+    let mut rng = TensorRng::seed_from_u64(seed);
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, rng.usize_below(i + 1));
+    }
+    labels
+}
+
+/// Ingests `arrivals` in order and finalizes once; returns the iteration
+/// count and the converged estimate.
+fn finalize_arrivals(config: StreamingConfig, arrivals: &[(usize, usize, usize)]) -> (usize, TruthEstimate) {
+    let mut stream = StreamingTruth::new(config);
+    for &(u, a, c) in arrivals {
+        stream.ingest(u, a, c).expect("valid label");
+    }
+    let iterations = stream.finalize();
+    (iterations, stream.estimate())
 }
 
 #[test]
 fn pooled_convergence_is_independent_of_arrival_interleaving() {
     let view = generate_scenario(&ScenarioConfig::tiny(TaskKind::Classification).with_seed(9)).annotation_view();
-    let labels: Vec<(usize, usize, usize)> =
-        view.annotations.iter().enumerate().flat_map(|(u, anns)| anns.iter().map(move |&(a, c)| (u, a, c))).collect();
-
     let mut reference: Option<Vec<Vec<f32>>> = None;
     for seed in [1u64, 2, 3] {
-        let mut order: Vec<usize> = (0..labels.len()).collect();
-        let mut rng = TensorRng::seed_from_u64(seed);
-        // Fisher–Yates over the arrival order
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.usize_below(i + 1));
-        }
-        let mut stream = StreamingTruth::new(StreamingConfig::pooled(view.num_classes));
-        for &i in &order {
-            let (u, a, c) = labels[i];
-            stream.ingest(u, a, c).expect("valid label");
-        }
-        stream.finalize();
-        let posteriors = stream.estimate().posteriors;
+        let arrivals = shuffled_arrivals(&view, seed);
+        let posteriors = finalize_arrivals(StreamingConfig::pooled(view.num_classes), &arrivals).1.posteriors;
         match &reference {
             None => reference = Some(posteriors),
             Some(reference) => {
@@ -156,4 +175,32 @@ fn online_stream_stays_usable_between_finalizations() {
     let batch = DawidSkene::default().infer(&view);
     let diff = max_posterior_diff(&stream.estimate().posteriors, &batch.posteriors);
     assert!(diff < 5e-4, "mid-stream finalization must not poison the final state, diff {diff}");
+}
+
+/// FNV-1a over the bits of an estimate's posteriors and annotator
+/// confusions: one number that moves when any of them moves by one ulp.
+fn estimate_digest(estimate: &TruthEstimate) -> u64 {
+    let confusions = estimate.confusions.iter().flatten().flat_map(|c| c.as_slice());
+    estimate.posteriors.iter().flatten().chain(confusions).fold(0xcbf2_9ce4_8422_2325, |hash, value| {
+        value.to_bits().to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Finalization under shuffled arrival is the one path where the stream
+/// positions differ from the view's unit order, so no batch run can serve
+/// as its reference.  Pinned instead: iteration counts and estimate
+/// digests, pooled and stream-windowed, on a drifting tagging crowd.
+#[test]
+fn shuffled_arrival_finalize_is_pinned() {
+    let config = ScenarioConfig::tiny(TaskKind::SequenceTagging)
+        .with_drift(DriftSchedule::StepChange { at: 0.5, level: 0.6 })
+        .with_seed(13);
+    let view = generate_scenario(&config).annotation_view();
+    let arrivals = shuffled_arrivals(&view, 7);
+    let k = view.num_classes;
+    let (pooled_iters, pooled) = finalize_arrivals(StreamingConfig::pooled(k), &arrivals);
+    let (windowed_iters, windowed) = finalize_arrivals(StreamingConfig::windowed(k, 16, 0.5), &arrivals);
+    assert_ne!(pooled.posteriors, windowed.posteriors, "the stream windows must change the windowed estimate");
+    assert_eq!((pooled_iters, estimate_digest(&pooled)), (50, 0x455e_7908_b0f5_568d), "pooled finalize moved");
+    assert_eq!((windowed_iters, estimate_digest(&windowed)), (50, 0x5a04_2d93_9a81_f88e), "windowed finalize moved");
 }
