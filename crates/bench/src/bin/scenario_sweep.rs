@@ -7,18 +7,18 @@
 //! `scenario-smoke` step ranks with `bench_diff rank`, gates against
 //! `quality_baseline.json` and archives.
 //!
-//! The grid is spread round-robin across up to `LNCL_THREADS` scoped
-//! worker threads in this process (the budget is split with per-scenario
-//! method parallelism, so `LNCL_THREADS` stays the overall cap); the
-//! quality table is bitwise identical to the serial path's.
+//! Every (scenario, method) training is one job of a pool on
+//! `LNCL_THREADS` scoped threads in this process; the quality table is
+//! bitwise identical at any thread count.
 //!
 //! Scale knobs: `LNCL_SCALE` (tiny / small / medium / paper),
 //! `LNCL_EPOCHS`, `LNCL_THREADS` — the smoke setting used in CI is
 //! `LNCL_EPOCHS=3`.  Two more knobs serve the scale-predictivity workflow:
 //!
 //! * `LNCL_SWEEP_METHODS` — comma-separated registry names restricting the
-//!   sweep (unknown names warn; per task the filter intersects with the
-//!   supporting methods as usual);
+//!   sweep (an unknown name panics before any training, as in the table
+//!   binaries; per task the filter intersects with the supporting methods
+//!   as usual);
 //! * `LNCL_SWEEP_QUALITY_ONLY=1` — write the **canonical quality-only**
 //!   report (`lncl_bench::quality::quality_only_report`: sorted quality
 //!   rows, fixed environment block, no wall-clock cases) instead of the

@@ -1,11 +1,11 @@
 //! Experiment drivers: one function per paper table / figure.
 //!
 //! Every method is looked up in the [`MethodRegistry`] by key and run
-//! through the polymorphic [`CrowdMethod`](logic_lncl::CrowdMethod) API —
-//! the tables are data-driven loops over the key lists in
-//! [`crate::methods`].  Independent methods are executed on separate scoped
-//! threads; every run is seeded, so results are reproducible regardless of
-//! the parallelism.
+//! through the polymorphic [`CrowdMethod`] API — the tables are
+//! data-driven loops over the key lists in [`crate::methods`].  The tables
+//! and the scenario sweep run their method trainings as the jobs of one
+//! pool on scoped threads; every run is seeded, so results are
+//! reproducible regardless of the thread count.
 
 use crate::methods::validate_methods;
 use crate::scale::Scale;
@@ -13,66 +13,45 @@ use crate::tables::average_repetitions;
 use lncl_crowd::metrics::{
     empirical_confusion, overall_reliability, reliability_correlation, reliability_recovery_pearson,
 };
-use lncl_crowd::scenario::{ScenarioCache, ScenarioConfig, ScenarioGrid};
+use lncl_crowd::scenario::{generate_scenario, ScenarioConfig, ScenarioGrid};
 use lncl_crowd::stats::annotator_summary;
 use lncl_crowd::{CrowdDataset, TaskKind};
 use lncl_tensor::Matrix;
 use logic_lncl::ablation::paper_rules;
-use logic_lncl::method::{MethodRegistry, RunContext};
+use logic_lncl::method::{CrowdMethod, MethodRegistry};
 use logic_lncl::{EvalMetrics, LogicLncl, MethodResult};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-/// Runs the named registry methods on a dataset, returning their rows
-/// concatenated in list order plus each method's wall-clock runtime in
-/// seconds (keyed by registry name, in list order).  Methods run on scoped
-/// threads, at most [`lncl_tensor::par::max_threads`] training runs at a
-/// time (`LNCL_THREADS` overrides) so large tables do not oversubscribe
-/// small machines.
-pub fn run_methods_timed(
-    registry: &MethodRegistry,
-    names: &[&str],
-    dataset: &CrowdDataset,
-    ctx: &RunContext,
-) -> (Vec<MethodResult>, Vec<(String, f64)>) {
-    run_methods_timed_capped(registry, names, dataset, ctx, lncl_tensor::par::max_threads())
-}
-
-/// [`run_methods_timed`] with an explicit cap on concurrent method
-/// trainings.  The sweep passes its per-worker slice of the thread budget
-/// here, so scenario workers × method threads never exceed `LNCL_THREADS`
-/// overall.  The cap only affects scheduling: rows and timings keys are
-/// produced in list order and every method run is seeded, so results are
-/// bitwise identical at any cap.
-pub fn run_methods_timed_capped(
-    registry: &MethodRegistry,
-    names: &[&str],
-    dataset: &CrowdDataset,
-    ctx: &RunContext,
-    max_parallel: usize,
-) -> (Vec<MethodResult>, Vec<(String, f64)>) {
-    validate_methods(registry, names);
-    let mut rows = Vec::new();
-    let mut timings = Vec::with_capacity(names.len());
-    for chunk in names.chunks(max_parallel.max(1)) {
-        let chunk_rows: Vec<(Vec<MethodResult>, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|&name| {
-                    let method = registry.get(name).expect("validated above");
-                    s.spawn(move || {
-                        let start = std::time::Instant::now();
-                        let result = method.run(dataset, ctx);
-                        (result, start.elapsed().as_secs_f64())
-                    })
+/// Runs `job(0)`, …, `job(count - 1)` on up to `threads` scoped threads and
+/// returns every result with its wall-clock seconds, in index order.  Each
+/// thread claims the next unclaimed index, so long and short jobs pack
+/// without a fixed assignment.
+fn run_jobs<T: Send>(count: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<(T, f64)> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T, f64)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.max(1).min(count))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // the counter only hands out indices; results come
+                        // back through `join`, so no ordering is needed
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break mine;
+                        }
+                        let start = Instant::now();
+                        let result = job(i);
+                        mine.push((i, result, start.elapsed().as_secs_f64()));
+                    }
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("method thread panicked")).collect()
-        });
-        for (&name, (method_rows, secs)) in chunk.iter().zip(chunk_rows) {
-            rows.extend(method_rows);
-            timings.push((name.to_string(), secs));
-        }
-    }
-    (rows, timings)
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("job thread panicked")).collect()
+    });
+    done.sort_by_key(|d| d.0);
+    done.into_iter().map(|(_, result, secs)| (result, secs)).collect()
 }
 
 /// A table's averaged rows plus per-method runtime samples (one sample per
@@ -84,20 +63,13 @@ pub struct TimedTable {
     pub timings: Vec<(String, Vec<f64>)>,
 }
 
-fn merge_timings(into: &mut Vec<(String, Vec<f64>)>, rep: Vec<(String, f64)>) {
-    for (name, secs) in rep {
-        match into.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, samples)) => samples.push(secs),
-            None => into.push((name, vec![secs])),
-        }
-    }
-}
-
 /// Runs a paper table: the registry `methods` over `reps` freshly
 /// generated datasets (`dataset(scale, seed)` for seeds `first_seed`,
 /// `first_seed + 1`, …), with rows averaged over the repetitions and one
-/// timing sample per method and repetition.  Tables II and III pass seeds
-/// 7 and 11; Table IV calls it once per dataset with the same first seeds.
+/// timing sample per method and repetition.  Every (repetition, method)
+/// training is one job of a pool on [`lncl_tensor::par::max_threads`]
+/// threads (`LNCL_THREADS` overrides).  Tables II and III pass seeds 7 and
+/// 11; Table IV calls it once per dataset with the same first seeds.
 pub fn table_timed(
     scale: Scale,
     reps: usize,
@@ -106,17 +78,27 @@ pub fn table_timed(
     first_seed: u64,
 ) -> TimedTable {
     let registry = MethodRegistry::standard();
-    let mut timings = Vec::new();
-    let rows: Vec<Vec<MethodResult>> = (0..reps.max(1) as u64)
-        .map(|r| {
-            let seed = first_seed + r;
+    validate_methods(&registry, methods);
+    let data: Vec<_> = (first_seed..first_seed + reps.max(1) as u64)
+        .map(|seed| {
             let data = dataset(&scale, seed);
             let ctx = scale.run_context(&data, seed);
-            let (rows, rep_timings) = run_methods_timed(&registry, methods, &data, &ctx);
-            merge_timings(&mut timings, rep_timings);
-            rows
+            (data, ctx)
         })
         .collect();
+    let per_rep = methods.len();
+    let runs = run_jobs(data.len() * per_rep, lncl_tensor::par::max_threads(), |i| {
+        let (data, ctx) = &data[i / per_rep];
+        registry.get(methods[i % per_rep]).expect("validated above").run(data, ctx)
+    });
+    let timings = methods
+        .iter()
+        .enumerate()
+        .map(|(m, &name)| (name.to_string(), runs.iter().skip(m).step_by(per_rep).map(|(_, secs)| *secs).collect()))
+        .collect();
+    let mut runs = runs.into_iter();
+    let rows: Vec<Vec<MethodResult>> =
+        data.iter().map(|_| runs.by_ref().take(per_rep).flat_map(|(rows, _)| rows).collect()).collect();
     TimedTable { rows: average_repetitions(&rows), timings }
 }
 
@@ -188,87 +170,59 @@ pub struct ScenarioOutcome {
     pub reliability_pearson: f32,
 }
 
-/// Runs one scenario: generates (or fetches from `cache`) its dataset,
-/// executes the registry methods — all methods supporting the task, or the
-/// intersection with `methods` when given, at most `method_parallelism`
-/// trainings at a time — and computes the scenario-level reliability
-/// statistic.  Fully deterministic for a fixed config and scale,
-/// regardless of how method threads are scheduled.
-pub fn run_scenario_outcome(
-    config: &ScenarioConfig,
-    scale: Scale,
-    registry: &MethodRegistry,
-    methods: Option<&[&str]>,
-    cache: &ScenarioCache,
-    method_parallelism: usize,
-) -> ScenarioOutcome {
-    let dataset = cache.get_or_generate(config);
-    let ctx = scale.run_context(&dataset, config.seed);
-    let supporting: Vec<String> = registry.supporting(dataset.task).iter().map(|m| m.descriptor().name).collect();
-    let names: Vec<&str> = match methods {
-        Some(filter) => filter.iter().copied().filter(|n| supporting.iter().any(|s| s == n)).collect(),
-        None => supporting.iter().map(String::as_str).collect(),
-    };
-    let (rows, timings) = run_methods_timed_capped(registry, &names, &dataset, &ctx, method_parallelism.max(1));
-    let reliability_pearson = reliability_recovery_pearson(&dataset, 5);
-    ScenarioOutcome { name: config.name.clone(), task: config.task, rows, timings, reliability_pearson }
-}
-
-/// Runs a list of scenarios spread across up to `workers` scoped threads
-/// (assigned round-robin, so expensive and cheap scenarios spread evenly),
-/// returning outcomes in **input order**.  Every scenario is independently
-/// seeded and every method run is bitwise deterministic, so the outcome
-/// rows are identical to the serial path (`workers == 1`) no matter how
-/// many threads execute — only the wall-clock timings vary.  Workers share
-/// one [`ScenarioCache`], so configs differing only by name generate their
-/// corpus once.
+/// Runs a list of scenarios, returning outcomes in **input order**.  Every
+/// scenario's dataset is generated once, up front; then every (scenario,
+/// method) training — all registry methods supporting the scenario's task,
+/// or the supporting ones among `methods` (in filter order) when given —
+/// is one job of a pool on `threads` scoped threads.  Every scenario is
+/// independently seeded and every method run is bitwise deterministic, so
+/// the outcome rows are identical at any thread count; only the
+/// wall-clock timings vary.
 ///
-/// The [`lncl_tensor::par::max_threads`] budget is *split* between the two
-/// parallelism levels: each of the `workers` scenario workers trains at
-/// most `max_threads / workers` methods concurrently, so the sweep never
-/// oversubscribes the `LNCL_THREADS` cap the way nested full-width levels
-/// would.
+/// # Panics
+///
+/// If `methods` names a key that is not in the registry, so a typo fails
+/// fast instead of silently dropping rows.
 pub fn sweep_scenarios(
     configs: &[ScenarioConfig],
     scale: Scale,
     methods: Option<&[&str]>,
-    workers: usize,
+    threads: usize,
 ) -> Vec<ScenarioOutcome> {
     let registry = MethodRegistry::standard();
-    let cache = ScenarioCache::new();
-    let workers = workers.clamp(1, configs.len().max(1));
-    let method_parallelism = (lncl_tensor::par::max_threads() / workers).max(1);
-    if workers <= 1 {
-        return configs
-            .iter()
-            .map(|c| run_scenario_outcome(c, scale, &registry, methods, &cache, method_parallelism))
-            .collect();
-    }
-    let mut slots: Vec<Option<ScenarioOutcome>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let registry = &registry;
-                let cache = &cache;
-                s.spawn(move || {
-                    configs
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, c)| (i, run_scenario_outcome(c, scale, registry, methods, cache, method_parallelism)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("sweep worker panicked") {
-                slots[i] = Some(outcome);
-            }
+    let chosen: Vec<&dyn CrowdMethod> = match methods {
+        Some(filter) => {
+            validate_methods(&registry, filter);
+            filter.iter().map(|&name| registry.get(name).expect("validated above")).collect()
         }
+        None => registry.iter().collect(),
+    };
+    let datasets: Vec<CrowdDataset> = configs.iter().map(generate_scenario).collect();
+    let contexts: Vec<_> = configs.iter().zip(&datasets).map(|(c, d)| scale.run_context(d, c.seed)).collect();
+    let jobs: Vec<(usize, &dyn CrowdMethod)> = configs
+        .iter()
+        .enumerate()
+        .flat_map(|(s, config)| chosen.iter().filter(|m| m.descriptor().supports(config.task)).map(move |&m| (s, m)))
+        .collect();
+    let runs = run_jobs(jobs.len(), threads, |i| {
+        let (s, method) = jobs[i];
+        method.run(&datasets[s], &contexts[s])
     });
-    slots.into_iter().map(|slot| slot.expect("every scenario is assigned to exactly one worker")).collect()
+    let mut runs = jobs.iter().zip(runs).peekable();
+    configs
+        .iter()
+        .zip(&datasets)
+        .enumerate()
+        .map(|(s, (config, dataset))| {
+            let (mut rows, mut timings) = (Vec::new(), Vec::new());
+            while let Some((&(_, method), (method_rows, secs))) = runs.next_if(|((job_s, _), _)| *job_s == s) {
+                rows.extend(method_rows);
+                timings.push((method.descriptor().name, secs));
+            }
+            let reliability_pearson = reliability_recovery_pearson(dataset, 5);
+            ScenarioOutcome { name: config.name.clone(), task: config.task, rows, timings, reliability_pearson }
+        })
+        .collect()
 }
 
 /// Figure 6/7: trains Logic-LNCL and compares its estimated annotator
@@ -347,7 +301,6 @@ pub fn figure4(scale: Scale, seed: u64) -> (lncl_crowd::stats::AnnotatorSummary,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lncl_crowd::scenario::generate_scenario;
     use std::collections::BTreeSet;
 
     /// Row keys and metric bits, for exact comparison of result tables.
@@ -370,7 +323,8 @@ mod tests {
             .map(|seed| {
                 let dataset = scale.sentiment_dataset(seed);
                 let ctx = scale.run_context(&dataset, seed);
-                run_methods_timed(&MethodRegistry::standard(), METHODS, &dataset, &ctx).0
+                let registry = MethodRegistry::standard();
+                METHODS.iter().flat_map(|&name| registry.run(name, &dataset, &ctx).expect("registered")).collect()
             })
             .collect();
         assert_ne!(row_bits(&reps[0]), row_bits(&reps[1]), "the two repetitions must see different data");
@@ -378,6 +332,39 @@ mod tests {
         // one repetition is the first seed's run itself, bit for bit
         let single = table_timed(scale, 1, METHODS, Scale::sentiment_dataset, 7);
         assert_eq!(row_bits(&single.rows), row_bits(&reps[0]));
+    }
+
+    #[test]
+    fn job_pool_returns_results_in_index_order() {
+        // uneven jobs: job 0 is claimed first but waits until every other
+        // job is done, so it finishes last
+        let finished = AtomicUsize::new(0);
+        let uneven: Vec<usize> = run_jobs(6, 3, |i| {
+            if i == 0 {
+                while finished.load(Ordering::SeqCst) < 5 {
+                    std::thread::yield_now();
+                }
+            } else {
+                finished.fetch_add(1, Ordering::SeqCst);
+            }
+            i * 10
+        })
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
+        assert_eq!(uneven, [0, 10, 20, 30, 40, 50]);
+        // more threads than jobs
+        let few: Vec<usize> = run_jobs(2, 8, |i| i + 1).into_iter().map(|(r, _)| r).collect();
+        assert_eq!(few, [1, 2]);
+        // no jobs at all
+        assert!(run_jobs(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the registry")]
+    fn sweep_rejects_an_unknown_method_name() {
+        let config = ScenarioConfig::tiny(TaskKind::Classification);
+        sweep_scenarios(&[config], Scale::Tiny, Some(&["mv", "dawid_skene"]), 1);
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //! ([`quality`]); the CI perf gate compares the timings against the
 //! checked-in `bench_baseline.json` via the `bench_diff` binary, and
 //! `bench_diff rank` ([`rank`]) turns the quality tables into
-//! per-scenario method rankings with flip detection.  `scenario_sweep`
-//! spreads its grid over `LNCL_THREADS` worker threads bitwise-identically
-//! to the serial path — see the crate README for the schema and
-//! workflows, and `ARCHITECTURE.md` at the repository root for the
-//! workspace-level pipeline map.
+//! per-scenario method rankings with flip detection.  The table binaries
+//! and `scenario_sweep` run their seeded method trainings as one job pool
+//! on `LNCL_THREADS` threads, bitwise-identically at any thread count —
+//! see the crate README for the schema and workflows, and
+//! `ARCHITECTURE.md` at the repository root for the workspace-level
+//! pipeline map.
 
 pub mod budget;
 pub mod experiments;

@@ -62,7 +62,7 @@ impl Scale {
     /// an invalid value warns on stderr and falls back to the per-scale
     /// default).
     pub fn repetitions(&self) -> usize {
-        if let Some(n) = crate::timing::env_usize("LNCL_REPS") {
+        if let Some(n) = lncl_tensor::env::env_usize("LNCL_REPS") {
             return n.max(1);
         }
         match self {
@@ -75,7 +75,7 @@ impl Scale {
     /// Number of training epochs (`LNCL_EPOCHS` overrides; an invalid value
     /// warns on stderr and falls back to the per-scale default).
     pub fn epochs(&self) -> usize {
-        if let Some(n) = crate::timing::env_usize("LNCL_EPOCHS") {
+        if let Some(n) = lncl_tensor::env::env_usize("LNCL_EPOCHS") {
             return n.max(1);
         }
         self.default_epochs()

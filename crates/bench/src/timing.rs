@@ -12,17 +12,10 @@ use crate::json::Json;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Reads a `usize` environment variable.  Unset returns `None`; set but
-/// invalid also returns `None` **with a warning on stderr** (a silently
-/// ignored `LNCL_REPS=ten` cost real debugging time).  Thin re-export of
-/// the shared workspace helper in [`lncl_tensor::env`].
-pub fn env_usize(name: &str) -> Option<usize> {
-    lncl_tensor::env::env_usize(name)
-}
-
-/// Number of timed iterations (`LNCL_BENCH_ITERS` overrides, default 20).
+/// Number of timed iterations (`LNCL_BENCH_ITERS` overrides, default 20;
+/// an invalid value warns on stderr and falls back to the default).
 pub fn bench_iters() -> usize {
-    env_usize("LNCL_BENCH_ITERS").unwrap_or(20).max(1)
+    lncl_tensor::env::env_usize("LNCL_BENCH_ITERS").unwrap_or(20).max(1)
 }
 
 /// Statistics of one benchmark case.

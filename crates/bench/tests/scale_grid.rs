@@ -74,7 +74,7 @@ fn sweep_grid_names_align_across_scales_once_pool_size_is_normalized() {
 fn same_cell_at_two_scales_has_distinct_hash_and_corpus() {
     let tiny = Scale::Tiny.scenario_base(TaskKind::Classification, 29);
     let paper = Scale::Paper.scenario_base(TaskKind::Classification, 29);
-    assert_ne!(tiny.content_hash(), paper.content_hash(), "scales must never alias in a ScenarioCache");
+    assert_ne!(tiny.content_hash(), paper.content_hash(), "one cell at two scales must never hash alike");
     let tiny_data = generate_scenario(&tiny);
     let paper_data = generate_scenario(&paper);
     assert_ne!(tiny_data.train.len(), paper_data.train.len());

@@ -4,10 +4,12 @@
 //! claim: the method ranking flips between the clean and the
 //! spammer-heavy standard mixes on a real (aggregation-only) sweep.
 //!
-//! The method set is restricted to the training-free truth-inference
-//! baselines so the test runs in seconds; the determinism property itself
-//! is method-agnostic (every registry method is bitwise seed-deterministic,
-//! which the robustness suite asserts separately).
+//! The method set is mostly the training-free truth-inference baselines,
+//! plus one trained entry (`mv-classifier`) at tiny scale so jobs of very
+//! different lengths share the pool; the test runs in seconds.  The
+//! determinism property itself is method-agnostic (every registry method
+//! is bitwise seed-deterministic, which the robustness suite asserts
+//! separately).
 
 use lncl_bench::quality::{record_scenario_outcome, HEADLINE_METRIC};
 use lncl_bench::rank::{rank_scenarios, ranking_flips};
@@ -63,11 +65,11 @@ fn assert_bitwise_equal(a: &[QualityCase], b: &[QualityCase], what: &str) {
     }
 }
 
-#[test]
-fn thread_sharded_sweep_is_bitwise_identical_to_serial() {
-    let configs = test_grid();
-    let serial = sweep_scenarios(&configs, Scale::Small, Some(METHODS), 1);
-    let threaded = sweep_scenarios(&configs, Scale::Small, Some(METHODS), 4);
+/// Sweeps `configs` on one thread and on `threads` threads and asserts
+/// the two runs agree bit for bit, in quality table and in result rows.
+fn assert_thread_count_invariant(configs: &[ScenarioConfig], scale: Scale, methods: &[&str], threads: usize) {
+    let serial = sweep_scenarios(configs, scale, Some(methods), 1);
+    let threaded = sweep_scenarios(configs, scale, Some(methods), threads);
     assert_eq!(serial.len(), configs.len());
     assert_bitwise_equal(&quality_table(&serial), &quality_table(&threaded), "threads vs serial");
     // the result rows themselves are identical too, not just the tables
@@ -78,8 +80,19 @@ fn thread_sharded_sweep_is_bitwise_identical_to_serial() {
             assert_eq!(rs.method, rt.method);
             assert_eq!(rs.prediction.accuracy.to_bits(), rt.prediction.accuracy.to_bits());
         }
+        let keys = |o: &ScenarioOutcome| o.timings.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(s), keys(t), "{}: timing keys differ", s.name);
         assert_eq!(s.reliability_pearson.to_bits(), t.reliability_pearson.to_bits());
     }
+}
+
+#[test]
+fn thread_sharded_sweep_is_bitwise_identical_to_serial() {
+    let configs = test_grid();
+    assert_thread_count_invariant(&configs, Scale::Small, METHODS, 4);
+    // one trained entry among the training-free ones: its jobs run far
+    // longer, so the pool's threads finish jobs out of index order
+    assert_thread_count_invariant(&configs, Scale::Tiny, &["mv", "mv-classifier", "dawid-skene"], 3);
 }
 
 #[test]

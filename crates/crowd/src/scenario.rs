@@ -708,7 +708,7 @@ pub struct ScenarioConfig {
     /// always produces the full static twin — but the plan is part of the
     /// scenario's identity: [`content_hash`](ScenarioConfig::content_hash)
     /// covers it so a routed scenario and its static twin never alias in a
-    /// [`ScenarioCache`] or a sweep report.
+    /// sweep report.
     pub route: Option<RoutePlan>,
     /// RNG seed.
     pub seed: u64,
@@ -851,9 +851,9 @@ impl ScenarioConfig {
     /// [`router::RoutePlan`], consumed by
     /// [`router::run_route_plan`]).  The `name` is a display label and
     /// deliberately excluded, so two configurations that generate the same
-    /// dataset under different names share one [`ScenarioCache`] entry — but
-    /// a routed scenario never hashes like its static twin, even though
-    /// both draw the same underlying corpus.
+    /// dataset under different names hash alike — but a routed scenario
+    /// never hashes like its static twin, even though both draw the same
+    /// underlying corpus.
     pub fn content_hash(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut mix_in = |v: u64| {
@@ -917,47 +917,6 @@ impl ScenarioConfig {
         }
         mix_in(self.seed);
         hash
-    }
-}
-
-/// A process-wide cache of generated scenario datasets, keyed by
-/// [`ScenarioConfig::content_hash`].  Sweeps that visit the same
-/// configuration more than once (repeated method subsets, quality passes
-/// after timing passes, sweep workers on overlapping grids) share one
-/// generated corpus instead of regenerating it.  Thread-safe: workers on
-/// scoped threads can share one cache by reference.
-#[derive(Debug, Default)]
-pub struct ScenarioCache {
-    datasets: std::sync::Mutex<BTreeMap<u64, std::sync::Arc<CrowdDataset>>>,
-}
-
-impl ScenarioCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The dataset for a configuration, generated on first use.
-    pub fn get_or_generate(&self, config: &ScenarioConfig) -> std::sync::Arc<CrowdDataset> {
-        let key = config.content_hash();
-        if let Some(dataset) = self.datasets.lock().expect("scenario cache poisoned").get(&key) {
-            return std::sync::Arc::clone(dataset);
-        }
-        // generate outside the lock so concurrent misses on *different*
-        // configs do not serialise behind one expensive generation
-        let dataset = std::sync::Arc::new(generate_scenario(config));
-        let mut cached = self.datasets.lock().expect("scenario cache poisoned");
-        std::sync::Arc::clone(cached.entry(key).or_insert(dataset))
-    }
-
-    /// Number of distinct datasets generated so far.
-    pub fn len(&self) -> usize {
-        self.datasets.lock().expect("scenario cache poisoned").len()
-    }
-
-    /// True when nothing has been generated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -1498,21 +1457,6 @@ mod tests {
         for (i, variant) in variants.iter().enumerate() {
             assert_ne!(base.content_hash(), variant.content_hash(), "variant {i} should hash differently");
         }
-    }
-
-    #[test]
-    fn scenario_cache_shares_equal_configs() {
-        let cache = ScenarioCache::new();
-        assert!(cache.is_empty());
-        let config = ScenarioConfig::tiny(TaskKind::Classification);
-        let a = cache.get_or_generate(&config);
-        let b = cache.get_or_generate(&config.clone().named("alias"));
-        assert_eq!(cache.len(), 1, "same content must share one generation");
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!(a.train, generate_scenario(&config).train, "cached dataset equals direct generation");
-        let c = cache.get_or_generate(&config.with_seed(999));
-        assert_eq!(cache.len(), 2);
-        assert_ne!(c.train, a.train);
     }
 
     #[test]
