@@ -39,70 +39,17 @@ pub struct GruGates {
     pub(crate) cand: Matrix,
 }
 
-/// Right-hand operand of [`rows_times`]: one or more equally tall matrices
-/// side by side, copied once with the columns zero-padded to a whole number
-/// of 16-wide register tiles, so every column runs on
-/// [`simd::tile_kloop`] — at the 9 to 24 columns of the paper's two models
-/// the general kernel would spend most of its time on per-row `axpy`
-/// calls for the narrow tail.
-struct Panel {
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    data: Vec<f32>,
-}
-
-impl Panel {
-    fn zeroed(rows: usize, cols: usize) -> Self {
-        let stride = cols.div_ceil(simd::TILE) * simd::TILE;
-        Self { rows, cols, stride, data: vec![0.0; rows * stride] }
-    }
-
-    /// `[blocks[0] | blocks[1] | ...]`.
-    fn new(blocks: &[&Matrix]) -> Self {
-        let rows = blocks[0].rows();
-        let mut panel = Self::zeroed(rows, blocks.iter().map(|b| b.cols()).sum());
-        for (r, dst) in panel.data.chunks_exact_mut(panel.stride).enumerate() {
-            let mut c0 = 0;
-            for b in blocks {
-                assert_eq!(b.rows(), rows, "Panel: blocks differ in height");
-                dst[c0..c0 + b.cols()].copy_from_slice(b.row(r));
-                c0 += b.cols();
-            }
-        }
-        panel
-    }
-
-    /// `mᵀ`.
-    fn transposed(m: &Matrix) -> Self {
-        let mut panel = Self::zeroed(m.cols(), m.rows());
-        for i in 0..m.rows() {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                panel.data[j * panel.stride + i] = v;
-            }
-        }
-        panel
-    }
-}
-
-/// `out[i, :] += a[offsets[i] ..][..b.rows] · b`, with `out` a flat
-/// row-major buffer `b.cols` wide.  Per element the terms add in ascending
-/// inner-index order onto the existing value, zero `a` entries skipped —
-/// exactly the order of [`ops::matmul_acc`], so every result is bitwise that
-/// of the matrix product.  Rows of `a` are addressed by offset, so the
-/// overlapping windows of a convolution need no im2col copy.
-fn rows_times(a: &[f32], offsets: impl IntoIterator<Item = usize>, b: &Panel, out: &mut [f32]) {
-    let tier = simd::detected_tier();
-    let mut acc = vec![0.0f32; b.stride];
-    for (out_row, off) in out.chunks_exact_mut(b.cols).zip(offsets) {
-        acc[..b.cols].copy_from_slice(out_row);
-        acc[b.cols..].fill(0.0);
-        for (tile, span) in acc.chunks_exact_mut(simd::TILE).enumerate() {
-            let span: &mut [f32; simd::TILE] = span.try_into().expect("span is TILE wide");
-            simd::tile_kloop(tier, span, a, off, 1, (0, b.rows), &b.data, b.stride, tile * simd::TILE);
-        }
-        out_row.copy_from_slice(&acc[..b.cols]);
-    }
+/// `out[i, :] += a[off + i * row_step ..][..b.rows] · b` for `rows` rows,
+/// with `out` a flat row-major buffer `b.cols` wide.  Per element the terms
+/// add in ascending inner-index order onto the existing value, zero `a`
+/// entries skipped — exactly the order of [`ops::matmul_acc`], so every
+/// result is bitwise that of the matrix product.  Rows of `a` are addressed
+/// by offset and step, so the overlapping windows of a convolution need no
+/// im2col copy.
+fn rows_times(a: &[f32], off: usize, row_step: usize, rows: usize, b: &Matrix, out: &mut [f32]) {
+    let lhs = simd::Lhs { data: a, off, row_step, k_step: 1 };
+    let shape = (rows, b.rows(), b.cols());
+    simd::matmul_block(simd::detected_tier(), lhs, b.as_slice(), b.cols(), out, b.cols(), shape);
 }
 
 /// Max-pooled text convolution `max_over_rows(relu(im2col(x, window) * w +
@@ -119,7 +66,7 @@ pub fn conv_max_pool_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usiz
     assert_eq!(bias.shape(), (1, w.cols()), "conv_max_pool: bias must be 1 x {}", w.cols());
     let (positions, filters) = (x.rows() - window + 1, w.cols());
     let mut act = vec![0.0f32; positions * filters];
-    rows_times(x.as_slice(), (0..positions).map(|p| p * d), &Panel::new(&[w]), &mut act);
+    rows_times(x.as_slice(), 0, d, positions, w, &mut act);
     let mut pooled = Matrix::full(1, filters, f32::NEG_INFINITY);
     let mut argmax = vec![0usize; filters];
     for (p, row) in act.chunks_exact(filters).enumerate() {
@@ -161,9 +108,9 @@ pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGat
     }
     // row t: [x_t Wz | x_t Wr | x_t Wh]
     let mut proj = vec![0.0f32; steps * 3 * hid];
-    let w_all = Panel::new(&[params[WZ], params[WR], params[WH]]);
-    rows_times(x.as_slice(), (0..steps).map(|t| t * in_dim), &w_all, &mut proj);
-    let (u_zr, u_h) = (Panel::new(&[params[UZ], params[UR]]), Panel::new(&[params[UH]]));
+    let w_all = Matrix::hstack(&[params[WZ], params[WR], params[WH]]);
+    rows_times(x.as_slice(), 0, in_dim, steps, &w_all, &mut proj);
+    let (u_zr, u_h) = (Matrix::hstack(&[params[UZ], params[UR]]), params[UH]);
     let (bz, br, bh) = (params[BZ].row(0), params[BR].row(0), params[BH].row(0));
     let mut out = Matrix::zeros(steps, hid);
     let mut gates =
@@ -175,7 +122,7 @@ pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGat
         // [h Uz | h Ur]; the zero initial state contributes +0
         h_zr.fill(0.0);
         if t > 0 {
-            rows_times(out.as_slice(), [(t - 1) * hid], &u_zr, &mut h_zr);
+            rows_times(out.as_slice(), (t - 1) * hid, hid, 1, &u_zr, &mut h_zr);
         }
         let (done, rest) = out.as_mut_slice().split_at_mut(t * hid);
         let h = if t > 0 { &done[(t - 1) * hid..] } else { &zero[..] };
@@ -188,7 +135,7 @@ pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGat
             rh[j] = r[j] * h[j];
         }
         rh_u.fill(0.0);
-        rows_times(&rh, [0], &u_h, &mut rh_u);
+        rows_times(&rh, 0, hid, 1, u_h, &mut rh_u);
         let (z, cand) = (gates.z.row(t), gates.cand.row_mut(t));
         for j in 0..hid {
             cand[j] = ((xw[2 * hid + j] + rh_u[j]) + bh[j]).tanh();
@@ -202,10 +149,10 @@ pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGat
 
 /// `[g_0 | g_1 | ...] += lhs · rhs` for the gradient buffers `g_i` of
 /// `params` (a product per buffer, run as one).
-fn accumulate_stacked(tape: &mut Tape, params: &[Var], lhs: &Matrix, rhs: &Panel) {
+fn accumulate_stacked(tape: &mut Tape, params: &[Var], lhs: &Matrix, rhs: &Matrix) {
     let grads: Vec<&Matrix> = params.iter().map(|v| &tape.nodes[v.0].grad).collect();
     let mut acc = Matrix::hstack(&grads);
-    rows_times(lhs.as_slice(), (0..lhs.rows()).map(|i| i * lhs.cols()), rhs, acc.as_mut_slice());
+    rows_times(lhs.as_slice(), 0, lhs.cols(), lhs.rows(), rhs, acc.as_mut_slice());
     let mut c0 = 0;
     for v in params {
         let grad = &mut tape.nodes[v.0].grad;
@@ -332,7 +279,7 @@ impl Tape {
         let hs = &self.nodes[index].value;
         let (steps, hid) = hs.shape();
         let p = params.map(|v| &self.nodes[v.0].value);
-        let (uz_t, ur_t, uh_t) = (Panel::transposed(p[UZ]), Panel::transposed(p[UR]), Panel::transposed(p[UH]));
+        let (uz_t, ur_t, uh_t) = (ops::transpose(p[UZ]), ops::transpose(p[UR]), ops::transpose(p[UH]));
 
         // pre-activation gradients per step, row k holding step T-1-k
         let mut dsz = Matrix::zeros(steps, hid);
@@ -354,19 +301,19 @@ impl Tape {
                 sh_row[j] = (gh[j] * z[j]) * (1.0 - cand[j] * cand[j]);
             }
             g_rh.fill(0.0);
-            rows_times(dsh.as_slice(), [k * hid], &uh_t, &mut g_rh);
+            rows_times(dsh.as_slice(), k * hid, hid, 1, &uh_t, &mut g_rh);
             let sr_row = dsr.row_mut(k);
             for j in 0..hid {
                 sr_row[j] = (g_rh[j] * h_prev[j]) * (r[j] * (1.0 - r[j]));
             }
             dh_r.fill(0.0);
-            rows_times(dsr.as_slice(), [k * hid], &ur_t, &mut dh_r);
+            rows_times(dsr.as_slice(), k * hid, hid, 1, &ur_t, &mut dh_r);
             let sz_row = dsz.row_mut(k);
             for j in 0..hid {
                 sz_row[j] = dz[j] * (z[j] * (1.0 - z[j]));
             }
             dh_z.fill(0.0);
-            rows_times(dsz.as_slice(), [k * hid], &uz_t, &mut dh_z);
+            rows_times(dsz.as_slice(), k * hid, hid, 1, &uz_t, &mut dh_z);
             if t > 0 {
                 let g_prev = upstream.row(t - 1);
                 for j in 0..hid {
@@ -379,7 +326,7 @@ impl Tape {
         let in_dim = self.nodes[x.0].value.cols();
         let times_transpose = |ds: &Matrix, w: &Matrix| {
             let mut out = Matrix::zeros(steps, in_dim);
-            rows_times(ds.as_slice(), (0..steps).map(|k| k * hid), &Panel::transposed(w), out.as_mut_slice());
+            rows_times(ds.as_slice(), 0, hid, steps, &ops::transpose(w), out.as_mut_slice());
             out
         };
         let mut dx = times_transpose(&dsh, p[WH]);
@@ -410,9 +357,9 @@ impl Tape {
                 *dst += s;
             }
         }
-        accumulate_stacked(self, &[params[WZ], params[WR], params[WH]], &x_rev_t, &Panel::new(&[&dsz, &dsr, &dsh]));
-        accumulate_stacked(self, &[params[UZ], params[UR]], &h_rev_t, &Panel::new(&[&dsz, &dsr]));
-        accumulate_stacked(self, &[params[UH]], &rh_rev_t, &Panel::new(&[&dsh]));
+        accumulate_stacked(self, &[params[WZ], params[WR], params[WH]], &x_rev_t, &Matrix::hstack(&[&dsz, &dsr, &dsh]));
+        accumulate_stacked(self, &[params[UZ], params[UR]], &h_rev_t, &Matrix::hstack(&[&dsz, &dsr]));
+        accumulate_stacked(self, &[params[UH]], &rh_rev_t, &dsh);
         for (param, ds) in [(BZ, &dsz), (BR, &dsr), (BH, &dsh)] {
             let grad = self.nodes[params[param].0].grad.row_mut(0);
             for k in 0..steps {

@@ -3,7 +3,7 @@
 
 use crate::fused::GruGates;
 use crate::{Tape, Var};
-use lncl_tensor::{ops, stats, Matrix};
+use lncl_tensor::{ops, Matrix};
 
 /// How a node on the tape was produced.
 ///
@@ -33,8 +33,6 @@ pub enum Op {
     Tanh(Var),
     /// Logistic sigmoid.
     Sigmoid(Var),
-    /// Row-wise softmax.
-    SoftmaxRows(Var),
     /// Sum of every entry, producing a scalar.
     SumAll(Var),
     /// Mean of every entry, producing a scalar.
@@ -56,9 +54,6 @@ pub enum Op {
     RowSlice(Var, usize),
     /// Fused affine map `x * w + bias` (bias broadcast over rows).
     Affine { x: Var, w: Var, bias: Var },
-    /// Fused `relu(x * w + bias)`; the stored output doubles as the ReLU
-    /// mask in the backward rule.
-    AffineRelu { x: Var, w: Var, bias: Var },
     /// Fused dual affine map `x * w + h * u + bias` (a GRU gate
     /// pre-activation).
     DualAffine { x: Var, w: Var, h: Var, u: Var, bias: Var },
@@ -144,12 +139,6 @@ impl Tape {
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.value(a).map(|v| 1.0 / (1.0 + (-v).exp()));
         self.push(value, Op::Sigmoid(a))
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let value = stats::softmax_rows(self.value(a));
-        self.push(value, Op::SoftmaxRows(a))
     }
 
     /// Sum of all entries (scalar output).
@@ -262,13 +251,6 @@ impl Tape {
         self.push(value, Op::Affine { x, w, bias })
     }
 
-    /// Fused `relu(x * w + bias)` — the convolution-layer activation — as a
-    /// single node.
-    pub fn affine_relu(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        let value = ops::affine_relu(self.value(x), self.value(w), self.value(bias));
-        self.push(value, Op::AffineRelu { x, w, bias })
-    }
-
     /// Fused dual affine map `x * w + h * u + bias` (bias broadcast over
     /// rows), the pre-activation of a GRU gate: one node instead of the
     /// two-matmul + add + broadcast composition.
@@ -350,18 +332,6 @@ impl Tape {
                 let da = ops::mul(&upstream, &deriv);
                 ops::add_assign(&mut self.nodes[a.0].grad, &da);
             }
-            Op::SoftmaxRows(a) => {
-                // Per-row Jacobian-vector product: da = y ⊙ (g - <g, y>).
-                let y = self.nodes[index].value.clone();
-                let mut da = Matrix::zeros(y.rows(), y.cols());
-                for r in 0..y.rows() {
-                    let dot: f32 = upstream.row(r).iter().zip(y.row(r)).map(|(g, p)| g * p).sum();
-                    for c in 0..y.cols() {
-                        da[(r, c)] = y[(r, c)] * (upstream[(r, c)] - dot);
-                    }
-                }
-                ops::add_assign(&mut self.nodes[a.0].grad, &da);
-            }
             Op::SumAll(a) => {
                 let g = upstream[(0, 0)];
                 let shape = self.nodes[a.0].value.shape();
@@ -431,22 +401,6 @@ impl Tape {
                 let dx = ops::matmul_transpose_b(&upstream, &self.nodes[w.0].value);
                 let dw = ops::matmul_transpose_a(&self.nodes[x.0].value, &upstream);
                 let dbias = ops::sum_rows(&upstream);
-                ops::add_assign(&mut self.nodes[x.0].grad, &dx);
-                ops::add_assign(&mut self.nodes[w.0].grad, &dw);
-                ops::add_assign(&mut self.nodes[bias.0].grad, &dbias);
-            }
-            Op::AffineRelu { x, w, bias } => {
-                // mask the upstream by the ReLU output, then the affine rule
-                let y = &self.nodes[index].value;
-                let mut masked = upstream.clone();
-                for (g, &v) in masked.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    if v <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-                let dx = ops::matmul_transpose_b(&masked, &self.nodes[w.0].value);
-                let dw = ops::matmul_transpose_a(&self.nodes[x.0].value, &masked);
-                let dbias = ops::sum_rows(&masked);
                 ops::add_assign(&mut self.nodes[x.0].grad, &dx);
                 ops::add_assign(&mut self.nodes[w.0].grad, &dw);
                 ops::add_assign(&mut self.nodes[bias.0].grad, &dbias);
@@ -692,31 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_affine_relu_matches_composition() {
-        let x_val = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
-        let w_val = Matrix::from_rows(&[&[0.5, 1.0], &[2.0, -0.5]]);
-        let b_val = Matrix::row_vector(&[0.1, -0.2]);
-
-        let mut fused = Tape::new();
-        let (fx, fw, fb) = (fused.leaf(x_val.clone()), fused.leaf(w_val.clone()), fused.leaf(b_val.clone()));
-        let fy = fused.affine_relu(fx, fw, fb);
-        let floss = fused.sum_all(fy);
-        fused.backward(floss);
-
-        let mut composed = Tape::new();
-        let (cx, cw, cb) = (composed.leaf(x_val), composed.leaf(w_val), composed.leaf(b_val));
-        let pre = composed.affine(cx, cw, cb);
-        let cy = composed.relu(pre);
-        let closs = composed.sum_all(cy);
-        composed.backward(closs);
-
-        assert_eq!(fused.value(fy), composed.value(cy));
-        assert_eq!(fused.grad(fx), composed.grad(cx));
-        assert_eq!(fused.grad(fw), composed.grad(cw));
-        assert_eq!(fused.grad(fb), composed.grad(cb));
-    }
-
-    #[test]
     fn fused_dual_affine_matches_composition() {
         let x_val = Matrix::from_rows(&[&[1.0, -0.5]]);
         let w_val = Matrix::from_rows(&[&[0.5, 1.0], &[2.0, -0.5]]);
@@ -768,10 +697,6 @@ mod tests {
             let t = tape.tanh(y);
             tape.sum_all(t)
         });
-        assert_gradients_close(&[x.clone(), w.clone(), b.clone()], 1e-2, 1e-2, |tape, v| {
-            let y = tape.affine_relu(v[0], v[1], v[2]);
-            tape.sum_all(y)
-        });
         assert_gradients_close(&[x, w, h, u, b], 1e-2, 1e-2, |tape, v| {
             let y = tape.dual_affine(v[0], v[1], v[2], v[3], v[4]);
             let t = tape.sigmoid(y);
@@ -794,7 +719,8 @@ mod tests {
         let mut composed = Tape::new();
         let (cx, cw, cb) = (composed.leaf(x_val), composed.leaf(w_val), composed.leaf(b_val));
         let cols = composed.im2col(cx, 2);
-        let cy = composed.affine_relu(cols, cw, cb);
+        let pre = composed.affine(cols, cw, cb);
+        let cy = composed.relu(pre);
         let closs = composed.sum_all(cy);
         composed.backward(closs);
 

@@ -1,7 +1,8 @@
 //! End-to-end tests over real loopback sockets: the label → consensus
 //! flow, the closed-loop assign → label → consensus round under a budget,
 //! the HTTP robustness contract (malformed input answers 4xx and
-//! never kills the accept loop, however deeply a JSON body nests; a 405
+//! never kills the accept loop, however deeply a JSON body nests; a
+//! body-sized JSON string parses without stalling a worker; a 405
 //! carries its `Allow` header) and
 //! concurrent-ingest determinism (the same label multiset, any arrival
 //! interleaving, any connection assignment → the same finalized
@@ -14,7 +15,7 @@ use lncl_serve::state::AppState;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_server() -> Server {
     let state = Arc::new(AppState::new(StreamingConfig::pooled(2)));
@@ -238,6 +239,22 @@ fn deeply_nested_json_bodies_answer_400() {
         let (status, _) = get(addr, "/healthz");
         assert_eq!(status, 200, "server died after a nested {path} body");
     }
+}
+
+#[test]
+fn a_1_mib_string_body_does_not_stall_the_service() {
+    let server = start_server();
+    let addr = server.addr();
+    // one JSON string filling the whole body limit: parsed in linear time,
+    // then rejected for not being a label object
+    let body = format!("\"{}\"", "é".repeat((1024 * 1024 - 2) / 2));
+    assert_eq!(body.len(), 1024 * 1024);
+    let (status, response) = post(addr, "/labels", &body);
+    assert_eq!(status, 400, "{response}");
+    let start = Instant::now();
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert!(start.elapsed() < Duration::from_secs(1), "/healthz took {:?}", start.elapsed());
 }
 
 #[test]

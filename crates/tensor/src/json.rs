@@ -126,7 +126,7 @@ impl Json {
 
     /// Parses a JSON document (one value plus optional trailing whitespace).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+        let mut parser = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -156,6 +156,8 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The input, valid UTF-8 by construction.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -306,12 +308,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 character
-                    let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..]).map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().ok_or_else(|| "unterminated string".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next quote or backslash as one
+                    // slice: both are ASCII, so the run ends on a character
+                    // boundary of the (already valid) input
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -393,5 +396,16 @@ mod tests {
     fn parses_string_escapes() {
         let doc = Json::parse(r#""a\tbA\n""#).unwrap();
         assert_eq!(doc.as_str(), Some("a\tbA\n"));
+    }
+
+    #[test]
+    fn a_4_mib_string_round_trips() {
+        // multi-byte characters (2, 3 and 4 bytes) between escapes; a
+        // parser quadratic in the string length takes minutes here
+        let unit = "ascii é€𝄞 \"quoted\" back\\slash\n";
+        let text = unit.repeat((4 << 20) / unit.len() + 1);
+        assert!(text.len() >= 4 << 20);
+        let doc = Json::Str(text.clone());
+        assert_eq!(Json::parse(&doc.render()).unwrap().as_str(), Some(text.as_str()));
     }
 }

@@ -13,8 +13,10 @@
 //! The crate is intentionally BLAS-free but not naive: the matrix products
 //! are plan-driven ([`ops::MatmulPlan`]) cache-blocked i-k-j kernels that
 //! shard output rows across scoped threads ([`par`]) once a product is
-//! large enough to pay for the spawn, dispatch their micro-kernels to
-//! tiered AVX2 / SSE2 / scalar paths ([`simd`], runtime-detected, bitwise
+//! large enough to pay for the spawn.  Every block runs one register-blocked
+//! micro-kernel ([`simd::matmul_block`]: several output rows × up to 64
+//! columns per depth pass, a masked last vector instead of a scalar tail) on
+//! tiered AVX2 / SSE2 / scalar bodies ([`simd`], runtime-detected, bitwise
 //! identical across tiers), and the hot compositions the trainers
 //! need (`affine`, `affine_relu`, `dual_affine`, `softmax_xent_rows`,
 //! `axpy`) exist as fused single-allocation ops.  Everything stays

@@ -11,12 +11,12 @@
 //! the plan — the seeded end-to-end experiments stay reproducible no matter
 //! which path a shape takes.
 //!
-//! On top of the tiling the plan also picks a **kernel tier**
-//! ([`crate::simd::KernelTier`]): the register-tile depth loop and the tail
-//! `axpy` dispatch to AVX2 / SSE2 vector kernels when the CPU supports them
-//! (scalar fallback otherwise, `LNCL_SIMD=off` forces it).  Every tier is
-//! lane-parallel with the same per-element reduction order, so the tier is
-//! — like the tiling — bitwise invisible in the results.
+//! Each block of the tiling is one call of the register-blocked micro-kernel
+//! [`crate::simd::matmul_block`], on the plan's **kernel tier**
+//! ([`crate::simd::KernelTier`]): AVX2 / SSE2 when the CPU supports them,
+//! scalar otherwise (`LNCL_SIMD=off` forces it).  Every tier adds the same
+//! terms in the same per-element order, so the tier is — like the tiling —
+//! bitwise invisible in the results.
 
 use crate::simd::{self, KernelTier};
 use crate::{par, Matrix};
@@ -48,10 +48,12 @@ impl MatmulPlan {
     /// wide-but-short products.
     pub const MIN_ROWS_PER_SHARD: usize = 16;
 
-    /// Chooses tile sizes, a shard count and a kernel tier for an
-    /// `m x k * k x n` product.
+    /// Chooses tile sizes and a shard count for an `m x k * k x n` product.
+    /// Every width runs the detected kernel tier: in the `nn_forward`
+    /// benches the masked AVX2 tail is no slower than the scalar loop even
+    /// below one vector.
     pub fn for_shape(m: usize, k: usize, n: usize) -> Self {
-        let tier = Self::tier_for_width(n);
+        let tier = simd::detected_tier();
         let flops = m.saturating_mul(k).saturating_mul(n);
         if flops <= Self::SMALL_FLOPS {
             return Self { mc: m.max(1), kc: k.max(1), nc: n.max(1), shards: 1, tier };
@@ -59,20 +61,6 @@ impl MatmulPlan {
         let shards =
             if flops >= Self::PAR_FLOPS { par::max_threads().min(m / Self::MIN_ROWS_PER_SHARD).max(1) } else { 1 };
         Self { mc: m.clamp(1, 64), kc: k.clamp(1, 128), nc: n.clamp(1, 256), shards, tier }
-    }
-
-    /// Best kernel tier for an output width: narrow outputs stay scalar
-    /// (the vector setup costs more than it saves below one 128-bit lane
-    /// group), everything else runs the widest tier the machine offers.
-    fn tier_for_width(n: usize) -> KernelTier {
-        let detected = simd::detected_tier();
-        if n < 4 {
-            KernelTier::Scalar
-        } else if n < 8 {
-            detected.min(KernelTier::Sse2)
-        } else {
-            detected
-        }
     }
 
     /// The same plan with the kernel tier overridden — the hook the
@@ -88,10 +76,10 @@ impl MatmulPlan {
     }
 }
 
-/// `y += alpha * x`, the fused scaled-accumulate at the bottom of every
-/// matmul kernel and optimiser update.  Every lane is independent (one
-/// `mul` + one `add` per element), so the vector tiers of
-/// [`crate::simd::axpy`] this dispatches to match the scalar loop bitwise.
+/// `y += alpha * x`, the fused scaled-accumulate of every optimiser
+/// update.  Every lane is independent (one `mul` + one `add` per element),
+/// so the vector tiers of [`crate::simd::axpy`] this dispatches to match
+/// the scalar loop bitwise.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -100,63 +88,27 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     simd::axpy(simd::detected_tier(), alpha, x, y);
 }
 
-/// Width of the register tile in the i-k-j micro-kernel.  A fixed-size
-/// `[f32; J_TILE]` accumulator (reached through `try_into`, so the length
-/// is a compile-time fact) keeps the running output span in vector
-/// registers across the whole depth loop instead of re-loading it from
-/// memory at every step; the depth loop itself runs on the plan's kernel
-/// tier through [`crate::simd::tile_kloop`].
-const J_TILE: usize = simd::TILE;
-
-/// Blocked i-k-j accumulation `out_block += a[rows] * b` for the output rows
+/// Blocked accumulation `out_block += a[rows] * b` for the output rows
 /// `[row0, row0 + rows)`, where `block` is the flat slice backing exactly
-/// those rows.  Shared by the serial and sharded paths.
+/// those rows.  Shared by the serial and sharded paths; each
+/// `(kc, nc, mc)` block is one [`simd::matmul_block`] call.
 ///
 /// Per output element the summands combine in ascending-`kk` order starting
-/// from the existing output value — the register tiling changes where the
-/// running sums live, not their rounding — so results are bitwise identical
-/// to the plain nested loop.
+/// from the existing output value — the blocking changes where the running
+/// sums live, not their rounding — so results are bitwise identical to the
+/// plain nested loop.
 fn matmul_acc_rows(a: &Matrix, b: &Matrix, block: &mut [f32], row0: usize, rows: usize, plan: &MatmulPlan) {
     let k = a.cols();
     let n = b.cols();
     for pc in (0..k).step_by(plan.kc) {
-        let k_end = (pc + plan.kc).min(k);
+        let depth = plan.kc.min(k - pc);
         for jc in (0..n).step_by(plan.nc) {
-            let j_end = (jc + plan.nc).min(n);
+            let width = plan.nc.min(n - jc);
             for ic in (0..rows).step_by(plan.mc) {
-                let i_end = (ic + plan.mc).min(rows);
-                for i in ic..i_end {
-                    let a_row = a.row(row0 + i);
-                    let out_row = &mut block[i * n..(i + 1) * n];
-                    let mut jt = jc;
-                    while jt < j_end {
-                        let width = J_TILE.min(j_end - jt);
-                        if width == J_TILE {
-                            let out_span: &mut [f32; J_TILE] =
-                                (&mut out_row[jt..jt + J_TILE]).try_into().expect("span is J_TILE wide");
-                            simd::tile_kloop(
-                                plan.tier,
-                                out_span,
-                                a.as_slice(),
-                                (row0 + i) * k,
-                                1,
-                                (pc, k_end),
-                                b.as_slice(),
-                                n,
-                                jt,
-                            );
-                        } else {
-                            // tail narrower than the register tile
-                            for (kk, &a_ik) in a_row.iter().enumerate().take(k_end).skip(pc) {
-                                if a_ik == 0.0 {
-                                    continue;
-                                }
-                                simd::axpy(plan.tier, a_ik, &b.row(kk)[jt..jt + width], &mut out_row[jt..jt + width]);
-                            }
-                        }
-                        jt += width;
-                    }
-                }
+                let lhs = simd::Lhs { data: a.as_slice(), off: (row0 + ic) * k + pc, row_step: k, k_step: 1 };
+                let (b_block, out_block) = (&b.as_slice()[pc * n + jc..], &mut block[ic * n + jc..]);
+                let shape = (plan.mc.min(rows - ic), depth, width);
+                simd::matmul_block(plan.tier, lhs, b_block, n, out_block, n, shape);
             }
         }
     }
@@ -215,7 +167,7 @@ fn dot_seq(x: &[f32], y: &[f32]) -> f32 {
 }
 
 /// `a * b^T`.  Above a small size the transpose is materialised once and
-/// the product runs through the vectorised i-k-j kernel — per output
+/// the product runs through the register-blocked i-k-j kernel — per output
 /// element the summands still combine in ascending inner-index order, so
 /// the result matches the direct row-row dot products bitwise (modulo the
 /// sign of exact zeros).  Tiny products skip the transpose and use the
@@ -246,8 +198,8 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `a^T * b` without materialising the transpose.  Output rows (columns of
-/// `a`) run through the same register-tiled accumulator as [`matmul`] —
-/// per element the summands combine in ascending inner-index order, so the
+/// `a`, read with a stride) run through the same micro-kernel as [`matmul`]
+/// — per element the summands combine in ascending inner-index order, so the
 /// result is bitwise identical to the plain k-outer loop.  Large products
 /// block over `k` and shard output rows across threads.
 pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
@@ -265,40 +217,11 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(m, n);
     par::shard_rows(&mut out, plan.shards, |row0, rows, block| {
         for pc in (0..k).step_by(plan.kc) {
-            let k_end = (pc + plan.kc).min(k);
-            for i in 0..rows {
-                let out_row = &mut block[i * n..(i + 1) * n];
-                let mut jt = 0;
-                while jt < n {
-                    let width = J_TILE.min(n - jt);
-                    if width == J_TILE {
-                        let out_span: &mut [f32; J_TILE] =
-                            (&mut out_row[jt..jt + J_TILE]).try_into().expect("span is J_TILE wide");
-                        // the column walk of `a` is just a strided access:
-                        // element `kk` lives at `(row0 + i) + kk * m`
-                        simd::tile_kloop(
-                            plan.tier,
-                            out_span,
-                            a.as_slice(),
-                            row0 + i,
-                            m,
-                            (pc, k_end),
-                            b.as_slice(),
-                            n,
-                            jt,
-                        );
-                    } else {
-                        for kk in pc..k_end {
-                            let a_ki = a[(kk, row0 + i)];
-                            if a_ki == 0.0 {
-                                continue;
-                            }
-                            simd::axpy(plan.tier, a_ki, &b.row(kk)[jt..jt + width], &mut out_row[jt..jt + width]);
-                        }
-                    }
-                    jt += width;
-                }
-            }
+            // output row `i` walks column `row0 + i` of `a`: element `kk`
+            // lives at `(row0 + i) + kk * m`
+            let lhs = simd::Lhs { data: a.as_slice(), off: row0 + pc * m, row_step: 1, k_step: m };
+            let shape = (rows, plan.kc.min(k - pc), n);
+            simd::matmul_block(plan.tier, lhs, &b.as_slice()[pc * n..], n, block, n, shape);
         }
     });
     out

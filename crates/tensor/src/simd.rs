@@ -20,10 +20,13 @@
 //! * anything else — warning on stderr, treated as `auto` (the repo-wide
 //!   `LNCL_*` convention from [`crate::env`]).
 //!
-//! [`MatmulPlan`](crate::ops::MatmulPlan) picks the tier **per shape at
-//! plan time** (tiny widths stay scalar — a vector setup would cost more
-//! than it saves), mirroring how its flop thresholds pick tiling and
-//! sharding.
+//! Three kernels live here: [`axpy`] and [`add_assign`] for the optimiser
+//! and the E-step sums, and [`matmul_block`], the register-blocked
+//! micro-kernel under every matrix product (the blocks of
+//! [`MatmulPlan`](crate::ops::MatmulPlan), `matmul_transpose_a` and the
+//! fused convolution and GRU ops of `lncl-autograd`).  Its AVX2 body covers
+//! any width, a partial last vector included, so every product runs the
+//! detected tier.
 
 use std::sync::OnceLock;
 
@@ -226,147 +229,339 @@ pub fn add_assign(tier: KernelTier, dst: &mut [f32], src: &[f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// 16-wide register-tile depth loop: acc[j] += a[kk] * b[kk*stride + j]
+// Register-blocked product: out[r][j] += Σ_kk a(r, kk) · b[kk][j]
 // ---------------------------------------------------------------------------
 
-/// Width of the register tile shared with the matmul micro-kernel.
-pub const TILE: usize = 16;
+/// Left operand of [`matmul_block`]: element `(r, kk)` — output row `r`,
+/// depth step `kk` — sits at `data[off + r * row_step + kk * k_step]`.
+///
+/// Every caller's rows are evenly spaced: the rows of a matrix
+/// (`row_step = cols`, `k_step = 1`), the columns of one read as a
+/// transpose (`row_step = 1`, `k_step = cols`) and the overlapping windows
+/// of a text convolution (`row_step = d`, `k_step = 1`).
+#[derive(Debug, Clone, Copy)]
+pub struct Lhs<'a> {
+    /// Backing storage.
+    pub data: &'a [f32],
+    /// Index of element `(0, 0)`.
+    pub off: usize,
+    /// Distance between consecutive rows.
+    pub row_step: usize,
+    /// Distance between consecutive depth steps of one row.
+    pub k_step: usize,
+}
 
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the public dispatch signature
-fn tile_kloop_scalar(
-    acc: &mut [f32; TILE],
-    a: &[f32],
-    a_off: usize,
-    a_stride: usize,
-    kks: (usize, usize),
-    b: &[f32],
+/// Raw operands of one block, bounds already checked by [`matmul_block`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Raw {
+    a: *const f32,
+    a_row_step: usize,
+    a_k_step: usize,
+    b: *const f32,
     b_stride: usize,
-    jt: usize,
-) {
-    for kk in kks.0..kks.1 {
-        let a_ik = a[a_off + kk * a_stride];
-        if a_ik == 0.0 {
-            continue;
+    out: *mut f32,
+    out_stride: usize,
+    depth: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Raw {
+    fn new(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, depth: usize) -> Self {
+        Self {
+            a: a.data[a.off..].as_ptr(),
+            a_row_step: a.row_step,
+            a_k_step: a.k_step,
+            b: b.as_ptr(),
+            b_stride,
+            out: out.as_mut_ptr(),
+            out_stride,
+            depth,
         }
-        let b_span: &[f32; TILE] =
-            b[kk * b_stride + jt..kk * b_stride + jt + TILE].try_into().expect("span is TILE wide");
-        for (av, bv) in acc.iter_mut().zip(b_span) {
-            *av += a_ik * bv;
+    }
+
+    /// The block from output row `r0` and column `c0` on.
+    ///
+    /// # Safety
+    /// `r0` and `c0` must lie inside the block the pointers address.
+    unsafe fn at(self, r0: usize, c0: usize) -> Self {
+        Self {
+            a: self.a.add(r0 * self.a_row_step),
+            b: self.b.add(c0),
+            out: self.out.add(r0 * self.out_stride + c0),
+            ..self
         }
     }
 }
 
+/// Rows per register block for a strip of `vectors` vectors: the
+/// `rows × vectors` accumulators, the `vectors` loaded `b` vectors and one
+/// broadcast of `a` fit the 16 vector registers (4×1, 4×2, 3×3, 2×4).
+/// Wider strips run one row at a time (up to 1×8), which needs no `b`
+/// vector to stay live.
+#[cfg(target_arch = "x86_64")]
+const fn block_rows(vectors: usize) -> usize {
+    match vectors {
+        1 | 2 => 4,
+        3 => 3,
+        4 => 2,
+        _ => 1,
+    }
+}
+
+/// Most vectors in one column strip.
+#[cfg(target_arch = "x86_64")]
+const STRIP_VECTORS: usize = 8;
+
+/// The reference loop, and the per-element remainder of the SSE2 body.
+fn matmul_block_scalar(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, shape: Shape) {
+    let (rows, depth, width) = shape;
+    for r in 0..rows {
+        let out_row = &mut out[r * out_stride..r * out_stride + width];
+        for kk in 0..depth {
+            let a_rk = a.data[a.off + r * a.row_step + kk * a.k_step];
+            if a_rk == 0.0 {
+                continue;
+            }
+            for (o, bv) in out_row.iter_mut().zip(&b[kk * b_stride..kk * b_stride + width]) {
+                *o += a_rk * bv;
+            }
+        }
+    }
+}
+
+/// One `R × V` block of 4-lane vectors: the accumulators stay in registers
+/// for the whole depth loop and each `b` vector is loaded once per `kk`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)] // mirrors the public dispatch signature
-unsafe fn tile_kloop_sse2(
-    acc: &mut [f32; TILE],
-    a: &[f32],
-    a_off: usize,
-    a_stride: usize,
-    kks: (usize, usize),
-    b: &[f32],
-    b_stride: usize,
-    jt: usize,
-) {
+unsafe fn block_sse2<const R: usize, const V: usize>(p: Raw) {
     use std::arch::x86_64::*;
-    let ap = acc.as_mut_ptr();
-    let mut v0 = _mm_loadu_ps(ap);
-    let mut v1 = _mm_loadu_ps(ap.add(4));
-    let mut v2 = _mm_loadu_ps(ap.add(8));
-    let mut v3 = _mm_loadu_ps(ap.add(12));
-    for kk in kks.0..kks.1 {
-        let a_ik = *a.get_unchecked(a_off + kk * a_stride);
-        if a_ik == 0.0 {
-            continue;
+    let mut acc = [[_mm_setzero_ps(); V]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (v, x) in row.iter_mut().enumerate() {
+            *x = _mm_loadu_ps(p.out.add(r * p.out_stride + 4 * v));
         }
-        let va = _mm_set1_ps(a_ik);
-        let bp = b.as_ptr().add(kk * b_stride + jt);
-        v0 = _mm_add_ps(v0, _mm_mul_ps(va, _mm_loadu_ps(bp)));
-        v1 = _mm_add_ps(v1, _mm_mul_ps(va, _mm_loadu_ps(bp.add(4))));
-        v2 = _mm_add_ps(v2, _mm_mul_ps(va, _mm_loadu_ps(bp.add(8))));
-        v3 = _mm_add_ps(v3, _mm_mul_ps(va, _mm_loadu_ps(bp.add(12))));
     }
-    _mm_storeu_ps(ap, v0);
-    _mm_storeu_ps(ap.add(4), v1);
-    _mm_storeu_ps(ap.add(8), v2);
-    _mm_storeu_ps(ap.add(12), v3);
+    let mut bv = [_mm_setzero_ps(); V];
+    for kk in 0..p.depth {
+        let bp = p.b.add(kk * p.b_stride);
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = _mm_loadu_ps(bp.add(4 * v));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a_rk = *p.a.add(r * p.a_row_step + kk * p.a_k_step);
+            if a_rk == 0.0 {
+                continue;
+            }
+            let va = _mm_set1_ps(a_rk);
+            for (x, &bx) in row.iter_mut().zip(&bv) {
+                *x = _mm_add_ps(*x, _mm_mul_ps(va, bx));
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (v, &x) in row.iter().enumerate() {
+            _mm_storeu_ps(p.out.add(r * p.out_stride + 4 * v), x);
+        }
+    }
 }
 
+/// `rows` rows of one strip of `V` whole 4-lane vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn strip_sse2<const V: usize>(p: Raw, rows: usize) {
+    let mut r0 = 0;
+    while r0 < rows {
+        let n = (rows - r0).min(block_rows(V));
+        let q = p.at(r0, 0);
+        match n {
+            4 => block_sse2::<4, V>(q),
+            3 => block_sse2::<3, V>(q),
+            2 => block_sse2::<2, V>(q),
+            _ => block_sse2::<1, V>(q),
+        }
+        r0 += n;
+    }
+}
+
+/// SSE2 body: strips of whole 4-lane vectors, then the last `width % 4`
+/// columns per element on the scalar loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn matmul_block_sse2(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, shape: Shape) {
+    let (rows, depth, width) = shape;
+    let p = Raw::new(a, b, b_stride, out, out_stride, depth);
+    let vector_cols = width / 4 * 4;
+    let mut c0 = 0;
+    while c0 < vector_cols {
+        let vectors = ((vector_cols - c0) / 4).min(STRIP_VECTORS);
+        let q = p.at(0, c0);
+        match vectors {
+            1 => strip_sse2::<1>(q, rows),
+            2 => strip_sse2::<2>(q, rows),
+            3 => strip_sse2::<3>(q, rows),
+            4 => strip_sse2::<4>(q, rows),
+            5 => strip_sse2::<5>(q, rows),
+            6 => strip_sse2::<6>(q, rows),
+            7 => strip_sse2::<7>(q, rows),
+            _ => strip_sse2::<8>(q, rows),
+        }
+        c0 += 4 * vectors;
+    }
+    if vector_cols < width {
+        let shape = (rows, depth, width - vector_cols);
+        matmul_block_scalar(a, &b[vector_cols..], b_stride, &mut out[vector_cols..], out_stride, shape);
+    }
+}
+
+/// One `R × V` block of 8-lane vectors whose last vector holds the lanes
+/// `mask` selects: read and written with `maskload` / `maskstore`, so
+/// neither `b` nor `out` needs padding.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // mirrors the public dispatch signature
-unsafe fn tile_kloop_avx2(
-    acc: &mut [f32; TILE],
-    a: &[f32],
-    a_off: usize,
-    a_stride: usize,
-    kks: (usize, usize),
-    b: &[f32],
-    b_stride: usize,
-    jt: usize,
-) {
+unsafe fn block_avx2<const R: usize, const V: usize>(p: Raw, mask: std::arch::x86_64::__m256i) {
     use std::arch::x86_64::*;
-    let ap = acc.as_mut_ptr();
-    let mut v0 = _mm256_loadu_ps(ap);
-    let mut v1 = _mm256_loadu_ps(ap.add(8));
-    for kk in kks.0..kks.1 {
-        let a_ik = *a.get_unchecked(a_off + kk * a_stride);
-        if a_ik == 0.0 {
-            continue;
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let o = p.out.add(r * p.out_stride);
+        for (v, x) in row.iter_mut().enumerate() {
+            *x = if v + 1 < V { _mm256_loadu_ps(o.add(8 * v)) } else { _mm256_maskload_ps(o.add(8 * v), mask) };
         }
-        let va = _mm256_set1_ps(a_ik);
-        let bp = b.as_ptr().add(kk * b_stride + jt);
-        v0 = _mm256_add_ps(v0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-        v1 = _mm256_add_ps(v1, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8))));
     }
-    _mm256_storeu_ps(ap, v0);
-    _mm256_storeu_ps(ap.add(8), v1);
+    let mut bv = [_mm256_setzero_ps(); V];
+    for kk in 0..p.depth {
+        let bp = p.b.add(kk * p.b_stride);
+        for (v, x) in bv.iter_mut().enumerate() {
+            *x = if v + 1 < V { _mm256_loadu_ps(bp.add(8 * v)) } else { _mm256_maskload_ps(bp.add(8 * v), mask) };
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a_rk = *p.a.add(r * p.a_row_step + kk * p.a_k_step);
+            if a_rk == 0.0 {
+                continue;
+            }
+            let va = _mm256_set1_ps(a_rk);
+            for (x, &bx) in row.iter_mut().zip(&bv) {
+                *x = _mm256_add_ps(*x, _mm256_mul_ps(va, bx));
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let o = p.out.add(r * p.out_stride);
+        for (v, &x) in row.iter().enumerate() {
+            if v + 1 < V {
+                _mm256_storeu_ps(o.add(8 * v), x);
+            } else {
+                _mm256_maskstore_ps(o.add(8 * v), mask, x);
+            }
+        }
+    }
 }
 
-/// Runs the full depth loop of one 16-wide output tile on the given tier:
-/// for every `kk` in `kks.0..kks.1`,
-/// `acc[j] += a[a_off + kk*a_stride] * b[kk*b_stride + jt + j]`, skipping
-/// zero `a` entries like the scalar micro-kernel does.  The accumulators
-/// stay in vector registers across the whole loop; per element the
-/// summands still combine in ascending-`kk` order with one `mul` + one
-/// `add` each, so all tiers agree bitwise.
+/// `rows` rows of one strip of `V` 8-lane vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn strip_avx2<const V: usize>(p: Raw, rows: usize, mask: std::arch::x86_64::__m256i) {
+    let mut r0 = 0;
+    while r0 < rows {
+        let n = (rows - r0).min(block_rows(V));
+        let q = p.at(r0, 0);
+        match n {
+            4 => block_avx2::<4, V>(q, mask),
+            3 => block_avx2::<3, V>(q, mask),
+            2 => block_avx2::<2, V>(q, mask),
+            _ => block_avx2::<1, V>(q, mask),
+        }
+        r0 += n;
+    }
+}
+
+/// AVX2 body: strips of at most 64 columns, each a whole number of 8-lane
+/// vectors with a masked last one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_block_avx2(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, shape: Shape) {
+    use std::arch::x86_64::*;
+    let (rows, depth, width) = shape;
+    let p = Raw::new(a, b, b_stride, out, out_stride, depth);
+    let mut c0 = 0;
+    while c0 < width {
+        let cols = (width - c0).min(8 * STRIP_VECTORS);
+        let vectors = cols.div_ceil(8);
+        // lanes `0 .. live` of the last vector are in the strip
+        let live = (cols - 8 * (vectors - 1)) as i32;
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        let q = p.at(0, c0);
+        match vectors {
+            1 => strip_avx2::<1>(q, rows, mask),
+            2 => strip_avx2::<2>(q, rows, mask),
+            3 => strip_avx2::<3>(q, rows, mask),
+            4 => strip_avx2::<4>(q, rows, mask),
+            5 => strip_avx2::<5>(q, rows, mask),
+            6 => strip_avx2::<6>(q, rows, mask),
+            7 => strip_avx2::<7>(q, rows, mask),
+            _ => strip_avx2::<8>(q, rows, mask),
+        }
+        c0 += cols;
+    }
+}
+
+/// `(rows, depth, width)` of one [`matmul_block`] call.
+pub type Shape = (usize, usize, usize);
+
+/// The micro-kernel under every small product: for each of `rows` evenly
+/// spaced rows of `a` (see [`Lhs`]) and each of the first `width` columns,
 ///
-/// `a_stride == 1` walks a row of `a` (the [`crate::ops::matmul`] kernel);
-/// `a_stride == a_cols` walks a column (the `matmul_transpose_a` kernel).
+/// ```text
+/// out[r * out_stride + j] += Σ_{kk < depth} a(r, kk) · b[kk * b_stride + j]
+/// ```
+///
+/// The AVX2 and SSE2 bodies keep a block of several output rows × up to
+/// eight vectors (64 columns on AVX2, 32 on SSE2) in registers for the whole
+/// depth loop and load each `b` vector once per `kk` for all rows of the
+/// block; AVX2 reads and writes the last, partial vector of a strip with
+/// masked loads and stores, so `b` and `out` are used in place.  Per
+/// element the terms still add in ascending `kk` onto the existing value,
+/// one `mul` and one `add` each (no FMA), and a zero `a(r, kk)` is skipped
+/// for its row — so every tier is bitwise the scalar loop, which is the
+/// reference.
 ///
 /// # Panics
-/// Panics (in debug builds via slice indexing) when the addressed spans
-/// fall outside `a` or `b`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn tile_kloop(
+/// Panics when an addressed element falls outside `a`, `b` or `out`, or
+/// when output rows overlap (`out_stride < width` with several rows).
+pub fn matmul_block(
     tier: KernelTier,
-    acc: &mut [f32; TILE],
-    a: &[f32],
-    a_off: usize,
-    a_stride: usize,
-    kks: (usize, usize),
+    a: Lhs<'_>,
     b: &[f32],
     b_stride: usize,
-    jt: usize,
+    out: &mut [f32],
+    out_stride: usize,
+    shape: Shape,
 ) {
-    if kks.1 > kks.0 {
-        // bounds of the strided accesses, checked once up front so the
-        // vector paths can use unchecked loads inside the hot loop
-        assert!(a_off + (kks.1 - 1) * a_stride < a.len(), "tile_kloop: a access out of bounds");
-        assert!((kks.1 - 1) * b_stride + jt + TILE <= b.len(), "tile_kloop: b access out of bounds");
+    let (rows, depth, width) = shape;
+    if rows == 0 || width == 0 {
+        return;
     }
+    assert!(rows == 1 || out_stride >= width, "matmul_block: output rows overlap");
+    assert!((rows - 1) * out_stride + width <= out.len(), "matmul_block: out access out of bounds");
+    if depth == 0 {
+        return;
+    }
+    // bounds of the strided accesses, checked once up front so the vector
+    // bodies can use raw pointers inside the hot loop
+    assert!(
+        a.off + (rows - 1) * a.row_step + (depth - 1) * a.k_step < a.data.len(),
+        "matmul_block: a access out of bounds"
+    );
+    assert!((depth - 1) * b_stride + width <= b.len(), "matmul_block: b access out of bounds");
     match tier {
-        KernelTier::Scalar => tile_kloop_scalar(acc, a, a_off, a_stride, kks, b, b_stride, jt),
+        KernelTier::Scalar => matmul_block_scalar(a, b, b_stride, out, out_stride, shape),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier implies the feature is present; bounds checked above.
-        KernelTier::Sse2 => unsafe { tile_kloop_sse2(acc, a, a_off, a_stride, kks, b, b_stride, jt) },
+        KernelTier::Sse2 => unsafe { matmul_block_sse2(a, b, b_stride, out, out_stride, shape) },
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { tile_kloop_avx2(acc, a, a_off, a_stride, kks, b, b_stride, jt) },
+        KernelTier::Avx2 => unsafe { matmul_block_avx2(a, b, b_stride, out, out_stride, shape) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => tile_kloop_scalar(acc, a, a_off, a_stride, kks, b, b_stride, jt),
+        _ => matmul_block_scalar(a, b, b_stride, out, out_stride, shape),
     }
 }
 

@@ -7,8 +7,8 @@
 //! summand, no FMA contraction), so which tier runs is unobservable.
 //!
 //! Shapes deliberately include odd sizes, tile off-by-ones and remainder
-//! widths so the vector main loops *and* their scalar tails are exercised
-//! on every tier.
+//! widths so the vector main loops *and* their masked or scalar tails are
+//! exercised on every tier.
 
 use lncl_tensor::ops::{self, MatmulPlan};
 use lncl_tensor::simd::{self, KernelTier};
@@ -44,8 +44,8 @@ fn assert_bitwise(actual: &Matrix, expect: &Matrix, label: &str) {
 }
 
 /// Odd/remainder shapes: widths below one vector lane group, between SSE
-/// and AVX widths, off-by-ones around the 16-wide register tile and the
-/// plan's kc/nc blocks, plus sizes that cross the blocked multi-tile path.
+/// and AVX widths, off-by-ones around the 8-lane vectors and 64-column
+/// strips of the micro-kernel and the plan's kc/nc blocks, plus sizes that cross the blocked multi-tile path.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -154,7 +154,8 @@ fn planned_tiers_match_the_public_entry_points() {
         ops::matmul_acc_planned(&a, &b, &mut scalar, &MatmulPlan::for_shape(m, k, n).with_tier(KernelTier::Scalar));
         assert_bitwise(&ops::matmul(&a, &b), &scalar, &format!("public matmul {m}x{k}x{n}"));
     }
-    // matmul_transpose_a shares tile_kloop through its strided access path
+    // matmul_transpose_a reaches the same micro-kernel through a strided
+    // left operand
     let at = random(41, 27, &mut rng);
     let bb = random(41, 19, &mut rng);
     let naive = {
@@ -178,13 +179,97 @@ fn planned_tiers_match_the_public_entry_points() {
 }
 
 #[test]
-fn plan_tier_selection_respects_width() {
-    // plan-time tiering: sub-lane widths stay scalar no matter what the
-    // hardware offers; wide shapes take the detected tier
-    let narrow = MatmulPlan::for_shape(64, 64, 2);
-    assert_eq!(narrow.tier, KernelTier::Scalar, "width 2 must stay scalar");
-    let wide = MatmulPlan::for_shape(64, 64, 64);
-    assert_eq!(wide.tier, simd::detected_tier(), "wide shapes take the detected tier");
-    let mid = MatmulPlan::for_shape(64, 64, 5);
-    assert!(mid.tier <= KernelTier::Sse2, "widths in [4, 8) cap at SSE2, got {:?}", mid.tier);
+fn plans_take_the_detected_tier_at_every_width() {
+    // the masked AVX2 tail covers widths below one vector, so no width is
+    // kept off the detected tier
+    for n in [1usize, 2, 5, 7, 8, 64, 300] {
+        assert_eq!(MatmulPlan::for_shape(64, 64, n).tier, simd::detected_tier(), "width {n}");
+    }
+}
+
+/// How the rows of `a` sit in memory in one [`simd::matmul_block`] case.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// Rows of a matrix with two spare columns.
+    Rows,
+    /// Columns of a matrix, as `matmul_transpose_a` reads them.
+    Columns,
+    /// Overlapping windows three values apart, as a text convolution
+    /// reads them.
+    Windows,
+}
+
+const SENTINEL: f32 = -7777.25;
+
+/// Value `i` of a left operand: a mix of random values, `+0` and `-0`.
+fn signed_zeros(rng: &mut TensorRng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| match i % 7 {
+            1 => 0.0,
+            4 => -0.0,
+            _ => (rng.uniform() - 0.5) * 2.0,
+        })
+        .collect()
+}
+
+#[test]
+fn matmul_block_tiers_agree_bitwise_and_write_only_their_block() {
+    let widths: Vec<usize> =
+        (1..=17).chain([20, 24]).chain(31..=33).chain([40, 48, 60]).chain(63..=65).chain([100, 112]).collect();
+    let mut rng = TensorRng::seed_from_u64(97);
+    for layout in [Layout::Rows, Layout::Columns, Layout::Windows] {
+        for rows in 1..=9usize {
+            for depth in [0usize, 1, 5, 24, 100] {
+                for &width in &widths {
+                    // a(r, kk) at off + r * row_step + kk * k_step
+                    let (off, row_step, k_step) = match layout {
+                        Layout::Rows => (1, depth + 2, 1),
+                        Layout::Columns => (2, 1, rows + 1),
+                        Layout::Windows => (0, 3, 1),
+                    };
+                    let a_len = off + (rows - 1) * row_step + depth.saturating_sub(1) * k_step + 1;
+                    let a = signed_zeros(&mut rng, a_len);
+                    // b rows with three padding columns, ending right after
+                    // the last used element
+                    let b_stride = width + 3;
+                    let b_len = depth.saturating_sub(1) * b_stride + width;
+                    let b: Vec<f32> = (0..b_len)
+                        .map(|i| if i % b_stride < width { (rng.uniform() - 0.5) * 2.0 } else { f32::NAN })
+                        .collect();
+                    // out block at offset 5, stride width + 2, sentinels
+                    // in every other slot; accumulators partly -0
+                    let (out_off, out_stride) = (5, width + 2);
+                    let mut init = vec![SENTINEL; out_off + rows * out_stride + 4];
+                    for r in 0..rows {
+                        for j in 0..width {
+                            init[out_off + r * out_stride + j] =
+                                if (r + j) % 3 == 0 { -0.0 } else { (rng.uniform() - 0.5) * 2.0 };
+                        }
+                    }
+
+                    let mut naive = init.clone();
+                    for r in 0..rows {
+                        for kk in 0..depth {
+                            let x = a[off + r * row_step + kk * k_step];
+                            if x != 0.0 {
+                                for j in 0..width {
+                                    naive[out_off + r * out_stride + j] += x * b[kk * b_stride + j];
+                                }
+                            }
+                        }
+                    }
+                    let label = format!("{layout:?} rows {rows} depth {depth} width {width}");
+                    for tier in simd::available_tiers() {
+                        let mut out = init.clone();
+                        let lhs = simd::Lhs { data: &a, off, row_step, k_step };
+                        let shape = (rows, depth, width);
+                        simd::matmul_block(tier, lhs, &b, b_stride, &mut out[out_off..], out_stride, shape);
+                        for (i, (x, y)) in out.iter().zip(&naive).enumerate() {
+                            assert!(x.to_bits() == y.to_bits(), "{label} tier {tier:?}: slot {i}: {x:?} vs {y:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
