@@ -1,18 +1,27 @@
 //! Whole-layer fused ops: the max-pooled text convolution of the sentence
-//! CNN ([`Tape::conv_max_pool`]) and the full GRU unroll of the sequence
-//! tagger ([`Tape::gru_sequence`]), each recorded as one tape node.
+//! CNN ([`Tape::conv_max_pool`]), the same-length convolution of the
+//! sequence tagger ([`Tape::same_conv`]) and its full GRU unroll
+//! ([`Tape::gru_sequence`]), each recorded as one tape node.
 //!
-//! Both backward rules add exactly the nonzero terms of the composed node
-//! chains they replace (`conv_window` → `max_over_rows`, and the per-step
+//! Every backward rule adds exactly the nonzero terms of the composed node
+//! chain it replaces (`im2col` → `affine` → `relu` → `max_over_rows`; the
+//! zero `vstack` padding → `im2col` → `affine` → `relu`; and the per-step
 //! `row_slice` → `dual_affine` / `sigmoid` / `tanh` / `mul` / `one_minus` /
 //! `add` → `vstack` unroll), in the same order, so every value and every
 //! gradient is bitwise identical to the composed rules; every term they
 //! skip is an exact ±0, which cannot change a sum that starts from `+0`.
 //! The forward kernels are public so the tape-free eval paths of
 //! `lncl-nn` run the very same arithmetic.
+//!
+//! On a reused tape (see [`Tape::rewind`]) the rules build no temporaries
+//! of their own: outputs, cached gates and argmax lists live in the
+//! recycled node, scratch matrices in the tape, and the parameter
+//! transposes of the backward products in a tape cache that recomputes one
+//! only after its parameter leaf was replaced.
 
 use crate::{Op, Tape, Var};
-use lncl_tensor::{ops, simd, Matrix};
+use lncl_tensor::simd::{self, Lhs};
+use lncl_tensor::{ops, Matrix};
 
 /// Index of each GRU parameter in the `[Var; 9]` / `[&Matrix; 9]` arrays
 /// taken by [`Tape::gru_sequence`] and [`gru_sequence_forward`]:
@@ -39,17 +48,59 @@ pub struct GruGates {
     pub(crate) cand: Matrix,
 }
 
-/// `out[i, :] += a[off + i * row_step ..][..b.rows] · b` for `rows` rows,
-/// with `out` a flat row-major buffer `b.cols` wide.  Per element the terms
-/// add in ascending inner-index order onto the existing value, zero `a`
-/// entries skipped — exactly the order of [`ops::matmul_acc`], so every
-/// result is bitwise that of the matrix product.  Rows of `a` are addressed
-/// by offset and step, so the overlapping windows of a convolution need no
-/// im2col copy.
-fn rows_times(a: &[f32], off: usize, row_step: usize, rows: usize, b: &Matrix, out: &mut [f32]) {
-    let lhs = simd::Lhs { data: a, off, row_step, k_step: 1 };
-    let shape = (rows, b.rows(), b.cols());
-    simd::matmul_block(simd::detected_tier(), lhs, b.as_slice(), b.cols(), out, b.cols(), shape);
+/// Rows `off + r * row_step` of `data`, read with unit depth step.
+fn rows(data: &[f32], off: usize, row_step: usize) -> Lhs<'_> {
+    Lhs { data, off, row_step, k_step: 1 }
+}
+
+/// `out[r * out_stride + j] += Σ_kk a(r, kk) · b[kk * b_stride + j]`: one
+/// [`simd::matmul_block`] on the detected tier.  Per element the terms add
+/// in ascending `kk` onto the existing value, zero `a` entries skipped —
+/// exactly the order of [`ops::matmul_acc`], so every result is bitwise
+/// that of the matrix product.
+fn block(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, shape: simd::Shape) {
+    simd::matmul_block(simd::detected_tier(), a, b, b_stride, out, out_stride, shape);
+}
+
+/// Checks a max-pooled convolution's shapes; returns `(positions, filters)`.
+fn conv_shape(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (usize, usize) {
+    assert!(window >= 1 && x.rows() >= window, "conv_max_pool: {} rows for window {window}; pad first", x.rows());
+    assert_eq!(
+        w.rows(),
+        window * x.cols(),
+        "conv_max_pool: weight has {} rows, expected {}",
+        w.rows(),
+        window * x.cols()
+    );
+    assert_eq!(bias.shape(), (1, w.cols()), "conv_max_pool: bias must be 1 x {}", w.cols());
+    (x.rows() - window + 1, w.cols())
+}
+
+/// The max-pooled convolution into caller buffers: `act` (zeroed,
+/// `positions x filters`) takes the window products, `pooled` and `argmax`
+/// (`filters` each) the column maxima and their first positions.
+fn conv_max_pool_into(
+    x: &Matrix,
+    w: &Matrix,
+    bias: &Matrix,
+    window: usize,
+    act: &mut [f32],
+    pooled: &mut [f32],
+    argmax: &mut [usize],
+) {
+    let (positions, filters) = conv_shape(x, w, bias, window);
+    block(rows(x.as_slice(), 0, x.cols()), w.as_slice(), filters, act, filters, (positions, w.rows(), filters));
+    pooled.fill(f32::NEG_INFINITY);
+    argmax.fill(0);
+    for (p, row) in act.chunks_exact(filters).enumerate() {
+        for (c, (&v, &b)) in row.iter().zip(bias.row(0)).enumerate() {
+            let v = (v + b).max(0.0);
+            if v > pooled[c] {
+                pooled[c] = v;
+                argmax[c] = p;
+            }
+        }
+    }
 }
 
 /// Max-pooled text convolution `max_over_rows(relu(im2col(x, window) * w +
@@ -60,25 +111,131 @@ fn rows_times(a: &[f32], off: usize, row_step: usize, rows: usize, b: &Matrix, o
 /// # Panics
 /// Panics if `x` has fewer rows than `window` or on a shape mismatch.
 pub fn conv_max_pool_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (Matrix, Vec<usize>) {
-    let d = x.cols();
-    assert!(window >= 1 && x.rows() >= window, "conv_max_pool: {} rows for window {window}; pad first", x.rows());
-    assert_eq!(w.rows(), window * d, "conv_max_pool: weight has {} rows, expected {}", w.rows(), window * d);
-    assert_eq!(bias.shape(), (1, w.cols()), "conv_max_pool: bias must be 1 x {}", w.cols());
-    let (positions, filters) = (x.rows() - window + 1, w.cols());
+    let (positions, filters) = conv_shape(x, w, bias, window);
     let mut act = vec![0.0f32; positions * filters];
-    rows_times(x.as_slice(), 0, d, positions, w, &mut act);
-    let mut pooled = Matrix::full(1, filters, f32::NEG_INFINITY);
-    let mut argmax = vec![0usize; filters];
-    for (p, row) in act.chunks_exact(filters).enumerate() {
-        for (c, (&v, &b)) in row.iter().zip(bias.row(0)).enumerate() {
-            let v = (v + b).max(0.0);
-            if v > pooled[(0, c)] {
-                pooled[(0, c)] = v;
-                argmax[c] = p;
-            }
+    let (mut pooled, mut argmax) = (Matrix::zeros(1, filters), vec![0usize; filters]);
+    conv_max_pool_into(x, w, bias, window, &mut act, pooled.as_mut_slice(), &mut argmax);
+    (pooled, argmax)
+}
+
+/// Checks a same-length convolution's shapes; returns `(T, d, filters)`.
+fn same_conv_shape(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (usize, usize, usize) {
+    assert!(window % 2 == 1, "same_conv: window {window} must be odd");
+    assert!(x.rows() > 0, "same_conv: empty sequence");
+    assert_eq!(w.rows(), window * x.cols(), "same_conv: weight has {} rows, expected {}", w.rows(), window * x.cols());
+    assert_eq!(bias.shape(), (1, w.cols()), "same_conv: bias must be 1 x {}", w.cols());
+    (x.rows(), x.cols(), w.cols())
+}
+
+/// `out` (zeroed, `T x filters`) `= relu(windows · w + bias)`, where the
+/// window of position `p` covers rows `p - window/2 ..= p + window/2` of a
+/// zero-padded `x`.  Windows are read in place from `x`: the full ones as
+/// one product with `row_step = d`, each border one clipped to its rows
+/// inside `x` — the padding rows' terms are zero `a` entries the kernel
+/// skips anyway, so the sums are those of the padded product.
+fn same_conv_into(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize, out: &mut [f32]) {
+    let (t, d, filters) = same_conv_shape(x, w, bias, window);
+    let half = window / 2;
+    let full = half..t.saturating_sub(half);
+    if !full.is_empty() {
+        let lhs = rows(x.as_slice(), (full.start - half) * d, d);
+        block(lhs, w.as_slice(), filters, &mut out[full.start * filters..], filters, (full.len(), window * d, filters));
+    }
+    for p in (0..t).filter(|p| !full.contains(p)) {
+        let (lo, hi) = (p.saturating_sub(half), (p + half + 1).min(t));
+        let skip = (lo + half - p) * d;
+        let lhs = rows(x.as_slice(), lo * d, d);
+        block(
+            lhs,
+            &w.as_slice()[skip * filters..],
+            filters,
+            &mut out[p * filters..],
+            filters,
+            (1, (hi - lo) * d, filters),
+        );
+    }
+    for row in out.chunks_exact_mut(filters) {
+        for (o, b) in row.iter_mut().zip(bias.row(0)) {
+            *o = (*o + b).max(0.0);
         }
     }
-    (pooled, argmax)
+}
+
+/// Same-length text convolution `relu(im2col(zero_pad(x), window) * w +
+/// bias)` (`T x d -> T x filters`, `window/2` zero rows padded at each
+/// end), with the windows read in place from `x`.
+///
+/// # Panics
+/// Panics on an even window, an empty sequence or a shape mismatch.
+pub fn same_conv_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> Matrix {
+    let (t, _, filters) = same_conv_shape(x, w, bias, window);
+    let mut out = Matrix::zeros(t, filters);
+    same_conv_into(x, w, bias, window, out.as_mut_slice());
+    out
+}
+
+/// Checks a GRU's shapes; returns `(T, in, hidden)`.
+fn gru_shape(x: &Matrix, params: [&Matrix; 9]) -> (usize, usize, usize) {
+    let (steps, in_dim) = x.shape();
+    assert!(steps > 0, "gru_sequence: empty sequence");
+    let hid = params[UZ].rows();
+    for (i, shape) in [(in_dim, hid), (hid, hid), (1, hid)].into_iter().cycle().take(9).enumerate() {
+        assert_eq!(params[i].shape(), shape, "gru_sequence: parameter {i} has the wrong shape");
+    }
+    (steps, in_dim, hid)
+}
+
+/// The GRU unroll into caller buffers, all zeroed: `out` and the gates
+/// `T x hidden`, `proj` (`T x 3·hidden`) and `step` (`1 x 5·hidden`)
+/// scratch.
+fn gru_sequence_into(
+    x: &Matrix,
+    params: [&Matrix; 9],
+    out: &mut Matrix,
+    gates: &mut GruGates,
+    proj: &mut [f32],
+    step: &mut [f32],
+) {
+    let (steps, in_dim, hid) = gru_shape(x, params);
+    // row t: [x_t Wz | x_t Wr | x_t Wh]
+    for (g, p) in [WZ, WR, WH].into_iter().enumerate() {
+        let lhs = rows(x.as_slice(), 0, in_dim);
+        block(lhs, params[p].as_slice(), hid, &mut proj[g * hid..], 3 * hid, (steps, in_dim, hid));
+    }
+    let (bz, br, bh) = (params[BZ].row(0), params[BR].row(0), params[BH].row(0));
+    let (h_zr, rest) = step.split_at_mut(2 * hid);
+    let (rh, rest) = rest.split_at_mut(hid);
+    let (rh_u, zero) = rest.split_at_mut(hid);
+    for t in 0..steps {
+        let xw = &proj[t * 3 * hid..(t + 1) * 3 * hid];
+        // [h Uz | h Ur]; the zero initial state contributes +0
+        h_zr.fill(0.0);
+        if t > 0 {
+            for (g, p) in [UZ, UR].into_iter().enumerate() {
+                let lhs = rows(out.as_slice(), (t - 1) * hid, hid);
+                block(lhs, params[p].as_slice(), hid, &mut h_zr[g * hid..], hid, (1, hid, hid));
+            }
+        }
+        let (done, rest) = out.as_mut_slice().split_at_mut(t * hid);
+        let h = if t > 0 { &done[(t - 1) * hid..] } else { &zero[..] };
+        let (z, r) = (gates.z.row_mut(t), gates.r.row_mut(t));
+        for j in 0..hid {
+            let sz = (xw[j] + h_zr[j]) + bz[j];
+            z[j] = 1.0 / (1.0 + (-sz).exp());
+            let sr = (xw[hid + j] + h_zr[hid + j]) + br[j];
+            r[j] = 1.0 / (1.0 + (-sr).exp());
+            rh[j] = r[j] * h[j];
+        }
+        rh_u.fill(0.0);
+        block(rows(rh, 0, hid), params[UH].as_slice(), hid, rh_u, hid, (1, hid, hid));
+        let (z, cand) = (gates.z.row(t), gates.cand.row_mut(t));
+        for j in 0..hid {
+            cand[j] = ((xw[2 * hid + j] + rh_u[j]) + bh[j]).tanh();
+            let keep = (1.0 - z[j]) * h[j];
+            let update = z[j] * cand[j];
+            rest[j] = keep + update;
+        }
+    }
 }
 
 /// Unrolls a GRU over the `T x in` sequence `x` from a zero hidden state:
@@ -92,90 +249,65 @@ pub fn conv_max_pool_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usiz
 ///
 /// `params` is `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.  Returns the stacked
 /// hidden states (`T x hidden`) and the gates the backward pass needs.
-/// The input projections of all three gates run as one product against
-/// `[Wz | Wr | Wh]` up front and the recurrent ones of `z` and `r` as one
-/// against `[Uz | Ur]` per step; every element is summed exactly as the
-/// per-step fused `dual_affine` computes it, `(x w + h u) + b`.
+/// The input projections of all three gates run up front into one
+/// `T x 3·hidden` buffer (each gate's weights written at its column offset)
+/// and the recurrent ones of `z` and `r` into one `[h Uz | h Ur]` row per
+/// step; every element is summed exactly as the per-step fused
+/// `dual_affine` computes it, `(x w + h u) + b`.
 ///
 /// # Panics
 /// Panics on an empty sequence or a shape mismatch.
 pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGates) {
-    let (steps, in_dim) = x.shape();
-    assert!(steps > 0, "gru_sequence: empty sequence");
-    let hid = params[UZ].rows();
-    for (i, shape) in [(in_dim, hid), (hid, hid), (1, hid)].into_iter().cycle().take(9).enumerate() {
-        assert_eq!(params[i].shape(), shape, "gru_sequence: parameter {i} has the wrong shape");
-    }
-    // row t: [x_t Wz | x_t Wr | x_t Wh]
-    let mut proj = vec![0.0f32; steps * 3 * hid];
-    let w_all = Matrix::hstack(&[params[WZ], params[WR], params[WH]]);
-    rows_times(x.as_slice(), 0, in_dim, steps, &w_all, &mut proj);
-    let (u_zr, u_h) = (Matrix::hstack(&[params[UZ], params[UR]]), params[UH]);
-    let (bz, br, bh) = (params[BZ].row(0), params[BR].row(0), params[BH].row(0));
+    let (steps, _, hid) = gru_shape(x, params);
     let mut out = Matrix::zeros(steps, hid);
     let mut gates =
         GruGates { z: Matrix::zeros(steps, hid), r: Matrix::zeros(steps, hid), cand: Matrix::zeros(steps, hid) };
-    let (mut h_zr, mut rh, mut rh_u) = (vec![0.0f32; 2 * hid], vec![0.0f32; hid], vec![0.0f32; hid]);
-    let zero = vec![0.0f32; hid];
-    for t in 0..steps {
-        let xw = &proj[t * 3 * hid..(t + 1) * 3 * hid];
-        // [h Uz | h Ur]; the zero initial state contributes +0
-        h_zr.fill(0.0);
-        if t > 0 {
-            rows_times(out.as_slice(), (t - 1) * hid, hid, 1, &u_zr, &mut h_zr);
-        }
-        let (done, rest) = out.as_mut_slice().split_at_mut(t * hid);
-        let h = if t > 0 { &done[(t - 1) * hid..] } else { &zero[..] };
-        let (z, r) = (gates.z.row_mut(t), gates.r.row_mut(t));
-        for j in 0..hid {
-            let sz = (xw[j] + h_zr[j]) + bz[j];
-            z[j] = 1.0 / (1.0 + (-sz).exp());
-            let sr = (xw[hid + j] + h_zr[hid + j]) + br[j];
-            r[j] = 1.0 / (1.0 + (-sr).exp());
-            rh[j] = r[j] * h[j];
-        }
-        rh_u.fill(0.0);
-        rows_times(&rh, 0, hid, 1, u_h, &mut rh_u);
-        let (z, cand) = (gates.z.row(t), gates.cand.row_mut(t));
-        for j in 0..hid {
-            cand[j] = ((xw[2 * hid + j] + rh_u[j]) + bh[j]).tanh();
-            let keep = (1.0 - z[j]) * h[j];
-            let update = z[j] * cand[j];
-            rest[j] = keep + update;
-        }
-    }
+    let (mut proj, mut step) = (vec![0.0f32; steps * 3 * hid], vec![0.0f32; 5 * hid]);
+    gru_sequence_into(x, params, &mut out, &mut gates, &mut proj, &mut step);
     (out, gates)
 }
 
-/// `[g_0 | g_1 | ...] += lhs · rhs` for the gradient buffers `g_i` of
-/// `params` (a product per buffer, run as one).
-fn accumulate_stacked(tape: &mut Tape, params: &[Var], lhs: &Matrix, rhs: &Matrix) {
-    let grads: Vec<&Matrix> = params.iter().map(|v| &tape.nodes[v.0].grad).collect();
-    let mut acc = Matrix::hstack(&grads);
-    rows_times(lhs.as_slice(), 0, lhs.cols(), lhs.rows(), rhs, acc.as_mut_slice());
-    let mut c0 = 0;
-    for v in params {
-        let grad = &mut tape.nodes[v.0].grad;
-        let width = grad.cols();
-        for r in 0..grad.rows() {
-            grad.row_mut(r).copy_from_slice(&acc.row(r)[c0..c0 + width]);
-        }
-        c0 += width;
-    }
-}
-
 impl Tape {
-    /// Fused max-pooled text convolution: `conv_window(x, w, bias, window)`
-    /// followed by `max_over_rows` as one node (`T x d -> 1 x filters`).
-    /// Only the pooled row and the argmax positions are kept; the backward
-    /// rule visits the argmax window of each filter whose pooled value is
-    /// positive instead of the whole `(T - window + 1) x filters` map.
+    /// Fused max-pooled text convolution: `relu(im2col(x, window) * w +
+    /// bias)` followed by `max_over_rows` as one node (`T x d -> 1 x
+    /// filters`).  Only the pooled row and the argmax positions are kept;
+    /// the backward rule visits the argmax window of each filter whose
+    /// pooled value is positive instead of the whole `(T - window + 1) x
+    /// filters` map.
     ///
     /// # Panics
     /// Panics if `x` has fewer rows than `window`.
     pub fn conv_max_pool(&mut self, x: Var, w: Var, bias: Var, window: usize) -> Var {
-        let (value, argmax) = conv_max_pool_forward(self.value(x), self.value(w), self.value(bias), window);
-        self.push(value, Op::ConvMaxPool { x, w, bias, window, argmax })
+        let (positions, filters) = conv_shape(self.value(x), self.value(w), self.value(bias), window);
+        let mut node = self.next_node();
+        let mut argmax = match std::mem::replace(&mut node.op, Op::Leaf) {
+            Op::ConvMaxPool { argmax, .. } => argmax,
+            _ => Vec::new(),
+        };
+        argmax.resize(filters, 0);
+        let mut s = self.take_scratch(1);
+        self.zeroed(&mut s[0], positions, filters);
+        self.zeroed(&mut node.value, 1, filters);
+        let (xv, wv, bv) = (self.value(x), self.value(w), self.value(bias));
+        conv_max_pool_into(xv, wv, bv, window, s[0].as_mut_slice(), node.value.as_mut_slice(), &mut argmax);
+        self.put_scratch(s);
+        node.op = Op::ConvMaxPool { x, w, bias, window, argmax };
+        self.push_node(node)
+    }
+
+    /// Fused same-length convolution (see [`same_conv_forward`]) as one
+    /// node (`T x d -> T x filters`): no padded copy, no im2col matrix and
+    /// no intermediate nodes.
+    ///
+    /// # Panics
+    /// Panics on an even window, an empty sequence or a shape mismatch.
+    pub fn same_conv(&mut self, x: Var, w: Var, bias: Var, window: usize) -> Var {
+        let (t, _, filters) = same_conv_shape(self.value(x), self.value(w), self.value(bias), window);
+        let mut node = self.next_node();
+        self.zeroed(&mut node.value, t, filters);
+        same_conv_into(self.value(x), self.value(w), self.value(bias), window, node.value.as_mut_slice());
+        node.op = Op::SameConv { x, w, bias, window };
+        self.push_node(node)
     }
 
     /// Fused GRU unroll over the `T x in` sequence `x` from a zero hidden
@@ -194,8 +326,24 @@ impl Tape {
                 "gru_sequence: parameters must be distinct nodes other than x"
             );
         }
-        let (value, gates) = gru_sequence_forward(self.value(x), params.map(|p| self.value(p)));
-        self.push(value, Op::GruSequence { x, params, gates })
+        let (steps, _, hid) = gru_shape(self.value(x), params.map(|p| self.value(p)));
+        let mut node = self.next_node();
+        let mut gates = match std::mem::replace(&mut node.op, Op::Leaf) {
+            Op::GruSequence { gates, .. } => gates,
+            _ => GruGates { z: Matrix::zeros(0, 0), r: Matrix::zeros(0, 0), cand: Matrix::zeros(0, 0) },
+        };
+        for m in [&mut node.value, &mut gates.z, &mut gates.r, &mut gates.cand] {
+            self.zeroed(m, steps, hid);
+        }
+        let mut s = self.take_scratch(2);
+        self.zeroed(&mut s[0], steps, 3 * hid);
+        self.zeroed(&mut s[1], 1, 5 * hid);
+        let [proj, step] = &mut s[..2] else { unreachable!("two scratch matrices") };
+        let (xv, pv) = (self.value(x), params.map(|p| self.value(p)));
+        gru_sequence_into(xv, pv, &mut node.value, &mut gates, proj.as_mut_slice(), step.as_mut_slice());
+        self.put_scratch(s);
+        node.op = Op::GruSequence { x, params, gates };
+        self.push_node(node)
     }
 
     /// Backward rule of [`Tape::conv_max_pool`].  With `g` the upstream
@@ -209,51 +357,101 @@ impl Tape {
             unreachable!("backward_conv_max_pool on another op")
         };
         let g = upstream.row(0);
-        // live filters in ascending (argmax, filter) order
-        let pooled = self.nodes[index].value.row(0);
-        let mut live: Vec<usize> = (0..g.len()).filter(|&c| pooled[c] > 0.0 && g[c] != 0.0).collect();
-        live.sort_by_key(|&c| argmax[c]);
-        let positions: Vec<usize> = live.iter().map(|&c| argmax[c]).collect();
+        let filters = g.len();
+        let pooled = std::mem::replace(&mut self.nodes[index].value, Matrix::zeros(0, 0));
+        let live = |c: usize| pooled[(0, c)] > 0.0 && g[c] != 0.0;
         let d = self.nodes[x.0].value.cols();
         let span = window * d;
 
         // dW and dbias: one window of x per live filter
         let mut dw = std::mem::replace(&mut self.nodes[w.0].grad, Matrix::zeros(0, 0));
         let xs = self.nodes[x.0].value.as_slice();
-        for (&c, &p) in live.iter().zip(&positions) {
+        for c in (0..filters).filter(|&c| live(c)) {
+            let p = argmax[c];
             for (k, &xv) in xs[p * d..p * d + span].iter().enumerate() {
                 dw[(k, c)] += xv * g[c];
             }
         }
         self.nodes[w.0].grad = dw;
         let dbias = self.nodes[bias.0].grad.row_mut(0);
-        for &c in &live {
+        for c in (0..filters).filter(|&c| live(c)) {
             dbias[c] += g[c];
         }
 
-        // dcols for each argmax window, scattered straight into x
-        let mut dcols = vec![0.0f32; span];
-        let mut start = 0;
-        while start < live.len() {
-            let p = positions[start];
-            let end = start + positions[start..].iter().take_while(|&&q| q == p).count();
-            let wv = &self.nodes[w.0].value;
-            for (k, slot) in dcols.iter_mut().enumerate() {
-                let w_row = wv.row(k);
-                let mut acc = 0.0f32;
-                for &c in &live[start..end] {
-                    acc += g[c] * w_row[c];
+        // dcols of each argmax window in ascending position order, its live
+        // filters added one column of W at a time, scattered into x
+        let mut s = self.take_scratch(1);
+        self.zeroed(&mut s[0], 1, span);
+        let dcols = s[0].as_mut_slice();
+        let mut dx = std::mem::replace(&mut self.nodes[x.0].grad, Matrix::zeros(0, 0));
+        let wv = self.nodes[w.0].value.as_slice();
+        let mut done: Option<usize> = None;
+        while let Some(p) =
+            (0..filters).filter(|&c| live(c)).map(|c| argmax[c]).filter(|&q| done.is_none_or(|last| q > last)).min()
+        {
+            dcols.fill(0.0);
+            for c in (0..filters).filter(|&c| live(c) && argmax[c] == p) {
+                for (slot, w_row) in dcols.iter_mut().zip(wv.chunks_exact(filters)) {
+                    *slot += g[c] * w_row[c];
                 }
-                *slot = acc;
             }
-            let dx = &mut self.nodes[x.0].grad;
+            for (dst, s) in dx.as_mut_slice()[p * d..p * d + span].iter_mut().zip(dcols.iter()) {
+                *dst += s;
+            }
+            done = Some(p);
+        }
+        self.nodes[x.0].grad = dx;
+        self.nodes[index].value = pooled;
+        self.put_scratch(s);
+    }
+
+    /// Backward rule of [`Tape::same_conv`], the composed chain's rules in
+    /// its order: with `m` the upstream masked by the ReLU output and
+    /// `cols` the padded windows, `dW = colsᵀ · m` (per window row, the
+    /// positions whose row lies inside `x`, read in place with
+    /// `row_step = 1, k_step = d`), `dbias = Σ_rows m`, `dcols = m · Wᵀ`
+    /// against the cached transpose, and `dcols` scattered into the padded
+    /// rows in ascending `(position, window row)` order, whose rows inside
+    /// `x` are then added to its gradient.
+    pub(crate) fn backward_same_conv(&mut self, index: usize, op: &Op, upstream: &Matrix) {
+        let &Op::SameConv { x, w, bias, window } = op else { unreachable!("backward_same_conv on another op") };
+        let wt = self.transpose_of(w);
+        let (t, d) = self.nodes[x.0].value.shape();
+        let (filters, half, span) = (upstream.cols(), window / 2, window * d);
+        let mut s = self.take_scratch(5);
+        let [masked, dw, dbias, dcols, dx] = &mut s[..5] else { unreachable!("five scratch matrices") };
+        self.zeroed(masked, t, filters);
+        let y = &self.nodes[index].value;
+        for ((m, &g), &v) in masked.as_mut_slice().iter_mut().zip(upstream.as_slice()).zip(y.as_slice()) {
+            *m = if v <= 0.0 { 0.0 } else { g };
+        }
+        self.zeroed(dw, span, filters);
+        let xs = self.nodes[x.0].value.as_slice();
+        for wnd in 0..window {
+            // positions p whose window row wnd is row p + wnd - half of x
+            let (p0, p1) = (half.saturating_sub(wnd), (t + half).saturating_sub(wnd).min(t));
+            if p0 < p1 {
+                let lhs = Lhs { data: xs, off: (p0 + wnd - half) * d, row_step: 1, k_step: d };
+                let (b, out) = (&masked.as_slice()[p0 * filters..], &mut dw.as_mut_slice()[wnd * d * filters..]);
+                block(lhs, b, filters, out, filters, (d, p1 - p0, filters));
+            }
+        }
+        crate::ops::sum_rows_into(masked, dbias);
+        self.zeroed(dcols, t, span);
+        ops::matmul_acc(masked, &self.transposes[wt].value, dcols);
+        self.zeroed(dx, t, d);
+        for p in 0..t {
             for wnd in 0..window {
-                for (dst, s) in dx.row_mut(p + wnd).iter_mut().zip(&dcols[wnd * d..(wnd + 1) * d]) {
+                let Some(r) = (p + wnd).checked_sub(half).filter(|&r| r < t) else { continue };
+                for (dst, s) in dx.row_mut(r).iter_mut().zip(&dcols.row(p)[wnd * d..(wnd + 1) * d]) {
                     *dst += s;
                 }
             }
-            start = end;
         }
+        ops::add_assign(&mut self.nodes[w.0].grad, dw);
+        ops::add_assign(&mut self.nodes[bias.0].grad, dbias);
+        ops::add_assign(&mut self.nodes[x.0].grad, dx);
+        self.put_scratch(s);
     }
 
     /// Backward rule of [`Tape::gru_sequence`]: backpropagation through
@@ -273,47 +471,62 @@ impl Tape {
     /// every `dx` / `dh` element is an ascending-index dot product.  Those
     /// per-step terms are batched into a few matrix products after the
     /// recurrence, with the time axis reversed so the sums keep the
-    /// descending-`t` order.
+    /// descending-`t` order; the `Uᵀ` / `Wᵀ` panels are the tape's cached
+    /// transposes.
     pub(crate) fn backward_gru_sequence(&mut self, index: usize, op: &Op, upstream: &Matrix) {
         let &Op::GruSequence { x, params, ref gates } = op else { unreachable!("backward_gru_sequence on another op") };
-        let hs = &self.nodes[index].value;
-        let (steps, hid) = hs.shape();
-        let p = params.map(|v| &self.nodes[v.0].value);
-        let (uz_t, ur_t, uh_t) = (ops::transpose(p[UZ]), ops::transpose(p[UR]), ops::transpose(p[UH]));
-
-        // pre-activation gradients per step, row k holding step T-1-k
-        let mut dsz = Matrix::zeros(steps, hid);
-        let mut dsr = Matrix::zeros(steps, hid);
-        let mut dsh = Matrix::zeros(steps, hid);
-        let mut gh = upstream.row(steps - 1).to_vec();
-        let mut g_rh = vec![0.0f32; hid];
-        let mut dh_r = vec![0.0f32; hid];
-        let mut dh_z = vec![0.0f32; hid];
-        let mut dz = vec![0.0f32; hid];
-        let zero = vec![0.0f32; hid];
+        let [uz_t, ur_t, uh_t, wz_t, wr_t, wh_t] = [UZ, UR, UH, WZ, WR, WH].map(|p| self.transpose_of(params[p]));
+        let (steps, hid) = self.nodes[index].value.shape();
+        let in_dim = self.nodes[x.0].value.cols();
+        let mut s = self.take_scratch(7);
+        let [ds, vecs, dx, tmp, x_rev, h_rev, rh_rev] = &mut s[..7] else { unreachable!("seven scratch matrices") };
+        // row k: [dsz | dsr | dsh] of step T-1-k
+        self.zeroed(ds, steps, 3 * hid);
+        self.zeroed(vecs, 6, hid);
+        let (gh, rest) = vecs.as_mut_slice().split_at_mut(hid);
+        let (g_rh, rest) = rest.split_at_mut(hid);
+        let (dh_r, rest) = rest.split_at_mut(hid);
+        let (dh_z, rest) = rest.split_at_mut(hid);
+        let (dz, zero) = rest.split_at_mut(hid);
+        let (hs, tr) = (&self.nodes[index].value, &self.transposes);
+        gh.copy_from_slice(upstream.row(steps - 1));
         for t in (0..steps).rev() {
             let k = steps - 1 - t;
             let (z, r, cand) = (gates.z.row(t), gates.r.row(t), gates.cand.row(t));
             let h_prev = if t > 0 { hs.row(t - 1) } else { &zero[..] };
-            let sh_row = dsh.row_mut(k);
+            let sh_row = &mut ds.row_mut(k)[2 * hid..];
             for j in 0..hid {
                 dz[j] = gh[j] * cand[j] - gh[j] * h_prev[j];
                 sh_row[j] = (gh[j] * z[j]) * (1.0 - cand[j] * cand[j]);
             }
             g_rh.fill(0.0);
-            rows_times(dsh.as_slice(), k * hid, hid, 1, &uh_t, &mut g_rh);
-            let sr_row = dsr.row_mut(k);
+            block(
+                rows(ds.as_slice(), k * 3 * hid + 2 * hid, 3 * hid),
+                tr[uh_t].value.as_slice(),
+                hid,
+                g_rh,
+                hid,
+                (1, hid, hid),
+            );
+            let sr_row = &mut ds.row_mut(k)[hid..2 * hid];
             for j in 0..hid {
                 sr_row[j] = (g_rh[j] * h_prev[j]) * (r[j] * (1.0 - r[j]));
             }
             dh_r.fill(0.0);
-            rows_times(dsr.as_slice(), k * hid, hid, 1, &ur_t, &mut dh_r);
-            let sz_row = dsz.row_mut(k);
+            block(
+                rows(ds.as_slice(), k * 3 * hid + hid, 3 * hid),
+                tr[ur_t].value.as_slice(),
+                hid,
+                dh_r,
+                hid,
+                (1, hid, hid),
+            );
+            let sz_row = &mut ds.row_mut(k)[..hid];
             for j in 0..hid {
                 sz_row[j] = dz[j] * (z[j] * (1.0 - z[j]));
             }
             dh_z.fill(0.0);
-            rows_times(dsz.as_slice(), k * hid, hid, 1, &uz_t, &mut dh_z);
+            block(rows(ds.as_slice(), k * 3 * hid, 3 * hid), tr[uz_t].value.as_slice(), hid, dh_z, hid, (1, hid, hid));
             if t > 0 {
                 let g_prev = upstream.row(t - 1);
                 for j in 0..hid {
@@ -323,30 +536,31 @@ impl Tape {
         }
 
         // input gradient, (dx_h + dx_r) + dx_z per step: dsh · Whᵀ etc.
-        let in_dim = self.nodes[x.0].value.cols();
-        let times_transpose = |ds: &Matrix, w: &Matrix| {
-            let mut out = Matrix::zeros(steps, in_dim);
-            rows_times(ds.as_slice(), 0, hid, steps, &ops::transpose(w), out.as_mut_slice());
-            out
-        };
-        let mut dx = times_transpose(&dsh, p[WH]);
-        ops::add_assign(&mut dx, &times_transpose(&dsr, p[WR]));
-        ops::add_assign(&mut dx, &times_transpose(&dsz, p[WZ]));
-        // time-reversed, transposed operands of the weight gradients:
-        // x_t, h_{t-1} and r_t ⊙ h_{t-1} as columns T-1-t
-        let xv = &self.nodes[x.0].value;
-        let mut x_rev_t = Matrix::zeros(in_dim, steps);
-        let mut h_rev_t = Matrix::zeros(hid, steps);
-        let mut rh_rev_t = Matrix::zeros(hid, steps);
+        self.zeroed(dx, steps, in_dim);
+        for (g, w_t) in [(2, wh_t), (1, wr_t), (0, wz_t)] {
+            let out = if g == 2 { &mut *dx } else { &mut *tmp };
+            if g < 2 {
+                self.zeroed(out, steps, in_dim);
+            }
+            let lhs = rows(ds.as_slice(), g * hid, 3 * hid);
+            block(lhs, self.transposes[w_t].value.as_slice(), in_dim, out.as_mut_slice(), in_dim, (steps, hid, in_dim));
+            if g < 2 {
+                ops::add_assign(dx, tmp);
+            }
+        }
+        // time-reversed operands of the weight gradients: x_t, h_{t-1} and
+        // r_t ⊙ h_{t-1} as rows T-1-t, read as columns (`k_step` = width)
+        self.zeroed(x_rev, steps, in_dim);
+        self.zeroed(h_rev, steps, hid);
+        self.zeroed(rh_rev, steps, hid);
+        let (xv, hs) = (&self.nodes[x.0].value, &self.nodes[index].value);
         for t in 0..steps {
             let k = steps - 1 - t;
-            for (i, &v) in xv.row(t).iter().enumerate() {
-                x_rev_t[(i, k)] = v;
-            }
+            x_rev.row_mut(k).copy_from_slice(xv.row(t));
             if t > 0 {
-                for (i, (&h, &r)) in hs.row(t - 1).iter().zip(gates.r.row(t)).enumerate() {
-                    h_rev_t[(i, k)] = h;
-                    rh_rev_t[(i, k)] = r * h;
+                h_rev.row_mut(k).copy_from_slice(hs.row(t - 1));
+                for ((rh, &h), &r) in rh_rev.row_mut(k).iter_mut().zip(hs.row(t - 1)).zip(gates.r.row(t)) {
+                    *rh = r * h;
                 }
             }
         }
@@ -357,17 +571,23 @@ impl Tape {
                 *dst += s;
             }
         }
-        accumulate_stacked(self, &[params[WZ], params[WR], params[WH]], &x_rev_t, &Matrix::hstack(&[&dsz, &dsr, &dsh]));
-        accumulate_stacked(self, &[params[UZ], params[UR]], &h_rev_t, &Matrix::hstack(&[&dsz, &dsr]));
-        accumulate_stacked(self, &[params[UH]], &rh_rev_t, &dsh);
-        for (param, ds) in [(BZ, &dsz), (BR, &dsr), (BH, &dsh)] {
+        // dW / dU += reversed operandᵀ · ds, one gate's block at a time
+        for (p, operand, g) in
+            [(WZ, &*x_rev, 0), (WR, x_rev, 1), (WH, x_rev, 2), (UZ, h_rev, 0), (UR, h_rev, 1), (UH, rh_rev, 2)]
+        {
+            let grad = self.nodes[params[p].0].grad.as_mut_slice();
+            let lhs = Lhs { data: operand.as_slice(), off: 0, row_step: 1, k_step: operand.cols() };
+            block(lhs, &ds.as_slice()[g * hid..], 3 * hid, grad, hid, (operand.cols(), steps, hid));
+        }
+        for (param, g) in [(BZ, 0), (BR, 1), (BH, 2)] {
             let grad = self.nodes[params[param].0].grad.row_mut(0);
             for k in 0..steps {
-                for (dst, s) in grad.iter_mut().zip(ds.row(k)) {
+                for (dst, s) in grad.iter_mut().zip(&ds.row(k)[g * hid..(g + 1) * hid]) {
                     *dst += s;
                 }
             }
         }
+        self.put_scratch(s);
     }
 }
 
@@ -450,7 +670,9 @@ mod tests {
                 pooled.push(if fused {
                     tape.conv_max_pool(xv, wv, bv, *window)
                 } else {
-                    let act = tape.conv_window(xv, wv, bv, *window);
+                    let cols = tape.im2col(xv, *window);
+                    let pre = tape.affine(cols, wv, bv);
+                    let act = tape.relu(pre);
                     tape.max_over_rows(act)
                 });
             }
@@ -530,6 +752,62 @@ mod tests {
         assert_gradients_close(&[x, w, b], 1e-3, 2e-2, move |tape, v| {
             let pooled = tape.conv_max_pool(v[0], v[1], v[2], window);
             let t = tape.tanh(pooled);
+            tape.sum_all(t)
+        });
+    }
+
+    /// Runs the fused and composed (`vstack` zero padding → `im2col` →
+    /// `affine` → `relu`) forms of one same-length convolution under `h` and
+    /// asserts the output and every gradient are bitwise equal.
+    fn check_same_conv(x: &Matrix, (w, b, window): &(Matrix, Matrix, usize), h: Head, seed: u64) {
+        let run = |fused: bool| {
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut tape = Tape::new();
+            let (xv, wv, bv) = (tape.leaf(x.clone()), tape.leaf(w.clone()), tape.leaf(b.clone()));
+            let out = if fused {
+                tape.same_conv(xv, wv, bv, *window)
+            } else {
+                let pad = tape.constant(Matrix::zeros(window / 2, x.cols()));
+                let padded = tape.vstack(&[pad, xv, pad]);
+                let cols = tape.im2col(padded, *window);
+                let pre = tape.affine(cols, wv, bv);
+                tape.relu(pre)
+            };
+            let loss = head(&mut tape, out, h, &mut rng);
+            tape.backward(loss);
+            [out, xv, wv, bv].map(|v| if v == out { tape.value(v).clone() } else { tape.grad(v).clone() })
+        };
+        let (fused, composed) = (run(true), run(false));
+        for ((f, c), name) in fused.iter().zip(&composed).zip(["y", "dx", "dw", "dbias"]) {
+            assert_bitwise(f, c, name);
+        }
+        assert_bitwise(&same_conv_forward(x, w, b, *window), &fused[0], "eval kernel");
+    }
+
+    #[test]
+    fn same_conv_is_bitwise_identical_to_the_composed_chain() {
+        let mut rng = TensorRng::seed_from_u64(14);
+        let d = 4;
+        for h in [Head::Softmax, Head::Masked, Head::Zero] {
+            for window in [1, 3, 5] {
+                // shorter than, equal to and longer than the window
+                for t in [1, 2, window, 9, 12] {
+                    let conv = bank(&mut rng, d, window, 6);
+                    check_same_conv(&rng.normal_matrix(t, d, 1.0), &conv, h, t as u64);
+                    check_same_conv(&dropped(&mut rng, t, d), &conv, h, 100 + t as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_conv_passes_gradcheck() {
+        let mut rng = TensorRng::seed_from_u64(15);
+        let x = rng.normal_matrix(4, 3, 1.0);
+        let (w, b, window) = bank(&mut rng, 3, 3, 4);
+        assert_gradients_close(&[x, w, b], 1e-3, 2e-2, move |tape, v| {
+            let y = tape.same_conv(v[0], v[1], v[2], window);
+            let t = tape.tanh(y);
             tape.sum_all(t)
         });
     }

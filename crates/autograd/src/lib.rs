@@ -16,16 +16,19 @@
 //! * `Tape::backward(loss)` walks the nodes in reverse creation order and
 //!   accumulates gradients — creation order is already a topological order
 //!   because operands must exist before the ops that consume them.
-//! * Two whole-layer ops ([`Tape::conv_max_pool`], [`Tape::gru_sequence`]
-//!   in [`fused`]) record a max-pooled text convolution and a full GRU
-//!   unroll as one node each, with backward rules bitwise equal to the
-//!   composed node chains they replace.
+//! * Three whole-layer ops ([`Tape::conv_max_pool`], [`Tape::same_conv`],
+//!   [`Tape::gru_sequence`] in [`fused`]) record a max-pooled text
+//!   convolution, a same-length convolution and a full GRU unroll as one
+//!   node each, with backward rules bitwise equal to the composed node
+//!   chains they replace.
 //! * Parameters live *outside* the tape (plain `Matrix` values owned by the
-//!   `lncl-nn` layer structs); every forward pass copies them onto a fresh
-//!   tape with [`Tape::leaf`], and the optimiser reads the gradients back
-//!   with [`Tape::grad`].  At the scale of the paper's (simulated)
-//!   experiments the copies are negligible and the design keeps borrow-
-//!   checking trivial.
+//!   `lncl-nn` layer structs) and are copied onto it as leaves
+//!   ([`Tape::leaf_from`]); the optimiser reads the gradients back with
+//!   [`Tape::grad`], which keeps borrow-checking trivial.  A tape can be
+//!   reused: [`Tape::rewind`] keeps a prefix of nodes (the parameter
+//!   leaves, copied once per mini-batch) and recycles the buffers of the
+//!   rest, so the M-step's per-instance passes allocate nothing and copy no
+//!   parameter.  A fresh tape per pass computes the same bits.
 //!
 //! ```
 //! use lncl_autograd::Tape;
@@ -64,6 +67,23 @@ pub(crate) struct Node {
     pub value: Matrix,
     pub grad: Matrix,
     pub op: Op,
+    /// The tape's generation when the node was pushed: a node index plus
+    /// this stamp names one value for the life of the tape.
+    pub born: u64,
+}
+
+impl Node {
+    fn empty() -> Self {
+        Self { value: Matrix::zeros(0, 0), grad: Matrix::zeros(0, 0), op: Op::Leaf, born: 0 }
+    }
+}
+
+/// The transpose of a node's value, valid while the node keeps its `born`
+/// stamp (see [`Tape::rewind`]).
+pub(crate) struct Transposed {
+    src: usize,
+    born: u64,
+    pub value: Matrix,
 }
 
 /// A reverse-mode autodiff tape.
@@ -71,20 +91,36 @@ pub(crate) struct Node {
 /// All operator methods (`matmul`, `add`, `relu`, …) are defined in the
 /// `ops` module and compute the forward value eagerly while recording enough
 /// information to run the backward pass later.
+///
+/// A tape can be reused: [`Tape::rewind`] drops the nodes past a prefix but
+/// keeps their buffers, and the next nodes pushed at those positions (and
+/// the temporaries of the fused rules) write into them.  A training loop
+/// that rewinds to its parameter leaves before every instance allocates
+/// nothing once the buffers have grown to the longest input.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
+    /// Nodes dropped by the last rewinds, the one for the next index last.
+    spare: Vec<Node>,
+    /// Bumped by every rewind.
+    generation: u64,
+    /// Rows a buffer is given room for when it has to grow.
+    rows_hint: usize,
+    /// Transposes of node values, kept while the node is unchanged.
+    pub(crate) transposes: Vec<Transposed>,
+    /// Temporaries of the fused forward and backward rules.
+    scratch: Vec<Matrix>,
 }
 
 impl Tape {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Creates an empty tape with room for `capacity` nodes.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { nodes: Vec::with_capacity(capacity) }
+        Self { nodes: Vec::with_capacity(capacity), ..Self::default() }
     }
 
     /// Number of nodes recorded so far.
@@ -97,9 +133,109 @@ impl Tape {
         self.nodes.is_empty()
     }
 
+    /// Gives every buffer that has to grow from now on room for `rows` rows,
+    /// so inputs up to that length reuse it after a [`Tape::rewind`].
+    pub fn reserve_rows(&mut self, rows: usize) {
+        self.rows_hint = rows;
+    }
+
+    /// Keeps the first `len` nodes and clears every gradient.  The dropped
+    /// nodes' buffers are reused by the nodes pushed next at the same
+    /// positions; the kept nodes (and cached forms derived from them) stay
+    /// valid, so parameters placed on the tape once serve many passes.
+    pub fn rewind(&mut self, len: usize) {
+        while self.nodes.len() > len {
+            let node = self.nodes.pop().expect("len checked");
+            self.spare.push(node);
+        }
+        for node in &mut self.nodes {
+            node.grad.reset(0, 0);
+        }
+        self.generation += 1;
+    }
+
+    /// The node for the next index: the one a rewind left at this position
+    /// (its buffers and op payload to be reused) or a new one.
+    pub(crate) fn next_node(&mut self) -> Node {
+        let mut node = self.spare.pop().unwrap_or_else(Node::empty);
+        // gradients stay unmaterialised until `backward`
+        node.grad.reset(0, 0);
+        node.born = self.generation;
+        node
+    }
+
+    pub(crate) fn push_node(&mut self, node: Node) -> Var {
+        self.nodes.push(node);
+        Var(self.nodes.len() - 1)
+    }
+
+    /// Reshapes `m` to `rows x cols` zeros; a buffer that has to grow gets
+    /// room for [`Tape::reserve_rows`] rows.
+    pub(crate) fn zeroed(&self, m: &mut Matrix, rows: usize, cols: usize) {
+        m.reserve(self.rows_hint.max(rows) * cols);
+        m.reset(rows, cols);
+    }
+
+    /// `n` scratch matrices, taken out of the tape; hand them back with
+    /// [`Tape::put_scratch`].
+    pub(crate) fn take_scratch(&mut self, n: usize) -> Vec<Matrix> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        if scratch.len() < n {
+            scratch.resize_with(n, || Matrix::zeros(0, 0));
+        }
+        scratch
+    }
+
+    pub(crate) fn put_scratch(&mut self, scratch: Vec<Matrix>) {
+        self.scratch = scratch;
+    }
+
+    /// Index into `self.transposes` of the transpose of `v`'s value,
+    /// computed only when `v` changed since it was last cached.
+    pub(crate) fn transpose_of(&mut self, v: Var) -> usize {
+        let born = self.nodes[v.0].born;
+        let slot = match self.transposes.iter().position(|t| t.src == v.0) {
+            Some(i) if self.transposes[i].born == born => return i,
+            Some(i) => i,
+            None => {
+                self.transposes.push(Transposed { src: v.0, born, value: Matrix::zeros(0, 0) });
+                self.transposes.len() - 1
+            }
+        };
+        self.transposes[slot].born = born;
+        lncl_tensor::ops::transpose_into(&self.nodes[v.0].value, &mut self.transposes[slot].value);
+        slot
+    }
+
     /// Registers a leaf node (an input or a parameter copy).
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Leaf)
+    }
+
+    /// Registers a leaf holding a copy of `value`, written into a reused
+    /// buffer.
+    pub fn leaf_from(&mut self, value: &Matrix) -> Var {
+        let mut node = self.next_node();
+        node.value.reserve(value.len());
+        node.value.assign(value);
+        node.op = Op::Leaf;
+        self.push_node(node)
+    }
+
+    /// Registers a leaf holding the listed rows of `table` (an embedding
+    /// lookup; repeats allowed), written into a reused buffer.
+    ///
+    /// # Panics
+    /// Panics if an index is out of bounds.
+    pub fn leaf_gathered(&mut self, table: &Matrix, rows: &[usize]) -> Var {
+        let mut node = self.next_node();
+        self.zeroed(&mut node.value, rows.len(), table.cols());
+        for (r, &idx) in rows.iter().enumerate() {
+            assert!(idx < table.rows(), "leaf_gathered: index {idx} out of bounds ({} rows)", table.rows());
+            node.value.row_mut(r).copy_from_slice(table.row(idx));
+        }
+        node.op = Op::Leaf;
+        self.push_node(node)
     }
 
     /// Alias of [`Tape::leaf`] that documents intent for non-trainable data.
@@ -110,8 +246,10 @@ impl Tape {
     pub(crate) fn push(&mut self, value: Matrix, op: Op) -> Var {
         // Gradient buffers are materialised lazily by `backward`; a
         // forward-only pass (e.g. `predict_proba`) never allocates them.
-        self.nodes.push(Node { value, grad: Matrix::zeros(0, 0), op });
-        Var(self.nodes.len() - 1)
+        let mut node = self.next_node();
+        node.value = value;
+        node.op = op;
+        self.push_node(node)
     }
 
     /// Immutable access to a node's value.
@@ -120,8 +258,8 @@ impl Tape {
     }
 
     /// Immutable access to a node's accumulated gradient.  Gradient buffers
-    /// are allocated lazily: before the first [`Tape::backward`] call this
-    /// returns an empty (0x0) matrix.
+    /// are allocated lazily: before the first [`Tape::backward`] call (and
+    /// after a [`Tape::rewind`]) this returns an empty (0x0) matrix.
     pub fn grad(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].grad
     }
@@ -151,12 +289,15 @@ impl Tape {
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be a 1x1 scalar node, got {:?}", self.shape(loss));
         // materialise any gradient buffers the (lazy) forward pass skipped
+        let rows_hint = self.rows_hint;
         for node in &mut self.nodes {
             if node.grad.shape() != node.value.shape() {
-                node.grad = Matrix::zeros(node.value.rows(), node.value.cols());
+                let (rows, cols) = node.value.shape();
+                node.grad.reserve(rows_hint.max(rows) * cols);
+                node.grad.reset(rows, cols);
             }
         }
-        self.nodes[loss.0].grad = Matrix::full(1, 1, 1.0);
+        self.nodes[loss.0].grad.fill(1.0);
         for i in (0..=loss.0).rev() {
             self.backward_node(i);
         }

@@ -57,11 +57,10 @@ pub enum Op {
     /// Fused dual affine map `x * w + h * u + bias` (a GRU gate
     /// pre-activation).
     DualAffine { x: Var, w: Var, h: Var, u: Var, bias: Var },
-    /// Fused text-convolution window: `relu(im2col(x, window) * w + bias)`
-    /// as one node.  Stores the im2col matrix (needed for the weight
-    /// gradient); the intermediate never gets a node or a gradient buffer,
-    /// and its backward scatters straight into `x`.
-    ConvWindow { x: Var, w: Var, bias: Var, window: usize, cols: Matrix },
+    /// Fused same-length convolution
+    /// `relu(im2col(zero_pad(x), window) * w + bias)` as one node
+    /// ([`Tape::same_conv`]); windows are read in place from `x`.
+    SameConv { x: Var, w: Var, bias: Var, window: usize },
     /// Fused max-pooled text convolution
     /// `max_over_rows(relu(im2col(x, window) * w + bias))` as one node
     /// ([`Tape::conv_max_pool`]).  Stores the argmax window of each filter;
@@ -107,8 +106,14 @@ impl Tape {
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let value = ops::scale(self.value(a), s);
-        self.push(value, Op::Scale(a, s))
+        let mut node = self.next_node();
+        let input = &self.nodes[a.0].value;
+        self.zeroed(&mut node.value, input.rows(), input.cols());
+        for (o, &v) in node.value.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = v * s;
+        }
+        node.op = Op::Scale(a, s);
+        self.push_node(node)
     }
 
     /// `1 - a` element-wise.
@@ -156,9 +161,27 @@ impl Tape {
     /// Horizontal concatenation of equally-tall matrices.
     pub fn hstack(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "hstack: no operands");
-        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-        let value = Matrix::hstack(&values);
-        self.push(value, Op::HStack(parts.to_vec()))
+        let mut node = self.next_node();
+        let rows = self.shape(parts[0]).0;
+        let cols = parts.iter().map(|&p| self.shape(p).1).sum();
+        self.zeroed(&mut node.value, rows, cols);
+        let mut offset = 0;
+        for &p in parts {
+            let part = &self.nodes[p.0].value;
+            assert_eq!(part.rows(), rows, "hstack: inconsistent row counts");
+            for r in 0..rows {
+                node.value.row_mut(r)[offset..offset + part.cols()].copy_from_slice(part.row(r));
+            }
+            offset += part.cols();
+        }
+        let mut vars = match std::mem::replace(&mut node.op, Op::Leaf) {
+            Op::HStack(vars) => vars,
+            _ => Vec::new(),
+        };
+        vars.clear();
+        vars.extend_from_slice(parts);
+        node.op = Op::HStack(vars);
+        self.push_node(node)
     }
 
     /// Vertical concatenation of equally-wide matrices.
@@ -193,24 +216,33 @@ impl Tape {
     }
 
     /// Inverted dropout with the given keep probability.  When `training` is
-    /// false (or `keep >= 1`) this is the identity.  The mask is sampled
-    /// from the supplied uniform numbers in `[0,1)`, one per entry, so the
-    /// caller controls the randomness (and reproducibility).
-    pub fn dropout(&mut self, a: Var, keep: f32, uniforms: &[f32], training: bool) -> Var {
+    /// false (or `keep >= 1`) this is the identity: no node, no mask, no
+    /// copy.  Otherwise the mask draws one uniform number in `[0,1)` per
+    /// entry from `uniform`, in row-major order, so the caller controls the
+    /// randomness (and reproducibility); mask and value are written into
+    /// reused buffers.
+    pub fn dropout(&mut self, a: Var, keep: f32, mut uniform: impl FnMut() -> f32, training: bool) -> Var {
         if !training || keep >= 1.0 {
-            // identity in eval mode: no node, no mask, no copy
             return a;
         }
-        let input = self.value(a);
         assert!(keep > 0.0, "dropout: keep probability must be positive");
-        assert!(uniforms.len() >= input.len(), "dropout: need {} uniform samples, got {}", input.len(), uniforms.len());
         let inv_keep = 1.0 / keep;
-        let mut mask = Matrix::zeros(input.rows(), input.cols());
-        for (i, m) in mask.as_mut_slice().iter_mut().enumerate() {
-            *m = if uniforms[i] < keep { inv_keep } else { 0.0 };
+        let mut node = self.next_node();
+        let mut mask = match std::mem::replace(&mut node.op, Op::Leaf) {
+            Op::Dropout(_, mask) => mask,
+            _ => Matrix::zeros(0, 0),
+        };
+        let input = &self.nodes[a.0].value;
+        self.zeroed(&mut mask, input.rows(), input.cols());
+        self.zeroed(&mut node.value, input.rows(), input.cols());
+        for m in mask.as_mut_slice() {
+            *m = if uniform() < keep { inv_keep } else { 0.0 };
         }
-        let value = ops::mul(input, &mask);
-        self.push(value, Op::Dropout(a, mask))
+        for ((o, &v), &m) in node.value.as_mut_slice().iter_mut().zip(input.as_slice()).zip(mask.as_slice()) {
+            *o = v * m;
+        }
+        node.op = Op::Dropout(a, mask);
+        self.push_node(node)
     }
 
     /// Extracts row `r` of `a` as a `1 x cols` node.
@@ -228,9 +260,18 @@ impl Tape {
     /// fused pass [`ops::softmax_xent_rows`], whose probabilities are kept
     /// for the backward rule.
     pub fn softmax_cross_entropy(&mut self, logits: Var, targets: Matrix) -> Var {
-        let (loss, probs) = ops::softmax_xent_rows(self.value(logits), &targets);
-        let value = Matrix::full(1, 1, loss);
-        self.push(value, Op::SoftmaxCrossEntropy { logits, targets, probs })
+        let mut node = self.next_node();
+        let mut probs = match std::mem::replace(&mut node.op, Op::Leaf) {
+            Op::SoftmaxCrossEntropy { probs, .. } => probs,
+            _ => Matrix::zeros(0, 0),
+        };
+        let input = &self.nodes[logits.0].value;
+        self.zeroed(&mut probs, input.rows(), input.cols());
+        let loss = ops::softmax_xent_rows_into(input, &targets, &mut probs);
+        node.value.reset(1, 1);
+        node.value[(0, 0)] = loss;
+        node.op = Op::SoftmaxCrossEntropy { logits, targets, probs };
+        self.push_node(node)
     }
 
     /// Mean-squared-error against fixed targets, averaged over all entries.
@@ -247,8 +288,11 @@ impl Tape {
     /// node and one output allocation instead of the matmul + broadcast
     /// composition.
     pub fn affine(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        let value = ops::affine(self.value(x), self.value(w), self.value(bias));
-        self.push(value, Op::Affine { x, w, bias })
+        let mut node = self.next_node();
+        self.zeroed(&mut node.value, self.shape(x).0, self.shape(w).1);
+        ops::affine_into(self.value(x), self.value(w), self.value(bias), &mut node.value);
+        node.op = Op::Affine { x, w, bias };
+        self.push_node(node)
     }
 
     /// Fused dual affine map `x * w + h * u + bias` (bias broadcast over
@@ -257,15 +301,6 @@ impl Tape {
     pub fn dual_affine(&mut self, x: Var, w: Var, h: Var, u: Var, bias: Var) -> Var {
         let value = ops::dual_affine(self.value(x), self.value(w), self.value(h), self.value(u), self.value(bias));
         self.push(value, Op::DualAffine { x, w, h, u, bias })
-    }
-
-    /// Fused text-convolution window `relu(im2col(x, window) * w + bias)`:
-    /// the whole conv block is one node, so the sliding-window matrix never
-    /// gets a gradient buffer and its backward scatters directly into `x`.
-    pub fn conv_window(&mut self, x: Var, w: Var, bias: Var, window: usize) -> Var {
-        let cols = ops::im2col(self.value(x), window);
-        let value = ops::affine_relu(&cols, self.value(w), self.value(bias));
-        self.push(value, Op::ConvWindow { x, w, bias, window, cols })
     }
 
     // ---------------------------------------------------------------------
@@ -348,12 +383,13 @@ impl Tape {
             Op::HStack(parts) => {
                 let mut offset = 0;
                 for &p in parts {
-                    let cols = self.nodes[p.0].value.cols();
-                    let mut dp = Matrix::zeros(upstream.rows(), cols);
+                    let grad = &mut self.nodes[p.0].grad;
+                    let cols = grad.cols();
                     for r in 0..upstream.rows() {
-                        dp.row_mut(r).copy_from_slice(&upstream.row(r)[offset..offset + cols]);
+                        for (dst, s) in grad.row_mut(r).iter_mut().zip(&upstream.row(r)[offset..offset + cols]) {
+                            *dst += s;
+                        }
                     }
-                    ops::add_assign(&mut self.nodes[p.0].grad, &dp);
                     offset += cols;
                 }
             }
@@ -388,8 +424,10 @@ impl Tape {
                 }
             }
             Op::Dropout(a, mask) => {
-                let da = ops::mul(&upstream, mask);
-                ops::add_assign(&mut self.nodes[a.0].grad, &da);
+                let grad = self.nodes[a.0].grad.as_mut_slice();
+                for ((dst, &g), &m) in grad.iter_mut().zip(upstream.as_slice()).zip(mask.as_slice()) {
+                    *dst += g * m;
+                }
             }
             Op::RowSlice(a, r) => {
                 let grad = &mut self.nodes[a.0].grad;
@@ -398,12 +436,21 @@ impl Tape {
                 }
             }
             Op::Affine { x, w, bias } => {
-                let dx = ops::matmul_transpose_b(&upstream, &self.nodes[w.0].value);
-                let dw = ops::matmul_transpose_a(&self.nodes[x.0].value, &upstream);
-                let dbias = ops::sum_rows(&upstream);
-                ops::add_assign(&mut self.nodes[x.0].grad, &dx);
-                ops::add_assign(&mut self.nodes[w.0].grad, &dw);
-                ops::add_assign(&mut self.nodes[bias.0].grad, &dbias);
+                // dx = g · wᵀ against the cached transpose, dw = xᵀ · g and
+                // dbias = Σ_rows g, each summed from zero before it is added
+                let wt = self.transpose_of(*w);
+                let mut s = self.take_scratch(3);
+                let [dx, dw, dbias] = &mut s[..3] else { unreachable!("three scratch matrices") };
+                self.zeroed(dx, upstream.rows(), self.transposes[wt].value.cols());
+                ops::matmul_acc(&upstream, &self.transposes[wt].value, dx);
+                let xv = &self.nodes[x.0].value;
+                self.zeroed(dw, xv.cols(), upstream.cols());
+                ops::matmul_transpose_a_acc(xv, &upstream, dw);
+                sum_rows_into(&upstream, dbias);
+                ops::add_assign(&mut self.nodes[x.0].grad, dx);
+                ops::add_assign(&mut self.nodes[w.0].grad, dw);
+                ops::add_assign(&mut self.nodes[bias.0].grad, dbias);
+                self.put_scratch(s);
             }
             Op::DualAffine { x, w, h, u, bias } => {
                 let dx = ops::matmul_transpose_b(&upstream, &self.nodes[w.0].value);
@@ -417,45 +464,31 @@ impl Tape {
                 ops::add_assign(&mut self.nodes[u.0].grad, &du);
                 ops::add_assign(&mut self.nodes[bias.0].grad, &dbias);
             }
-            Op::ConvWindow { x, w, bias, window, cols } => {
-                // mask the upstream by the ReLU output, then the affine
-                // rules against the stored im2col matrix
-                let y = &self.nodes[index].value;
-                let mut masked = upstream.clone();
-                for (g, &v) in masked.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    if v <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-                let dw = ops::matmul_transpose_a(cols, &masked);
-                let dbias = ops::sum_rows(&masked);
-                ops::add_assign(&mut self.nodes[w.0].grad, &dw);
-                ops::add_assign(&mut self.nodes[bias.0].grad, &dbias);
-                // dcols scattered straight into x (the im2col adjoint)
-                let dcols = ops::matmul_transpose_b(&masked, &self.nodes[w.0].value);
-                let d = self.nodes[x.0].value.cols();
-                let grad = &mut self.nodes[x.0].grad;
-                for p in 0..dcols.rows() {
-                    for wnd in 0..*window {
-                        let src = &dcols.row(p)[wnd * d..(wnd + 1) * d];
-                        for (dst, s) in grad.row_mut(p + wnd).iter_mut().zip(src) {
-                            *dst += s;
-                        }
-                    }
-                }
-            }
             Op::ConvMaxPool { .. } => self.backward_conv_max_pool(index, &op, &upstream),
+            Op::SameConv { .. } => self.backward_same_conv(index, &op, &upstream),
             Op::GruSequence { .. } => self.backward_gru_sequence(index, &op, &upstream),
             Op::SoftmaxCrossEntropy { logits, targets, probs } => {
                 let g = upstream[(0, 0)];
                 let rows = probs.rows().max(1) as f32;
-                let mut dl = ops::sub(probs, targets);
-                dl.map_inplace(|v| v * g / rows);
-                ops::add_assign(&mut self.nodes[logits.0].grad, &dl);
+                let grad = self.nodes[logits.0].grad.as_mut_slice();
+                for ((dst, &p), &t) in grad.iter_mut().zip(probs.as_slice()).zip(targets.as_slice()) {
+                    *dst += (p - t) * g / rows;
+                }
             }
         }
         self.nodes[index].op = op;
         self.nodes[index].grad = upstream;
+    }
+}
+
+/// `out = Σ_rows a` as a `1 x cols` row, summed in ascending row order
+/// from zero (as [`ops::sum_rows`]), reusing `out`'s buffer.
+pub(crate) fn sum_rows_into(a: &Matrix, out: &mut Matrix) {
+    out.reset(1, a.cols());
+    for r in 0..a.rows() {
+        for (o, v) in out.row_mut(0).iter_mut().zip(a.row(r)) {
+            *o += v;
+        }
     }
 }
 
@@ -569,7 +602,7 @@ mod tests {
     fn dropout_eval_mode_is_identity() {
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::row_vector(&[1.0, 2.0, 3.0]));
-        let y = tape.dropout(x, 0.5, &[0.9, 0.1, 0.4], false);
+        let y = tape.dropout(x, 0.5, || unreachable!("eval mode draws nothing"), false);
         assert_eq!(tape.value(y), tape.value(x));
     }
 
@@ -578,7 +611,8 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::row_vector(&[1.0, 2.0]));
         // first uniform 0.9 >= keep=0.5 -> dropped, second 0.1 < 0.5 -> kept.
-        let y = tape.dropout(x, 0.5, &[0.9, 0.1], true);
+        let mut uniforms = [0.9, 0.1].into_iter();
+        let y = tape.dropout(x, 0.5, || uniforms.next().expect("one per entry"), true);
         assert_eq!(tape.value(y), &Matrix::row_vector(&[0.0, 4.0]));
         let loss = tape.sum_all(y);
         tape.backward(loss);
@@ -705,49 +739,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_conv_window_matches_composition() {
-        let x_val = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0], &[-1.0, 0.25], &[2.0, 1.0]]);
-        let w_val = Matrix::from_rows(&[&[0.5, 1.0, -1.0], &[2.0, 0.0, 0.5], &[-0.5, 0.25, 1.0], &[1.0, -1.0, 0.0]]);
-        let b_val = Matrix::row_vector(&[0.1, -0.2, 0.3]);
-
-        let mut fused = Tape::new();
-        let (fx, fw, fb) = (fused.leaf(x_val.clone()), fused.leaf(w_val.clone()), fused.leaf(b_val.clone()));
-        let fy = fused.conv_window(fx, fw, fb, 2);
-        let floss = fused.sum_all(fy);
-        fused.backward(floss);
-
-        let mut composed = Tape::new();
-        let (cx, cw, cb) = (composed.leaf(x_val), composed.leaf(w_val), composed.leaf(b_val));
-        let cols = composed.im2col(cx, 2);
-        let pre = composed.affine(cols, cw, cb);
-        let cy = composed.relu(pre);
-        let closs = composed.sum_all(cy);
-        composed.backward(closs);
-
-        assert_eq!(fused.value(fy), composed.value(cy));
-        assert_eq!(fused.grad(fx), composed.grad(cx));
-        assert_eq!(fused.grad(fw), composed.grad(cw));
-        assert_eq!(fused.grad(fb), composed.grad(cb));
-    }
-
-    #[test]
-    fn fused_conv_window_passes_gradcheck() {
-        use crate::gradcheck::assert_gradients_close;
-        let x = Matrix::from_rows(&[&[0.3, -0.6], &[0.1, 0.8], &[0.5, -0.2], &[-0.4, 0.9]]);
-        let w = Matrix::from_rows(&[&[0.5, 0.2], &[-0.4, 0.7], &[0.3, -0.8], &[0.6, 0.1]]);
-        let b = Matrix::row_vector(&[0.07, -0.11]);
-        assert_gradients_close(&[x, w, b], 1e-2, 2e-2, |tape, v| {
-            let y = tape.conv_window(v[0], v[1], v[2], 2);
-            tape.sum_all(y)
-        });
-    }
-
-    #[test]
     fn eval_mode_dropout_adds_no_node() {
         let mut tape = Tape::new();
         let x = tape.leaf(Matrix::row_vector(&[1.0, 2.0]));
         let before = tape.len();
-        let y = tape.dropout(x, 0.5, &[], false);
+        let y = tape.dropout(x, 0.5, || unreachable!("eval mode draws nothing"), false);
         assert_eq!(y, x, "eval-mode dropout must be the identity node");
         assert_eq!(tape.len(), before);
     }

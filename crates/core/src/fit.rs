@@ -17,14 +17,15 @@ use crate::report::TrainReport;
 use lncl_autograd::{Tape, Var};
 use lncl_crowd::{CrowdDataset, Instance, TaskKind};
 use lncl_nn::optim::{EarlyStopping, Optimizer, StepDecay, Verdict};
-use lncl_nn::{Binding, InstanceClassifier, Module};
+use lncl_nn::{InstanceClassifier, Module, Workspace};
 use lncl_tensor::TensorRng;
 
 /// The pseudo-M-step's mini-batch pass over the training split.  Owns the
-/// shuffling / dropout RNG, the optimiser and its optional step decay for
-/// the whole training.
+/// shuffling / dropout RNG, the optimiser and its optional step decay, and
+/// the workspace every instance trains in, for the whole training.
 pub(crate) struct MStep {
     rng: TensorRng,
+    workspace: Workspace,
     optimizer: Box<dyn Optimizer>,
     decay: Option<StepDecay>,
     batch_size: usize,
@@ -38,6 +39,7 @@ impl MStep {
         let decay = config.lr_decay.map(|(factor, every)| StepDecay::new(optimizer.learning_rate(), factor, every));
         Self {
             rng: TensorRng::seed_from_u64(config.seed),
+            workspace: Workspace::new(),
             optimizer,
             decay,
             batch_size: config.batch_size,
@@ -59,21 +61,19 @@ impl MStep {
         if let Some(decay) = self.decay {
             self.optimizer.set_learning_rate(decay.learning_rate(epoch));
         }
+        self.workspace.reserve_tokens(train.iter().map(|inst| inst.tokens.len()).max().unwrap_or(0));
         let mut order: Vec<usize> = (0..train.len()).collect();
         self.rng.shuffle(&mut order);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
         for batch in order.chunks(self.batch_size) {
             model.zero_grad();
+            self.workspace.begin_batch(model);
             let mut batch_loss = 0.0f32;
             for &i in batch {
-                let mut tape = Tape::new();
-                let mut binding = Binding::new();
-                let logits = model.forward_logits(&mut tape, &mut binding, &train[i].tokens, true, &mut self.rng);
-                let instance_loss = loss(&mut tape, logits, i);
-                batch_loss += tape.scalar(instance_loss);
-                tape.backward(instance_loss);
-                binding.accumulate(&tape, model.params_mut());
+                let tokens = &train[i].tokens;
+                batch_loss +=
+                    self.workspace.instance(model, tokens, &mut self.rng, |tape, logits| loss(tape, logits, i));
             }
             model.scale_grads(1.0 / batch.len() as f32);
             if let Some(clip) = self.grad_clip {

@@ -31,33 +31,59 @@ pub fn project_sequence<S: AsRef<[f32]>>(qa: &[S], rules: &SequenceRuleSet, regu
     }
 
     let t_len = qa.len();
-    // log unary and pairwise potentials
-    let log_unary: Vec<Vec<f32>> = qa.iter().map(|p| p.as_ref().iter().map(|&v| v.max(1e-12).ln()).collect()).collect();
+    // log unary and pairwise potentials, one row per token / previous class
+    let mut log_unary = vec![0.0f32; t_len * k];
+    for (row, p) in log_unary.chunks_exact_mut(k).zip(qa) {
+        for (u, &v) in row.iter_mut().zip(p.as_ref()) {
+            *u = v.max(1e-12).ln();
+        }
+    }
     let log_pair = Matrix::from_fn(k, k, |prev, cur| -regularization * rules.penalty_for(prev, cur));
+    // columns (rows) of `log_pair` equal bit for bit give every forward
+    // (backward) log-sum-exp the same inputs, so each is computed once per
+    // distinct one: in the NER rules the O and B-* columns are all -0
+    let first_equal = |same: &dyn Fn(usize, usize) -> bool| -> Vec<usize> {
+        (0..k).map(|a| (0..=a).find(|&b| same(a, b)).expect("a equals itself")).collect()
+    };
+    let bits = |prev: usize, cur: usize| log_pair[(prev, cur)].to_bits();
+    let col_of = first_equal(&|a, b| (0..k).all(|prev| bits(prev, a) == bits(prev, b)));
+    let row_of = first_equal(&|a, b| (0..k).all(|cur| bits(a, cur) == bits(b, cur)));
+    let (mut scores, mut lse) = (vec![0.0f32; k], vec![0.0f32; k]);
 
     // forward
-    let mut alpha = vec![vec![0.0f32; k]; t_len];
-    alpha[0].clone_from(&log_unary[0]);
+    let mut alpha = vec![0.0f32; t_len * k];
+    alpha[..k].copy_from_slice(&log_unary[..k]);
     for t in 1..t_len {
         for cur in 0..k {
-            let scores: Vec<f32> = (0..k).map(|prev| alpha[t - 1][prev] + log_pair[(prev, cur)]).collect();
-            alpha[t][cur] = stats::log_sum_exp(&scores) + log_unary[t][cur];
+            if col_of[cur] == cur {
+                for (prev, score) in scores.iter_mut().enumerate() {
+                    *score = alpha[(t - 1) * k + prev] + log_pair[(prev, cur)];
+                }
+                lse[cur] = stats::log_sum_exp(&scores);
+            }
+            alpha[t * k + cur] = lse[col_of[cur]] + log_unary[t * k + cur];
         }
     }
     // backward
-    let mut beta = vec![vec![0.0f32; k]; t_len];
+    let mut beta = vec![0.0f32; t_len * k];
     for t in (0..t_len - 1).rev() {
         for prev in 0..k {
-            let scores: Vec<f32> =
-                (0..k).map(|cur| log_pair[(prev, cur)] + log_unary[t + 1][cur] + beta[t + 1][cur]).collect();
-            beta[t][prev] = stats::log_sum_exp(&scores);
+            if row_of[prev] == prev {
+                for (cur, score) in scores.iter_mut().enumerate() {
+                    *score = log_pair[(prev, cur)] + log_unary[(t + 1) * k + cur] + beta[(t + 1) * k + cur];
+                }
+                lse[prev] = stats::log_sum_exp(&scores);
+            }
+            beta[t * k + prev] = lse[row_of[prev]];
         }
     }
     // marginals
     (0..t_len)
         .map(|t| {
-            let joint: Vec<f32> = (0..k).map(|m| alpha[t][m] + beta[t][m]).collect();
-            stats::softmax(&joint)
+            for (m, joint) in scores.iter_mut().enumerate() {
+                *joint = alpha[t * k + m] + beta[t * k + m];
+            }
+            stats::softmax(&scores)
         })
         .collect()
 }
@@ -105,7 +131,73 @@ pub fn project_sequence_bruteforce(qa: &[Vec<f32>], rules: &SequenceRuleSet, reg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::ner_transition::ner_transition_rules;
+    use crate::rules::ner_transition::{ner_bad_rules, ner_transition_rules};
+    use lncl_tensor::TensorRng;
+
+    /// The forward–backward pass with one log-sum-exp per `(t, class)` and
+    /// a `Vec` per step, as first written: the bitwise oracle of
+    /// [`project_sequence`] for `T >= 2` and `C > 0`.
+    fn project_sequence_reference(qa: &[Vec<f32>], rules: &SequenceRuleSet, regularization: f32) -> Vec<Vec<f32>> {
+        let (t_len, k) = (qa.len(), qa[0].len());
+        let log_unary: Vec<Vec<f32>> = qa.iter().map(|p| p.iter().map(|&v| v.max(1e-12).ln()).collect()).collect();
+        let log_pair = Matrix::from_fn(k, k, |prev, cur| -regularization * rules.penalty_for(prev, cur));
+        let mut alpha = vec![vec![0.0f32; k]; t_len];
+        alpha[0].clone_from(&log_unary[0]);
+        for t in 1..t_len {
+            for cur in 0..k {
+                let scores: Vec<f32> = (0..k).map(|prev| alpha[t - 1][prev] + log_pair[(prev, cur)]).collect();
+                alpha[t][cur] = stats::log_sum_exp(&scores) + log_unary[t][cur];
+            }
+        }
+        let mut beta = vec![vec![0.0f32; k]; t_len];
+        for t in (0..t_len - 1).rev() {
+            for prev in 0..k {
+                let scores: Vec<f32> =
+                    (0..k).map(|cur| log_pair[(prev, cur)] + log_unary[t + 1][cur] + beta[t + 1][cur]).collect();
+                beta[t][prev] = stats::log_sum_exp(&scores);
+            }
+        }
+        (0..t_len)
+            .map(|t| {
+                let joint: Vec<f32> = (0..k).map(|m| alpha[t][m] + beta[t][m]).collect();
+                stats::softmax(&joint)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_log_sum_exps_are_bitwise_the_reference() {
+        let mut rng = TensorRng::seed_from_u64(15);
+        let rule_sets = [ner_transition_rules(0.8, 0.2), ner_transition_rules(0.5, 0.5), ner_bad_rules(), toy_rules()];
+        let mut chains = 0;
+        for rules in &rule_sets {
+            let k = rules.num_classes();
+            for t_len in (2..=30).step_by(2) {
+                for c in [0.5f32, 5.0] {
+                    for _ in 0..10 {
+                        // random distributions, some entries exactly zero
+                        let qa: Vec<Vec<f32>> = (0..t_len)
+                            .map(|_| {
+                                let mut p: Vec<f32> =
+                                    (0..k).map(|_| if rng.uniform() < 0.2 { 0.0 } else { rng.uniform() }).collect();
+                                p[rng.usize_below(k)] += 0.1;
+                                stats::normalized(&p)
+                            })
+                            .collect();
+                        let bits = |m: Vec<Vec<f32>>| -> Vec<u32> { m.iter().flatten().map(|v| v.to_bits()).collect() };
+                        assert_eq!(
+                            bits(project_sequence(&qa, rules, c)),
+                            bits(project_sequence_reference(&qa, rules, c)),
+                            "{} rules, T = {t_len}, C = {c}",
+                            rules.name
+                        );
+                        chains += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(chains, 1200);
+    }
 
     fn toy_rules() -> SequenceRuleSet {
         // class 1 must not follow class 0 (penalty 1), everything else free.

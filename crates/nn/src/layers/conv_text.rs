@@ -3,7 +3,7 @@
 //! a "same-length" 1-D convolution used by the NER tagger.
 
 use crate::module::{Binding, Module, Param};
-use lncl_autograd::fused::conv_max_pool_forward;
+use lncl_autograd::fused::{conv_max_pool_forward, same_conv_forward};
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -75,13 +75,16 @@ impl TextConv {
             "TextConv: sequence length {rows} shorter than max window {}; pad first",
             self.max_window()
         );
-        let mut pooled = Vec::with_capacity(self.filters.len());
+        let mut pooled = std::mem::take(&mut binding.vars);
+        pooled.clear();
         for filter in &self.filters {
             let w = binding.bind(tape, &filter.weight);
             let b = binding.bind(tape, &filter.bias);
             pooled.push(tape.conv_max_pool(embedded, w, b, filter.window));
         }
-        tape.hstack(&pooled)
+        let features = tape.hstack(&pooled);
+        binding.vars = pooled;
+        features
     }
 
     /// Eval-mode forward on a raw `T x emb_dim` matrix (no tape): the
@@ -104,6 +107,12 @@ impl Module for TextConv {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.filters.iter_mut().flat_map(|f| [&mut f.weight, &mut f.bias]).collect()
+    }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for filter in &mut self.filters {
+            f(&mut filter.weight);
+            f(&mut filter.bias);
+        }
     }
 }
 
@@ -145,36 +154,23 @@ impl SameConv {
         self.window
     }
 
-    /// Applies the convolution to a `T x in_dim` node, producing `T x out_dim`.
+    /// Applies the convolution to a `T x in_dim` node, producing `T x out_dim`
+    /// as one fused [`Tape::same_conv`] node.
     ///
-    /// Zero padding of `(window-1)/2` rows is applied at both ends so the
+    /// The windows see `(window-1)/2` zero rows beyond both ends, so the
     /// output has the same number of rows as the input.
     pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, x: Var) -> Var {
-        let (rows, cols) = tape.shape(x);
-        assert_eq!(cols, self.in_dim, "SameConv: input dim mismatch");
-        assert!(rows > 0, "SameConv: empty sequence");
-        let half = (self.window - 1) / 2;
-        let pad = tape.constant(Matrix::zeros(half, self.in_dim));
-        let padded = if half > 0 { tape.vstack(&[pad, x, pad]) } else { x };
+        assert_eq!(tape.shape(x).1, self.in_dim, "SameConv: input dim mismatch");
         let w = binding.bind(tape, &self.weight);
         let b = binding.bind(tape, &self.bias);
-        tape.conv_window(padded, w, b, self.window)
+        tape.same_conv(x, w, b, self.window)
     }
 
-    /// Eval-mode forward on a raw `T x in_dim` matrix (no tape).
+    /// Eval-mode forward on a raw `T x in_dim` matrix (no tape): the kernel
+    /// of [`Tape::same_conv`], so both paths run the same arithmetic.
     pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        use lncl_tensor::ops;
         assert_eq!(x.cols(), self.in_dim, "SameConv: input dim mismatch");
-        assert!(x.rows() > 0, "SameConv: empty sequence");
-        let half = (self.window - 1) / 2;
-        let padded = if half > 0 {
-            let pad = Matrix::zeros(half, self.in_dim);
-            Matrix::vstack(&[&pad, x, &pad])
-        } else {
-            x.clone()
-        };
-        let cols = ops::im2col(&padded, self.window);
-        ops::affine_relu(&cols, &self.weight.value, &self.bias.value)
+        same_conv_forward(x, &self.weight.value, &self.bias.value, self.window)
     }
 }
 
@@ -184,6 +180,10 @@ impl Module for SameConv {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
+    }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 }
 

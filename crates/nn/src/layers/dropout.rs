@@ -26,12 +26,10 @@ impl Dropout {
         self.keep
     }
 
-    /// Applies dropout to `x`.
+    /// Applies dropout to `x`, one uniform draw from `rng` per entry in
+    /// training mode.
     pub fn forward(&self, tape: &mut Tape, x: Var, rng: &mut TensorRng, training: bool) -> Var {
-        let (rows, cols) = tape.shape(x);
-        let uniforms: Vec<f32> =
-            if training && self.keep < 1.0 { (0..rows * cols).map(|_| rng.uniform()).collect() } else { Vec::new() };
-        tape.dropout(x, self.keep, &uniforms, training && self.keep < 1.0)
+        tape.dropout(x, self.keep, || rng.uniform(), training)
     }
 }
 

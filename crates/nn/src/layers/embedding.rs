@@ -26,7 +26,7 @@ impl Embedding {
         if vocab_size > 0 {
             table.row_mut(0).iter_mut().for_each(|v| *v = 0.0);
         }
-        Self { table: Param::new(format!("{name}.table"), table), vocab_size, dim }
+        Self { table: Param::new_gathered(format!("{name}.table"), table), vocab_size, dim }
     }
 
     /// Vocabulary size.
@@ -39,20 +39,23 @@ impl Embedding {
         self.dim
     }
 
-    /// Looks up `tokens`, producing a `tokens.len() x dim` node.
+    /// Looks up `tokens` followed by the padding token 0 up to `min_rows`
+    /// rows, producing a `max(tokens.len(), min_rows) x dim` node.
     ///
     /// Only the looked-up rows are copied onto the tape (a gathered
     /// binding), so the cost of a forward pass scales with the sentence
     /// length, not the vocabulary size.
     ///
     /// # Panics
-    /// Panics if any token id is outside the vocabulary.
-    pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, tokens: &[usize]) -> Var {
-        assert!(!tokens.is_empty(), "Embedding::forward: empty token sequence");
+    /// Panics if any token id is outside the vocabulary or nothing is
+    /// looked up.
+    pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, tokens: &[usize], min_rows: usize) -> Var {
+        assert!(!tokens.is_empty() || min_rows > 0, "Embedding::forward: empty token sequence");
         for &t in tokens {
             assert!(t < self.vocab_size, "token id {t} out of vocabulary (size {})", self.vocab_size);
         }
-        binding.bind_gathered(tape, &self.table, tokens)
+        let padding = std::iter::repeat_n(0, min_rows.saturating_sub(tokens.len()));
+        binding.bind_gathered(tape, &self.table, tokens.iter().copied().chain(padding))
     }
 
     /// Eval-mode lookup returning a plain matrix.
@@ -67,6 +70,9 @@ impl Module for Embedding {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.table]
+    }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.table);
     }
 }
 
@@ -96,7 +102,7 @@ mod tests {
         let mut emb = Embedding::new("emb", 6, 2, &mut rng);
         let mut tape = Tape::new();
         let mut binding = Binding::new();
-        let e = emb.forward(&mut tape, &mut binding, &[1, 1, 3]);
+        let e = emb.forward(&mut tape, &mut binding, &[1, 1, 3], 0);
         let loss = tape.sum_all(e);
         tape.backward(loss);
         binding.accumulate(&tape, emb.params_mut());
@@ -112,6 +118,6 @@ mod tests {
         let emb = Embedding::new("emb", 3, 2, &mut rng);
         let mut tape = Tape::new();
         let mut binding = Binding::new();
-        let _ = emb.forward(&mut tape, &mut binding, &[5]);
+        let _ = emb.forward(&mut tape, &mut binding, &[5], 0);
     }
 }

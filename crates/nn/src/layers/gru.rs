@@ -90,6 +90,21 @@ impl Module for GruCell {
             &mut self.bh,
         ]
     }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for p in [
+            &mut self.wz,
+            &mut self.uz,
+            &mut self.bz,
+            &mut self.wr,
+            &mut self.ur,
+            &mut self.br,
+            &mut self.wh,
+            &mut self.uh,
+            &mut self.bh,
+        ] {
+            f(p);
+        }
+    }
 }
 
 /// A unidirectional GRU layer: unrolls a [`GruCell`] over a `T x in_dim`
@@ -132,6 +147,9 @@ impl Module for Gru {
     }
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.cell.params_mut()
+    }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.cell.visit_params_mut(f);
     }
 }
 

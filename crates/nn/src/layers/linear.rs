@@ -53,6 +53,10 @@ impl Module for Linear {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //!
 //! * [`module`] — [`Param`], parameter/tape [`Binding`]
 //!   and the [`Module`] trait;
+//! * [`workspace`] — the [`Workspace`] the M-step trains every instance in:
+//!   one reused tape, the parameters bound once per mini-batch;
 //! * [`layers`] — embeddings, linear layers, text convolutions, GRU and
 //!   dropout;
 //! * [`optim`] — SGD, Adam and Adadelta plus learning-rate schedules and
@@ -29,6 +31,8 @@ pub mod layers;
 pub mod models;
 pub mod module;
 pub mod optim;
+pub mod workspace;
 
 pub use models::InstanceClassifier;
 pub use module::{Binding, Module, Param};
+pub use workspace::Workspace;

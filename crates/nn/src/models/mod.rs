@@ -57,6 +57,13 @@ impl Module for AnyModel {
             AnyModel::Ner(m) => m.params_mut(),
         }
     }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut crate::module::Param)) {
+        match self {
+            AnyModel::Sentiment(m) => m.visit_params_mut(f),
+            AnyModel::Ner(m) => m.visit_params_mut(f),
+        }
+    }
 }
 
 impl InstanceClassifier for AnyModel {

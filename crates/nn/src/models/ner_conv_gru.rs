@@ -78,8 +78,8 @@ impl NerConvGru {
     /// no gradient bookkeeping.  Produces exactly the values of the tape
     /// forward with dropout disabled.
     pub fn forward_logits_matrix(&self, tokens: &[usize]) -> lncl_tensor::Matrix {
-        let tokens: Vec<usize> = if tokens.is_empty() { vec![0] } else { tokens.to_vec() };
-        let embedded = self.embedding.lookup(&tokens);
+        let tokens: &[usize] = if tokens.is_empty() { &[0] } else { tokens };
+        let embedded = self.embedding.lookup(tokens);
         let conv = self.conv.forward_matrix(&embedded);
         // dropout is the identity in eval mode
         let hidden = self.gru.forward_matrix(&conv);
@@ -102,6 +102,12 @@ impl Module for NerConvGru {
         out.extend(self.output.params_mut());
         out
     }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.embedding.visit_params_mut(f);
+        self.conv.visit_params_mut(f);
+        self.gru.visit_params_mut(f);
+        self.output.visit_params_mut(f);
+    }
 }
 
 impl InstanceClassifier for NerConvGru {
@@ -123,8 +129,8 @@ impl InstanceClassifier for NerConvGru {
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        let tokens: Vec<usize> = if tokens.is_empty() { vec![0] } else { tokens.to_vec() };
-        let embedded = self.embedding.forward(tape, binding, &tokens);
+        // an empty sentence is one padding token
+        let embedded = self.embedding.forward(tape, binding, tokens, 1);
         let conv = self.conv.forward(tape, binding, embedded);
         let dropped = self.dropout.forward(tape, conv, rng, training);
         let hidden = self.gru.forward(tape, binding, dropped);

@@ -110,6 +110,11 @@ impl Module for SentimentCnn {
         out.extend(self.output.params_mut());
         out
     }
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.embedding.visit_params_mut(f);
+        self.conv.visit_params_mut(f);
+        self.output.visit_params_mut(f);
+    }
 }
 
 impl InstanceClassifier for SentimentCnn {
@@ -131,8 +136,8 @@ impl InstanceClassifier for SentimentCnn {
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        let tokens = self.padded(tokens);
-        let embedded = self.embedding.forward(tape, binding, &tokens);
+        // padded to the largest window, as `padded`
+        let embedded = self.embedding.forward(tape, binding, tokens, self.conv.max_window().max(1));
         let features = self.conv.forward(tape, binding, embedded);
         let dropped = self.dropout.forward(tape, features, rng, training);
         self.output.forward(tape, binding, dropped)

@@ -6,10 +6,11 @@
 //! tape handle of each parameter so that, after `Tape::backward`, the
 //! gradients can be pulled back into the `Param` accumulators with
 //! [`Binding::accumulate`].  Optimisers then operate purely on `Param`s.
+//! A [`Workspace`](crate::Workspace) keeps one tape and binding for a whole
+//! training run and copies the parameters once per mini-batch.
 
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::Matrix;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(1);
@@ -19,6 +20,7 @@ static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone)]
 pub struct Param {
     id: u64,
+    gathered: bool,
     /// Human-readable name, e.g. `"sentiment_cnn.conv3.weight"`.
     pub name: String,
     /// Current value.
@@ -32,7 +34,19 @@ impl Param {
     /// Creates a parameter with a zeroed gradient accumulator.
     pub fn new(name: impl Into<String>, value: Matrix) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
-        Self { id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed), name: name.into(), value, grad }
+        Self { id: NEXT_PARAM_ID.fetch_add(1, Ordering::Relaxed), gathered: false, name: name.into(), value, grad }
+    }
+
+    /// Creates a lookup-table parameter: every pass binds only the rows it
+    /// reads ([`Binding::bind_gathered`]), never the whole table, so a
+    /// [`Workspace`](crate::Workspace) does not place it on the tape.
+    pub fn new_gathered(name: impl Into<String>, value: Matrix) -> Self {
+        Self { gathered: true, ..Self::new(name, value) }
+    }
+
+    /// Whether this is a lookup table bound a row subset at a time.
+    pub fn is_gathered(&self) -> bool {
+        self.gathered
     }
 
     /// Stable identity of this parameter (unique per process).
@@ -56,26 +70,35 @@ impl Param {
     }
 }
 
-/// How a parameter was placed on the tape.
-enum Bound {
-    /// The whole parameter value was copied onto the tape.
-    Full(Var),
-    /// Only the listed rows were copied (an embedding-style lookup); the
-    /// leaf's gradient is scattered back into the parameter's rows on
-    /// [`Binding::accumulate`].
-    Gathered { var: Var, indices: Vec<usize> },
+/// One parameter placed on the tape.
+#[derive(Clone, Copy)]
+struct Entry {
+    id: u64,
+    var: Var,
+    /// For a gathered binding, the range of its row indices in
+    /// [`Binding::indices`]; the leaf's gradient is scattered back into
+    /// those rows of the parameter.
+    rows: Option<(usize, usize)>,
 }
 
 /// Per-forward-pass association between parameters and tape leaves.
 #[derive(Default)]
 pub struct Binding {
-    vars: HashMap<u64, Bound>,
+    entries: Vec<Entry>,
+    /// Row indices of every gathered entry, back to back.
+    indices: Vec<usize>,
+    /// Reused handle list for layers that stack several nodes.
+    pub(crate) vars: Vec<Var>,
 }
 
 impl Binding {
     /// Creates an empty binding.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn entry(&self, param: &Param) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.id == param.id)
     }
 
     /// Returns the tape handle for `param`, creating a leaf holding a copy
@@ -86,33 +109,46 @@ impl Binding {
     /// this pass — the gathered leaf holds only a row subset and must not
     /// be aliased as the full value.
     pub fn bind(&mut self, tape: &mut Tape, param: &Param) -> Var {
-        match self.vars.get(&param.id) {
-            Some(Bound::Full(var)) => return *var,
-            Some(Bound::Gathered { .. }) => {
-                panic!("bind: parameter {} was bound as a gathered row subset this pass", param.name)
-            }
+        match self.entry(param) {
+            Some(Entry { var, rows: None, .. }) => return *var,
+            Some(_) => panic!("bind: parameter {} was bound as a gathered row subset this pass", param.name),
             None => {}
         }
-        let var = tape.leaf(param.value.clone());
-        self.vars.insert(param.id, Bound::Full(var));
+        let var = tape.leaf_from(&param.value);
+        self.entries.push(Entry { id: param.id, var, rows: None });
         var
     }
 
     /// Binds only the listed rows of `param` (an embedding lookup): the
-    /// tape leaf holds the gathered `indices.len() x cols` matrix instead
-    /// of a copy of the whole table, and [`Binding::accumulate`] scatters
-    /// the leaf's gradient back into the parameter's rows.  The same
-    /// parameter must not also be bound in full on this pass.
-    pub fn bind_gathered(&mut self, tape: &mut Tape, param: &Param, indices: &[usize]) -> Var {
-        assert!(!self.vars.contains_key(&param.id), "bind_gathered: parameter {} already bound this pass", param.name);
-        let var = tape.leaf(lncl_tensor::ops::gather_rows(&param.value, indices));
-        self.vars.insert(param.id, Bound::Gathered { var, indices: indices.to_vec() });
+    /// tape leaf holds the gathered `rows x cols` matrix instead of a copy
+    /// of the whole table, and [`Binding::accumulate`] scatters the leaf's
+    /// gradient back into the parameter's rows.  The same parameter must
+    /// not also be bound in full on this pass.
+    pub fn bind_gathered(&mut self, tape: &mut Tape, param: &Param, indices: impl IntoIterator<Item = usize>) -> Var {
+        assert!(self.entry(param).is_none(), "bind_gathered: parameter {} already bound this pass", param.name);
+        let start = self.indices.len();
+        self.indices.extend(indices);
+        let var = tape.leaf_gathered(&param.value, &self.indices[start..]);
+        self.entries.push(Entry { id: param.id, var, rows: Some((start, self.indices.len())) });
         var
     }
 
     /// Whether `param` was bound during this pass.
     pub fn is_bound(&self, param: &Param) -> bool {
-        self.vars.contains_key(&param.id)
+        self.entry(param).is_some()
+    }
+
+    /// Room for `rows` gathered row indices.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        self.indices.reserve(rows);
+    }
+
+    /// Keeps the first `len` bindings (those made before the matching
+    /// [`Tape::rewind`]) and forgets the rest.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+        let end = self.entries.iter().filter_map(|e| e.rows.map(|(_, end)| end)).max().unwrap_or(0);
+        self.indices.truncate(end);
     }
 
     /// Adds the tape gradients of every bound parameter into the parameter
@@ -120,51 +156,54 @@ impl Binding {
     /// gradients are unmaterialised and nothing is accumulated).
     pub fn accumulate<'a>(&self, tape: &Tape, params: impl IntoIterator<Item = &'a mut Param>) {
         for param in params {
-            match self.vars.get(&param.id) {
-                None => {}
-                Some(Bound::Full(var)) => {
-                    let grad = tape.grad(*var);
-                    if !grad.is_empty() {
-                        lncl_tensor::ops::add_assign(&mut param.grad, grad);
-                    }
+            self.accumulate_param(tape, param);
+        }
+    }
+
+    /// [`Binding::accumulate`] for one parameter.
+    pub(crate) fn accumulate_param(&self, tape: &Tape, param: &mut Param) {
+        let Some(entry) = self.entry(param) else { return };
+        let grad = tape.grad(entry.var);
+        if grad.is_empty() {
+            return;
+        }
+        let Some((start, end)) = entry.rows else {
+            lncl_tensor::ops::add_assign(&mut param.grad, grad);
+            return;
+        };
+        // the rows of a repeated index are combined first (in occurrence
+        // order, at its first occurrence), matching the accumulation order
+        // of a scatter into a zeroed full-size gradient
+        let indices = &self.indices[start..end];
+        for (r, &idx) in indices.iter().enumerate() {
+            if indices[..r].contains(&idx) {
+                continue;
+            }
+            let dst = param.grad.row_mut(idx);
+            if !indices[r + 1..].contains(&idx) {
+                for (d, g) in dst.iter_mut().zip(grad.row(r)) {
+                    *d += g;
                 }
-                Some(Bound::Gathered { var, indices }) => {
-                    let grad = tape.grad(*var);
-                    if grad.is_empty() {
-                        continue;
-                    }
-                    // combine duplicate indices first (in occurrence
-                    // order), matching the accumulation order of a scatter
-                    // into a zeroed full-size gradient
-                    let mut combined: Vec<(usize, Vec<f32>)> = Vec::with_capacity(indices.len());
-                    for (r, &idx) in indices.iter().enumerate() {
-                        match combined.iter_mut().find(|(i, _)| *i == idx) {
-                            Some((_, acc)) => {
-                                for (a, g) in acc.iter_mut().zip(grad.row(r)) {
-                                    *a += g;
-                                }
-                            }
-                            None => combined.push((idx, grad.row(r).to_vec())),
-                        }
-                    }
-                    for (idx, row) in &combined {
-                        for (d, g) in param.grad.row_mut(*idx).iter_mut().zip(row) {
-                            *d += g;
-                        }
-                    }
+                continue;
+            }
+            for (j, d) in dst.iter_mut().enumerate() {
+                let mut sum = grad[(r, j)];
+                for r2 in (r + 1..indices.len()).filter(|&r2| indices[r2] == idx) {
+                    sum += grad[(r2, j)];
                 }
+                *d += sum;
             }
         }
     }
 
     /// Number of bound parameters.
     pub fn len(&self) -> usize {
-        self.vars.len()
+        self.entries.len()
     }
 
     /// True when nothing has been bound yet.
     pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -176,11 +215,17 @@ pub trait Module {
     /// Mutable views of all parameters (same order as [`Module::params`]).
     fn params_mut(&mut self) -> Vec<&mut Param>;
 
+    /// Calls `f` on every parameter in [`Module::params_mut`] order; the
+    /// layers and models override it so nothing is collected.
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for p in self.params_mut() {
+            f(p);
+        }
+    }
+
     /// Clears every gradient accumulator.
     fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.visit_params_mut(&mut |p| p.zero_grad());
     }
 
     /// Total number of scalar parameters.
@@ -191,9 +236,7 @@ pub trait Module {
     /// Scales every accumulated gradient by `factor` (used to average
     /// gradients over a mini-batch before the optimiser step).
     fn scale_grads(&mut self, factor: f32) {
-        for p in self.params_mut() {
-            p.grad.map_inplace(|g| g * factor);
-        }
+        self.visit_params_mut(&mut |p| p.grad.map_inplace(|g| g * factor));
     }
 
     /// L2 norm of the concatenated gradient vector (for clipping /

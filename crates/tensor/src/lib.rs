@@ -18,8 +18,9 @@
 //! columns per depth pass, a masked last vector instead of a scalar tail) on
 //! tiered AVX2 / SSE2 / scalar bodies ([`simd`], runtime-detected, bitwise
 //! identical across tiers), and the hot compositions the trainers
-//! need (`affine`, `affine_relu`, `dual_affine`, `softmax_xent_rows`,
-//! `axpy`) exist as fused single-allocation ops.  Everything stays
+//! need (`affine`, `dual_affine`, `softmax_xent_rows`, `axpy`) exist as
+//! fused single-allocation ops, with `_into` / `_acc` forms that write into
+//! a caller's buffer.  Everything stays
 //! dependency-free and, on the shapes the paper's experiments use,
 //! bit-for-bit reproducible across plans.
 //!

@@ -132,6 +132,29 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Turns this into a `rows x cols` matrix of zeros in the existing
+    /// buffer: nothing is allocated while its capacity suffices.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Makes room for at least `entries` values, so a later [`Matrix::reset`]
+    /// or [`Matrix::assign`] up to that size does not reallocate.
+    pub fn reserve(&mut self, entries: usize) {
+        self.data.reserve_exact(entries.saturating_sub(self.data.len()));
+    }
+
+    /// Overwrites this matrix with a copy of `src`, reusing the buffer.
+    pub fn assign(&mut self, src: &Matrix) {
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+        self.rows = src.rows;
+        self.cols = src.cols;
+    }
+
     /// Consumes the matrix and returns the flat buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data

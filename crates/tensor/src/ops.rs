@@ -203,6 +203,17 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// result is bitwise identical to the plain k-outer loop.  Large products
 /// block over `k` and shard output rows across threads.
 pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    matmul_transpose_a_acc(a, b, &mut out);
+    out
+}
+
+/// In-place accumulation `out += a^T * b`, the body of
+/// [`matmul_transpose_a`] for callers that own the output buffer.
+///
+/// # Panics
+/// Panics on any dimension mismatch.
+pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -213,9 +224,9 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let (m, k, n) = (a.cols(), a.rows(), b.cols());
+    assert_eq!(out.shape(), (m, n), "matmul_transpose_a_acc: output shape {:?} does not match {m}x{n}", out.shape());
     let plan = MatmulPlan::for_shape(m, k, n);
-    let mut out = Matrix::zeros(m, n);
-    par::shard_rows(&mut out, plan.shards, |row0, rows, block| {
+    par::shard_rows(out, plan.shards, |row0, rows, block| {
         for pc in (0..k).step_by(plan.kc) {
             // output row `i` walks column `row0 + i` of `a`: element `kk`
             // lives at `(row0 + i) + kk * m`
@@ -224,7 +235,6 @@ pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
             simd::matmul_block(plan.tier, lhs, &b.as_slice()[pc * n..], n, block, n, shape);
         }
     });
-    out
 }
 
 /// Sliding-window flattening used to express a text convolution as a single
@@ -253,13 +263,19 @@ pub fn im2col(input: &Matrix, window: usize) -> Matrix {
 
 /// Transposes the matrix.
 pub fn transpose(a: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), a.rows());
+    let mut out = Matrix::zeros(0, 0);
+    transpose_into(a, &mut out);
+    out
+}
+
+/// Writes the transpose of `a` into `out`, reusing its buffer.
+pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
+    out.reset(a.cols(), a.rows());
     for r in 0..a.rows() {
         for c in 0..a.cols() {
             out[(c, r)] = a[(r, c)];
         }
     }
-    out
 }
 
 fn assert_same_shape(a: &Matrix, b: &Matrix, op: &str) {
@@ -344,43 +360,19 @@ pub fn add_row_broadcast(a: &Matrix, row: &Matrix) -> Matrix {
     out
 }
 
-/// Fused bias + ReLU: `relu(a + bias)` in a single pass, the activation the
-/// convolution layers previously composed from a broadcast add and a
-/// separate `max(0)` map (two full intermediates).
-pub fn add_bias_relu(a: &Matrix, bias: &Matrix) -> Matrix {
-    assert_eq!(bias.rows(), 1, "add_bias_relu: bias must be a row vector");
-    assert_eq!(a.cols(), bias.cols(), "add_bias_relu: width mismatch ({} vs {})", a.cols(), bias.cols());
-    let mut out = Matrix::zeros(a.rows(), a.cols());
-    for r in 0..a.rows() {
-        for ((o, v), b) in out.row_mut(r).iter_mut().zip(a.row(r)).zip(bias.row(0)) {
-            *o = (v + b).max(0.0);
-        }
-    }
-    out
-}
-
 /// Fused affine map `x * w + bias` (bias broadcast over rows) without the
 /// intermediate `x * w` matrix.
 pub fn affine(x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), w.cols());
-    matmul_acc(x, w, &mut out);
-    add_row_broadcast_assign(&mut out, bias);
+    let mut out = Matrix::zeros(0, 0);
+    affine_into(x, w, bias, &mut out);
     out
 }
 
-/// Fused `relu(x * w + bias)`: the matmul accumulates in place and the bias
-/// add + ReLU run as one final pass over the output.
-pub fn affine_relu(x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
-    assert_eq!(bias.rows(), 1, "affine_relu: bias must be a row vector");
-    assert_eq!(w.cols(), bias.cols(), "affine_relu: width mismatch ({} vs {})", w.cols(), bias.cols());
-    let mut out = Matrix::zeros(x.rows(), w.cols());
-    matmul_acc(x, w, &mut out);
-    for r in 0..out.rows() {
-        for (o, b) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
-            *o = (*o + b).max(0.0);
-        }
-    }
-    out
+/// [`affine`] into `out`, reusing its buffer.
+pub fn affine_into(x: &Matrix, w: &Matrix, bias: &Matrix, out: &mut Matrix) {
+    out.reset(x.rows(), w.cols());
+    matmul_acc(x, w, out);
+    add_row_broadcast_assign(out, bias);
 }
 
 /// Fused dual affine map `x * w + h * u + bias`, the pre-activation of every
@@ -403,6 +395,14 @@ pub fn dual_affine(x: &Matrix, w: &Matrix, h: &Matrix, u: &Matrix, bias: &Matrix
 /// at `ln(1e-12)`, matching the probability floor the compositional
 /// `cross_entropy` applied.
 pub fn softmax_xent_rows(logits: &Matrix, targets: &Matrix) -> (f32, Matrix) {
+    let mut probs = Matrix::zeros(0, 0);
+    let loss = softmax_xent_rows_into(logits, targets, &mut probs);
+    (loss, probs)
+}
+
+/// [`softmax_xent_rows`] with the probabilities written into `probs`,
+/// reusing its buffer; returns the mean loss.
+pub fn softmax_xent_rows_into(logits: &Matrix, targets: &Matrix, probs: &mut Matrix) -> f32 {
     assert_eq!(
         logits.shape(),
         targets.shape(),
@@ -411,7 +411,7 @@ pub fn softmax_xent_rows(logits: &Matrix, targets: &Matrix) -> (f32, Matrix) {
         targets.shape()
     );
     let ln_floor = (1e-12f32).ln();
-    let mut probs = logits.clone();
+    probs.assign(logits);
     let mut loss = 0.0f32;
     for r in 0..probs.rows() {
         let row = probs.row_mut(r);
@@ -436,7 +436,7 @@ pub fn softmax_xent_rows(logits: &Matrix, targets: &Matrix) -> (f32, Matrix) {
             loss -= targets.row(r).iter().sum::<f32>() * lnp;
         }
     }
-    (loss / probs.rows().max(1) as f32, probs)
+    loss / probs.rows().max(1) as f32
 }
 
 /// Sums each column, producing a `1 x cols` row vector.
@@ -678,9 +678,6 @@ mod tests {
         let bias = Matrix::row_vector(&[0.1, -0.2, 0.3]);
         let expect = add_row_broadcast(&matmul(&x, &w), &bias);
         assert_eq!(affine(&x, &w, &bias), expect);
-        let expect_relu = expect.map(|v| v.max(0.0));
-        assert_eq!(affine_relu(&x, &w, &bias), expect_relu);
-        assert_eq!(add_bias_relu(&matmul(&x, &w), &bias), expect_relu);
     }
 
     #[test]

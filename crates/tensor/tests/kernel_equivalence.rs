@@ -131,9 +131,6 @@ fn fused_ops_match_their_compositions_on_odd_shapes() {
         let bias = random(1, n, &mut rng);
         let xw = ops::matmul(&x, &w);
         assert_close(&ops::affine(&x, &w, &bias), &ops::add_row_broadcast(&xw, &bias), "affine");
-        let expect_relu = ops::add_row_broadcast(&xw, &bias).map(|v| v.max(0.0));
-        assert_close(&ops::affine_relu(&x, &w, &bias), &expect_relu, "affine_relu");
-        assert_close(&ops::add_bias_relu(&xw, &bias), &expect_relu, "add_bias_relu");
 
         let h = random(m, k, &mut rng);
         let u = random(k, n, &mut rng);
