@@ -347,61 +347,54 @@ impl Tape {
     }
 
     /// Backward rule of [`Tape::conv_max_pool`].  With `g` the upstream
-    /// row, for each filter `c` whose pooled value is positive and whose
-    /// argmax window is `p = argmax[c]`:
-    /// `dW[:, c] += cols[p, :] · g_c`, `dbias[c] += g_c`, and
-    /// `dcols[p] = Σ_{c: argmax_c = p, ascending c} g_c · W[:, c]` is
-    /// scattered into `x` in ascending `(p, window row)` order.
+    /// row, `G` (`positions x filters`) holds `g_c` in row `argmax[c]` of
+    /// each filter `c` whose pooled value is positive and zeros elsewhere;
+    /// then `dW += colsᵀ · G` (the windows of `x` read in place with
+    /// `row_step = 1, k_step = d`), `dbias[c] += g_c` for those filters,
+    /// and `dcols = G · Wᵀ` against the cached transpose, whose argmax rows
+    /// are scattered into `x` in ascending `(p, window row)` order.
+    ///
+    /// Each `dW` element gets its one nonzero term; the others are `±0`
+    /// added to a sum that starts at `+0`, which leaves it unchanged while
+    /// `x` is finite.  Each `dcols` row adds the nonzero `G` entries of its
+    /// position in ascending filter order, skipping the zeros, as the
+    /// per-filter loop of the composed rule did.
     pub(crate) fn backward_conv_max_pool(&mut self, index: usize, op: &Op, upstream: &Matrix) {
         let &Op::ConvMaxPool { x, w, bias, window, ref argmax } = op else {
             unreachable!("backward_conv_max_pool on another op")
         };
+        let wt = self.transpose_of(w);
         let g = upstream.row(0);
         let filters = g.len();
-        let pooled = std::mem::replace(&mut self.nodes[index].value, Matrix::zeros(0, 0));
-        let live = |c: usize| pooled[(0, c)] > 0.0 && g[c] != 0.0;
-        let d = self.nodes[x.0].value.cols();
-        let span = window * d;
-
-        // dW and dbias: one window of x per live filter
-        let mut dw = std::mem::replace(&mut self.nodes[w.0].grad, Matrix::zeros(0, 0));
-        let xs = self.nodes[x.0].value.as_slice();
-        for c in (0..filters).filter(|&c| live(c)) {
-            let p = argmax[c];
-            for (k, &xv) in xs[p * d..p * d + span].iter().enumerate() {
-                dw[(k, c)] += xv * g[c];
-            }
+        let (t, d) = self.nodes[x.0].value.shape();
+        let (positions, span) = (t - window + 1, window * d);
+        let mut s = self.take_scratch(2);
+        let [gm, dcols] = &mut s[..2] else { unreachable!("two scratch matrices") };
+        self.zeroed(gm, positions, filters);
+        let pooled = self.nodes[index].value.row(0);
+        for c in (0..filters).filter(|&c| pooled[c] > 0.0 && g[c] != 0.0) {
+            gm[(argmax[c], c)] = g[c];
         }
+        let live = |c: usize| gm[(argmax[c], c)] != 0.0;
+
+        let mut dw = std::mem::replace(&mut self.nodes[w.0].grad, Matrix::zeros(0, 0));
+        let cols = Lhs { data: self.nodes[x.0].value.as_slice(), off: 0, row_step: 1, k_step: d };
+        block(cols, gm.as_slice(), filters, dw.as_mut_slice(), filters, (span, positions, filters));
         self.nodes[w.0].grad = dw;
         let dbias = self.nodes[bias.0].grad.row_mut(0);
         for c in (0..filters).filter(|&c| live(c)) {
             dbias[c] += g[c];
         }
 
-        // dcols of each argmax window in ascending position order, its live
-        // filters added one column of W at a time, scattered into x
-        let mut s = self.take_scratch(1);
-        self.zeroed(&mut s[0], 1, span);
-        let dcols = s[0].as_mut_slice();
-        let mut dx = std::mem::replace(&mut self.nodes[x.0].grad, Matrix::zeros(0, 0));
-        let wv = self.nodes[w.0].value.as_slice();
-        let mut done: Option<usize> = None;
-        while let Some(p) =
-            (0..filters).filter(|&c| live(c)).map(|c| argmax[c]).filter(|&q| done.is_none_or(|last| q > last)).min()
-        {
-            dcols.fill(0.0);
-            for c in (0..filters).filter(|&c| live(c) && argmax[c] == p) {
-                for (slot, w_row) in dcols.iter_mut().zip(wv.chunks_exact(filters)) {
-                    *slot += g[c] * w_row[c];
-                }
-            }
-            for (dst, s) in dx.as_mut_slice()[p * d..p * d + span].iter_mut().zip(dcols.iter()) {
+        self.zeroed(dcols, positions, span);
+        let wt = self.transposes[wt].value.as_slice();
+        block(rows(gm.as_slice(), 0, filters), wt, span, dcols.as_mut_slice(), span, (positions, filters, span));
+        let dx = self.nodes[x.0].grad.as_mut_slice();
+        for p in (0..positions).filter(|&p| gm.row(p).iter().any(|&v| v != 0.0)) {
+            for (dst, s) in dx[p * d..p * d + span].iter_mut().zip(dcols.row(p)) {
                 *dst += s;
             }
-            done = Some(p);
         }
-        self.nodes[x.0].grad = dx;
-        self.nodes[index].value = pooled;
         self.put_scratch(s);
     }
 

@@ -136,13 +136,16 @@ fn serve_connection(stream: TcpStream, state: &AppState, timeout: Duration) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    // every response of the connection is built here and leaves in one write
+    let mut out = String::new();
+    let error_body = |message: &str| Json::Obj(vec![("error".to_string(), Json::Str(message.to_string()))]);
     loop {
         match parse_request(&mut reader) {
             Ok(None) => return,
             Err(error) => {
                 let (status, reason) = error.status();
-                let body = Json::Obj(vec![("error".to_string(), Json::Str(error.message().to_string()))]).render();
-                let _ = write_response(&mut writer, status, reason, &[], &body, true);
+                let body = error_body(error.message());
+                let _ = write_response(&mut writer, &mut out, status, reason, &[], |buf| body.render_to(buf), true);
                 return;
             }
             Ok(Some(request)) => {
@@ -151,17 +154,14 @@ fn serve_connection(stream: TcpStream, state: &AppState, timeout: Duration) {
                     state.handle(&request.method, &request.path, &request.body)
                 }));
                 let (status, body, allow) = match outcome {
-                    Ok(response) => (response.status, response.body.render(), response.allow),
-                    Err(_) => (
-                        500,
-                        Json::Obj(vec![("error".to_string(), Json::Str("internal error".to_string()))]).render(),
-                        None,
-                    ),
+                    Ok(response) => (response.status, response.body, response.allow),
+                    Err(_) => (500, error_body("internal error"), None),
                 };
-                let headers: Vec<(&str, &str)> = allow.map(|v| ("Allow", v)).into_iter().collect();
+                let allow = allow.map(|v| ("Allow", v));
                 let close = request.close;
-                if write_response(&mut writer, status, reason_phrase(status), &headers, &body, close).is_err() || close
-                {
+                let (reason, render) = (reason_phrase(status), |buf: &mut String| body.render_to(buf));
+                let written = write_response(&mut writer, &mut out, status, reason, allow.as_slice(), render, close);
+                if written.is_err() || close {
                     return;
                 }
             }

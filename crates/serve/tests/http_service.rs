@@ -3,7 +3,8 @@
 //! the HTTP robustness contract (malformed input answers 4xx and
 //! never kills the accept loop, however deeply a JSON body nests; a
 //! body-sized JSON string parses without stalling a worker; a 405
-//! carries its `Allow` header) and
+//! carries its `Allow` header; an idle keep-alive connection is closed
+//! without an answer) and
 //! concurrent-ingest determinism (the same label multiset, any arrival
 //! interleaving, any connection assignment → the same finalized
 //! consensus).
@@ -255,6 +256,36 @@ fn a_1_mib_string_body_does_not_stall_the_service() {
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(start.elapsed() < Duration::from_secs(1), "/healthz took {:?}", start.elapsed());
+}
+
+#[test]
+fn an_idle_keep_alive_connection_closes_without_an_answer() {
+    let state = Arc::new(AppState::new(StreamingConfig::pooled(2)));
+    let config = ServerConfig { read_timeout: Duration::from_millis(200), ..ServerConfig::default() };
+    let server = Server::start(state, config).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+    // read exactly the one framed keep-alive answer
+    let mut reader = BufReader::new(stream);
+    let mut head = String::new();
+    let mut content_length = 0usize;
+    while head.is_empty() || !head.ends_with("\r\n\r\n") {
+        let before = head.len();
+        reader.read_line(&mut head).expect("head line");
+        if let Some(v) = head[before..].to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().expect("length");
+        }
+    }
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n") && head.contains("Connection: keep-alive"), "{head}");
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).expect("body");
+    // then stay idle: past the read timeout the server closes the
+    // connection and sends nothing (no unsolicited 400)
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF");
+    assert!(rest.is_empty(), "idle connection got {:?}", String::from_utf8_lossy(&rest));
+    assert_eq!(get(server.addr(), "/healthz").0, 200);
 }
 
 #[test]

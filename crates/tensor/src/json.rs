@@ -73,14 +73,19 @@ impl Json {
     /// Serialises with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
+        self.render_to(&mut out);
         out
     }
 
+    /// Appends exactly the bytes of [`Json::render`] to `out`, so a caller
+    /// that keeps one buffer (say, one per connection) renders into it
+    /// without a temporary `String`.
+    pub fn render_to(&self, out: &mut String) {
+        self.render_into(out, 0);
+        out.push('\n');
+    }
+
     fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -98,11 +103,11 @@ impl Json {
                 }
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    pad(out, indent + 1);
                     item.render_into(out, indent + 1);
                     out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push(']');
             }
             Json::Obj(members) => {
@@ -112,13 +117,13 @@ impl Json {
                 }
                 out.push_str("{\n");
                 for (i, (key, value)) in members.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    pad(out, indent + 1);
                     render_string(key, out);
                     out.push_str(": ");
                     value.render_into(out, indent + 1);
                     out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push('}');
             }
         }
@@ -134,6 +139,13 @@ impl Json {
             return Err(format!("trailing garbage at byte {}", parser.pos));
         }
         Ok(value)
+    }
+}
+
+/// Two spaces per nesting level, written in place.
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 
@@ -352,6 +364,20 @@ mod tests {
         let text = doc.render();
         let back = Json::parse(&text).expect("round trip");
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn render_to_appends_the_rendered_bytes() {
+        let doc = Json::Obj(vec![
+            ("rows".into(), Json::Arr(vec![Json::Obj(vec![("k".into(), Json::Arr(vec![Json::Num(0.5)]))])])),
+            ("none".into(), Json::Null),
+        ]);
+        let expected =
+            "{\n  \"rows\": [\n    {\n      \"k\": [\n        0.5\n      ]\n    }\n  ],\n  \"none\": null\n}\n";
+        assert_eq!(doc.render(), expected);
+        let mut out = String::from("head:");
+        doc.render_to(&mut out);
+        assert_eq!(out, format!("head:{expected}"));
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn training_allocations(dataset: &CrowdDataset) -> u64 {
 fn tiny_sentiment_training_allocations_are_pinned() {
     assert_eq!(
         training_allocations(&Scale::Tiny.sentiment_dataset(SEED)),
-        13_332,
+        13_335,
         "sentiment training allocations moved"
     );
 }
