@@ -6,7 +6,7 @@
 //! ```text
 //! bench_diff compare <baseline.json> <current.json>... [--gate <factor>]
 //! bench_diff merge <out.json> <in.json>...
-//! bench_diff rank <report.json>... [--metric <key>] [--budget <fraction>] [--baseline <file>] [--gate <max-drop>]
+//! bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>]
 //! bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]
 //! ```
 //!
@@ -24,12 +24,7 @@
 //!   flips against the baseline report per scenario; `--gate D` then
 //!   fails (exit 1) when any method's metric drops by more than `D`
 //!   absolute, or a baseline row vanishes — the quality counterpart of
-//!   the perf gate.  With `--budget F` only the budget-curve rows
-//!   recorded at fraction `F` (scenario suffix `@bF`, see the
-//!   `budget_curves` target) are ranked, and each family's ranking at
-//!   `F` is additionally compared against its full-budget (`@b1.00`)
-//!   ranking — the flips that budget level causes; the `--baseline`
-//!   rows are filtered the same way before gating.
+//!   the perf gate.
 //! * `predictivity` joins a small-scale and a large-scale sweep report
 //!   cell by cell (`lncl_bench::predictivity`) and prints per-cell rank
 //!   correlation (Spearman ρ, Kendall τ-b), flip counts, winners and a
@@ -37,7 +32,6 @@
 //!   reliable proxies for paper-scale rankings.  `--json` additionally
 //!   writes the machine-readable report (schema in the crate README).
 
-use lncl_bench::budget::{budget_scenario_name, filter_by_budget, parse_budget_suffix};
 use lncl_bench::merge::{merge_reports, qualified_cases};
 use lncl_bench::predictivity::predictivity_report;
 use lncl_bench::quality::HEADLINE_METRIC;
@@ -49,9 +43,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: bench_diff compare <baseline.json> <current.json>... [--gate <factor>]");
     eprintln!("       bench_diff merge <out.json> <in.json>...");
-    eprintln!(
-        "       bench_diff rank <report.json>... [--metric <key>] [--budget <fraction>] [--baseline <file>] [--gate <max-drop>]"
-    );
+    eprintln!("       bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>]");
     eprintln!("       bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]");
     ExitCode::from(2)
 }
@@ -275,7 +267,6 @@ fn rank(args: &[String]) -> ExitCode {
     let mut metric = HEADLINE_METRIC.to_string();
     let mut baseline_file: Option<String> = None;
     let mut gate: Option<f64> = None;
-    let mut budget: Option<f64> = None;
     let mut files = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -283,13 +274,6 @@ fn rank(args: &[String]) -> ExitCode {
             "--metric" => match iter.next() {
                 Some(key) => metric = key.clone(),
                 None => return usage(),
-            },
-            "--budget" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f <= 1.0 => budget = Some(f),
-                _ => {
-                    eprintln!("bench_diff: --budget needs a fraction in (0, 1]");
-                    return ExitCode::from(2);
-                }
             },
             "--baseline" => match iter.next() {
                 Some(file) => baseline_file = Some(file.clone()),
@@ -312,27 +296,16 @@ fn rank(args: &[String]) -> ExitCode {
         eprintln!("bench_diff: rank --gate needs --baseline <file> to compare against");
         return ExitCode::from(2);
     }
-    let mut all_quality: Vec<QualityCase> = Vec::new();
+    let mut quality: Vec<QualityCase> = Vec::new();
     for file in &files {
         match load(file) {
-            Ok(report) => all_quality.extend(report.quality),
+            Ok(report) => quality.extend(report.quality),
             Err(e) => {
                 eprintln!("bench_diff: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    let quality = match budget {
-        None => all_quality.clone(),
-        Some(fraction) => {
-            let filtered = filter_by_budget(&all_quality, fraction);
-            if filtered.is_empty() {
-                eprintln!("bench_diff: no budget-curve rows at fraction {fraction} (scenario suffix @b{fraction:.2})");
-                return ExitCode::FAILURE;
-            }
-            filtered
-        }
-    };
     let rankings = rank_scenarios(&quality, &metric);
     if rankings.is_empty() {
         eprintln!("bench_diff: no quality rows with metric {metric:?} in {files:?}");
@@ -364,28 +337,6 @@ fn rank(args: &[String]) -> ExitCode {
         println!("  none — every scenario ranks the methods identically");
     }
 
-    if let Some(fraction) = budget {
-        // how this budget level reorders each family against full budget
-        let full_rankings = rank_scenarios(&filter_by_budget(&all_quality, 1.0), &metric);
-        println!("\nranking flips at budget {fraction:.2} vs full budget:");
-        let mut any_budget_flip = false;
-        for current in &rankings {
-            let Some((family, _)) = parse_budget_suffix(&current.scenario) else { continue };
-            let full_name = budget_scenario_name(family, 1.0);
-            let Some(full) = full_rankings.iter().find(|r| r.scenario == full_name) else { continue };
-            let flips = ranking_flips(current, full);
-            if flips.is_empty() {
-                continue;
-            }
-            any_budget_flip = true;
-            println!("  {} -> {} ({} flip(s))", current.scenario, full.scenario, flips.len());
-            print_flips(&flips);
-        }
-        if !any_budget_flip {
-            println!("  none — this budget level preserves every full-budget ranking");
-        }
-    }
-
     let Some(baseline_file) = baseline_file else {
         return ExitCode::SUCCESS;
     };
@@ -396,13 +347,7 @@ fn rank(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // a budget filter narrows the baseline the same way, so the gate never
-    // reports the other fractions' rows as vanished
-    let baseline_quality = match budget {
-        None => baseline.quality.clone(),
-        Some(fraction) => filter_by_budget(&baseline.quality, fraction),
-    };
-    let baseline_rankings = rank_scenarios(&baseline_quality, &metric);
+    let baseline_rankings = rank_scenarios(&baseline.quality, &metric);
     println!("\nranking flips vs baseline {baseline_file}:");
     let mut any_baseline_flip = false;
     for current in &rankings {
@@ -419,7 +364,7 @@ fn rank(args: &[String]) -> ExitCode {
         println!("  none");
     }
     if let Some(max_drop) = gate {
-        let regressions = quality_regressions(&baseline_quality, &quality, &metric, max_drop);
+        let regressions = quality_regressions(&baseline.quality, &quality, &metric, max_drop);
         for regression in &regressions {
             match regression.current {
                 Some(value) => println!(

@@ -14,7 +14,6 @@
 //! | `fig7_reliability_ner` | Figure 7 (annotator reliability, NER) |
 //! | `sample_efficiency` | §VI-B sample-efficiency experiment |
 //! | `scenario_sweep` | cross-scenario robustness sweep (beyond the paper; see the README) |
-//! | `budget_curves` | closed-loop routing-policy budget curves ([`budget`]; beyond the paper) |
 //!
 //! Each binary accepts the environment variables `LNCL_SCALE`
 //! (`tiny` / `small` (default) / `medium` / `paper`), `LNCL_REPS` (number
@@ -35,7 +34,6 @@
 //! `ARCHITECTURE.md` at the repository root for the workspace-level
 //! pipeline map.
 
-pub mod budget;
 pub mod experiments;
 pub mod merge;
 pub mod methods;
@@ -50,7 +48,6 @@ pub mod timing;
 // without linking this crate); re-exported under its historical path
 pub use lncl_tensor::json;
 
-pub use budget::*;
 pub use experiments::*;
 pub use merge::*;
 pub use methods::*;

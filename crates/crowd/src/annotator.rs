@@ -16,8 +16,8 @@
 use lncl_tensor::{Matrix, TensorRng};
 
 // The weighted-without-replacement draw used to be defined here; it now
-// lives in [`crate::sampling`] so scenario generation and the closed-loop
-// router policies provably share one implementation.  Re-exported because
+// lives in [`crate::sampling`] so scenario generation and the service's
+// routing policies provably share one implementation.  Re-exported because
 // callers think of it as the annotator-pool selection primitive.
 pub use crate::sampling::select_weighted_distinct;
 

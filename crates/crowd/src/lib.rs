@@ -7,7 +7,7 @@
 //! * [`annotator`] — simulated annotators (confusion-matrix annotators for
 //!   classification, error-model annotators for NER);
 //! * [`sampling`] — the propensity-weighted selection primitives shared by
-//!   scenario generation and closed-loop task routing;
+//!   scenario generation and `lncl-serve`'s task routing;
 //! * [`datasets`] — synthetic stand-ins for the two MTurk corpora of the
 //!   paper (see DESIGN.md §1);
 //! * [`scenario`] — composable crowd-scenario simulation: annotator

@@ -1,13 +1,12 @@
 //! Propensity-weighted sampling — the selection primitives shared by
-//! scenario **generation** and closed-loop **task routing**.
+//! scenario **generation** and the **task routing** of `lncl-serve`'s
+//! `POST /assign`.
 //!
 //! The batch generator ([`crate::scenario::generate_scenario`]) and the
-//! assignment policies in [`crate::scenario::router`] must provably draw
-//! annotators through the same machinery: a policy that "prefers reliable
-//! annotators" is only comparable to the static control if both resolve
-//! their preferences with the identical weighted-without-replacement draw.
-//! This module is that single implementation; [`crate::annotator`] and the
-//! scenario pools re-export / delegate to it.
+//! service's assignment policies draw annotators through the same
+//! machinery: one weighted-without-replacement draw.  This module is that
+//! single implementation; [`crate::annotator`] and the scenario pools
+//! re-export / delegate to it.
 //!
 //! Semantics: weights are unnormalised and non-negative; draws are without
 //! replacement; once every remaining candidate has zero weight the
@@ -36,9 +35,8 @@ use lncl_tensor::TensorRng;
 ///
 /// This is the selection primitive behind
 /// [`AnnotatorPool::select`](crate::annotator::AnnotatorPool::select), the
-/// scenario pools in [`crate::scenario`], the NER generator's workload
-/// sampling and the weighted assignment policies in
-/// [`crate::scenario::router`].
+/// scenario pools in [`crate::scenario`] and the NER generator's workload
+/// sampling.
 pub fn select_weighted_distinct(weights: &[f32], count: usize, rng: &mut TensorRng) -> Vec<usize> {
     let count = count.min(weights.len());
     let mut remaining = weights.to_vec();

@@ -161,15 +161,12 @@
 //! assert!(configs.iter().any(|c| c.name.ends_with("/fatigue0.6")));
 //! ```
 
-pub mod router;
-
 use crate::annotator::{gold_spans, ConfusionAnnotator, NerAnnotator, NerErrorRates};
 use crate::data::{CrowdDataset, CrowdLabel, Instance, TaskKind};
 use crate::datasets::ner::{bio_class_names, NerTextModel, NUM_BIO_CLASSES, NUM_ENTITY_TYPES};
 use crate::datasets::sentiment::SentimentTextModel;
 use crate::sampling::select_weighted_distinct;
 use lncl_tensor::{Matrix, TensorRng};
-use router::RoutePlan;
 use std::collections::BTreeMap;
 
 /// One annotator behaviour archetype.  For sequence tagging the
@@ -700,16 +697,6 @@ pub struct ScenarioConfig {
     /// Instance-difficulty-conditioned correlated error (the degenerate
     /// `strength == 0` model reproduces the static generator bitwise).
     pub difficulty: DifficultyModel,
-    /// Closed-loop collection plan ([`router::RoutePlan`]): which
-    /// [`router::AssignmentPolicy`] reveals the labels and under what
-    /// fraction of the static label budget.  `None` (and the explicit
-    /// static-redundancy plan at fraction `1.0`) is today's batch
-    /// behaviour.  [`generate_scenario`] itself ignores the plan — it
-    /// always produces the full static twin — but the plan is part of the
-    /// scenario's identity: [`content_hash`](ScenarioConfig::content_hash)
-    /// covers it so a routed scenario and its static twin never alias in a
-    /// sweep report.
-    pub route: Option<RoutePlan>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -733,7 +720,6 @@ impl ScenarioConfig {
             filler_vocab: 60,
             drift: DriftSchedule::Static,
             difficulty: DifficultyModel::default(),
-            route: None,
             seed: 29,
         }
     }
@@ -755,7 +741,6 @@ impl ScenarioConfig {
             filler_vocab: 0,
             drift: DriftSchedule::Static,
             difficulty: DifficultyModel::default(),
-            route: None,
             seed: 31,
         }
     }
@@ -826,12 +811,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Sets the closed-loop collection plan (see [`router::RoutePlan`]).
-    pub fn with_route(mut self, route: RoutePlan) -> Self {
-        self.route = Some(route);
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -846,14 +825,10 @@ impl ScenarioConfig {
         }
     }
 
-    /// FNV-1a hash over every knob that influences [`generate_scenario`]
-    /// or the closed-loop collection of the dataset (the
-    /// [`router::RoutePlan`], consumed by
-    /// [`router::run_route_plan`]).  The `name` is a display label and
-    /// deliberately excluded, so two configurations that generate the same
-    /// dataset under different names hash alike — but a routed scenario
-    /// never hashes like its static twin, even though both draw the same
-    /// underlying corpus.
+    /// FNV-1a hash over every knob that influences [`generate_scenario`].
+    /// The `name` is a display label and deliberately excluded, so two
+    /// configurations that generate the same dataset under different names
+    /// hash alike.
     pub fn content_hash(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut mix_in = |v: u64| {
@@ -903,18 +878,9 @@ impl ScenarioConfig {
         }
         mix_in(self.difficulty.strength.to_bits() as u64);
         mix_in(self.difficulty.concentration.to_bits() as u64);
-        match self.route {
-            None => mix_in(0),
-            Some(plan) => {
-                mix_in(1);
-                mix_in(match plan.policy {
-                    router::PolicyKind::StaticRedundancy => 0,
-                    router::PolicyKind::UncertaintyRouting => 1,
-                    router::PolicyKind::SpamQuarantine => 2,
-                });
-                mix_in(plan.budget_fraction.to_bits() as u64);
-            }
-        }
+        // where an (always unset) collection plan used to hash; kept so
+        // every existing hash stays put
+        mix_in(0);
         mix_in(self.seed);
         hash
     }
@@ -963,7 +929,7 @@ fn apply_temporal_noise(
 
 /// The compiled annotator pool of a configuration — the same pool, drawn
 /// from the same forked RNG stream, that [`generate_scenario`] labels with.
-/// Lets closed-loop tests and diagnostics inspect archetypes and
+/// Lets tests and diagnostics inspect archetypes and
 /// propensities without regenerating (or trusting) the dataset.
 pub fn scenario_pool(config: &ScenarioConfig) -> ScenarioPool {
     let mut master = TensorRng::seed_from_u64(config.seed);
@@ -1614,28 +1580,6 @@ mod tests {
         for (i, variant) in variants.iter().enumerate() {
             assert_ne!(base.content_hash(), variant.content_hash(), "temporal variant {i} should hash differently");
         }
-    }
-
-    #[test]
-    fn content_hash_tracks_the_route_plan() {
-        use router::{PolicyKind, RoutePlan};
-        let base = ScenarioConfig::tiny(TaskKind::Classification);
-        let routed: Vec<ScenarioConfig> = PolicyKind::ALL
-            .into_iter()
-            .flat_map(|policy| {
-                [0.6, 1.0].map(|budget_fraction| base.clone().with_route(RoutePlan::new(policy, budget_fraction)))
-            })
-            .collect();
-        let mut hashes: Vec<u64> = routed.iter().map(ScenarioConfig::content_hash).collect();
-        hashes.push(base.content_hash());
-        let distinct = hashes.len();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(
-            hashes.len(),
-            distinct,
-            "every (policy, budget) route plan must hash distinctly from the static twin and each other"
-        );
     }
 
     #[test]

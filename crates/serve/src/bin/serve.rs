@@ -9,8 +9,8 @@
 //! The process serves until killed.  `LNCL_SERVE_WINDOW` (plus optional
 //! `LNCL_SERVE_DECAY`) switches the estimator from pooled Dawid–Skene to
 //! the stream-windowed DS-W statistics; `LNCL_SERVE_POLICY` /
-//! `LNCL_SERVE_BUDGET` / `LNCL_SERVE_SEED` configure the closed-loop
-//! `/assign` planner and the label budget.
+//! `LNCL_SERVE_BUDGET` / `LNCL_SERVE_SEED` configure the `/assign`
+//! planner and the label budget.
 
 use lncl_serve::config::{routing_config_from_env, server_config_from_env, streaming_config_from_env};
 use lncl_serve::server::{Server, ServerConfig};

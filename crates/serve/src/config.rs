@@ -15,8 +15,8 @@
 //! | `LNCL_SERVE_BUDGET`  | label budget; unset = unlimited       | unset         |
 //! | `LNCL_SERVE_SEED`    | assignment-RNG seed                   | `0`           |
 
+use crate::routing::PolicyKind;
 use crate::server::ServerConfig;
-use lncl_crowd::scenario::router::PolicyKind;
 use lncl_crowd::truth::ds_windowed::DsWindowed;
 use lncl_crowd::truth::streaming::StreamingConfig;
 use lncl_tensor::env::{env_parsed, env_usize_at_least_one};
@@ -49,7 +49,7 @@ pub fn streaming_config_from_env() -> StreamingConfig {
     }
 }
 
-/// The closed-loop routing configuration from `LNCL_SERVE_POLICY` /
+/// The `/assign` routing configuration from `LNCL_SERVE_POLICY` /
 /// `LNCL_SERVE_BUDGET` / `LNCL_SERVE_SEED`: the `/assign` policy, the
 /// optional label budget and the assignment-RNG seed.
 pub fn routing_config_from_env() -> (PolicyKind, Option<usize>, u64) {

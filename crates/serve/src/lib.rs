@@ -18,9 +18,9 @@
 //!   the exact `Allow` header value), and dispatch matches exhaustively.
 //! * [`state`] — [`AppState`]: the estimator plus string
 //!   id interners behind one mutex, and the transport-free route dispatch
-//!   — including the closed-loop `/assign` planner driven by a
-//!   [`lncl_crowd::scenario::router`] policy under an optional label
-//!   budget.
+//!   — including the `/assign` planner under an optional label budget.
+//! * [`routing`] — the `/assign` policies ([`routing::PolicyKind`]) and
+//!   the label budget, over the service's own per-instance labelled sets.
 //! * [`server`] — `TcpListener` accept loop feeding a fixed worker pool
 //!   over an mpsc channel; keep-alive connections, panic-isolated request
 //!   handling.
@@ -63,6 +63,7 @@
 pub mod config;
 pub mod http;
 pub mod routes;
+pub mod routing;
 pub mod server;
 pub mod state;
 

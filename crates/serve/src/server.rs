@@ -6,16 +6,18 @@
 //! Workers speak keep-alive HTTP/1.1 via [`crate::http`] and dispatch into
 //! the shared [`AppState`]; a panicking request handler answers `500` and
 //! the worker lives on, so one bad request can never kill the accept loop.
+//! A request must arrive in full within the read timeout of its first
+//! byte, so a client that trickles bytes cannot hold a worker either.
 
 use crate::http::{parse_request, reason_phrase, write_response};
 use crate::state::AppState;
 use lncl_tensor::json::Json;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How a [`Server`] is started.
 #[derive(Debug, Clone)]
@@ -26,7 +28,8 @@ pub struct ServerConfig {
     /// Worker threads handling connections.
     pub workers: usize,
     /// Per-connection read timeout; an idle keep-alive connection is
-    /// dropped after this long.
+    /// dropped after this long, and a request not complete this long
+    /// after its first byte is answered `400`.
     pub read_timeout: Duration,
 }
 
@@ -127,6 +130,52 @@ fn supervise(listener: TcpListener, state: Arc<AppState>, shutdown: Arc<AtomicBo
     });
 }
 
+/// The read side of a connection.  A read that returns a request's first
+/// bytes starts a deadline `timeout` away; every later read of that
+/// request waits only for what is left of it.  A request that arrives in
+/// one read therefore costs no extra syscall, and reads between requests
+/// wait the full idle timeout.
+struct RequestReader {
+    stream: TcpStream,
+    timeout: Duration,
+    deadline: Option<Instant>,
+    /// The socket's read timeout is currently shorter than `timeout`.
+    shortened: bool,
+}
+
+impl RequestReader {
+    /// Ends the current request: the next read waits the idle timeout.
+    fn end_request(&mut self) -> std::io::Result<()> {
+        self.deadline = None;
+        if std::mem::take(&mut self.shortened) {
+            self.stream.set_read_timeout(Some(self.timeout))?;
+        }
+        Ok(())
+    }
+}
+
+impl Read for RequestReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(deadline) = self.deadline else {
+            let read = self.stream.read(buf)?;
+            if read > 0 {
+                self.deadline = Some(Instant::now() + self.timeout);
+            }
+            return Ok(read);
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request not complete within the read timeout",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.shortened = true;
+        self.stream.read(buf)
+    }
+}
+
 /// Serves one keep-alive connection until close, error or idle timeout.
 fn serve_connection(stream: TcpStream, state: &AppState, timeout: Duration) {
     let _ = stream.set_read_timeout(Some(timeout));
@@ -135,7 +184,7 @@ fn serve_connection(stream: TcpStream, state: &AppState, timeout: Duration) {
         Ok(writer) => writer,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(RequestReader { stream, timeout, deadline: None, shortened: false });
     // every response of the connection is built here and leaves in one write
     let mut out = String::new();
     let error_body = |message: &str| Json::Obj(vec![("error".to_string(), Json::Str(message.to_string()))]);
@@ -161,7 +210,7 @@ fn serve_connection(stream: TcpStream, state: &AppState, timeout: Duration) {
                 let close = request.close;
                 let (reason, render) = (reason_phrase(status), |buf: &mut String| body.render_to(buf));
                 let written = write_response(&mut writer, &mut out, status, reason, allow.as_slice(), render, close);
-                if written.is_err() || close {
+                if written.is_err() || close || reader.get_mut().end_request().is_err() {
                     return;
                 }
             }
@@ -223,5 +272,35 @@ mod tests {
             reader.read_exact(&mut body).unwrap();
             assert!(String::from_utf8(body).unwrap().contains("\"mode\""));
         }
+    }
+
+    #[test]
+    fn only_a_request_that_needs_several_reads_touches_the_socket_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let timeout = Duration::from_secs(5);
+        server_side.set_read_timeout(Some(timeout)).unwrap();
+        let reader = RequestReader { stream: server_side, timeout, deadline: None, shortened: false };
+        let mut reader = BufReader::new(reader);
+
+        // whole request in one read: the deadline starts, the timeout is
+        // never set again
+        client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert!(parse_request(&mut reader).unwrap().is_some());
+        assert!(reader.get_ref().deadline.is_some() && !reader.get_ref().shortened);
+        reader.get_mut().end_request().unwrap();
+        assert!(reader.get_ref().deadline.is_none());
+
+        // a body sent after the head was read needs a read under the
+        // deadline, with the socket timeout cut to what is left of it
+        client.write_all(b"POST /labels HTTP/1.1\r\nContent-Length: 2\r\n\r\n").unwrap();
+        assert!(!std::io::BufRead::fill_buf(&mut reader).unwrap().is_empty());
+        client.write_all(b"{}").unwrap();
+        assert_eq!(parse_request(&mut reader).unwrap().unwrap().body, b"{}");
+        assert!(reader.get_ref().shortened);
+        reader.get_mut().end_request().unwrap();
+        assert!(!reader.get_ref().shortened);
+        assert_eq!(reader.get_ref().stream.read_timeout().unwrap(), Some(timeout), "idle timeout restored");
     }
 }

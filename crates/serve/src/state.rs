@@ -8,15 +8,15 @@
 //! line into a typed [`Route`] and returns a status + JSON document — so
 //! the whole API surface is unit-testable without sockets.
 //!
-//! The state also closes the routing loop over HTTP: an
-//! [`AssignmentPolicy`](lncl_crowd::scenario::router::AssignmentPolicy)
-//! (picked by [`AppState::with_routing`]) plans `POST /assign` responses
-//! from the live estimates, and an optional [`LabelBudget`] caps ingestion
-//! — a `POST /labels` batch that would overspend is refused whole with
-//! `409`, mirroring the all-or-nothing validation contract.
+//! The state also routes collection over HTTP: a [`PolicyKind`] (picked
+//! by [`AppState::with_routing`]) plans `POST /assign` responses from the
+//! live estimates and the per-instance labelled sets that `POST /labels`
+//! keeps, and an optional label budget caps ingestion — a `POST /labels`
+//! batch that would overspend is refused whole with `409`, mirroring the
+//! all-or-nothing validation contract.
 
 use crate::routes::{Route, RouteError};
-use lncl_crowd::scenario::router::{LabelBudget, PolicyKind, RoutingView};
+use crate::routing::{LabelBudget, PolicyKind, RoutingView};
 use lncl_crowd::truth::streaming::{StreamingConfig, StreamingTruth};
 use lncl_tensor::json::Json;
 use lncl_tensor::TensorRng;
@@ -26,8 +26,8 @@ use std::sync::Mutex;
 /// Default `POST /assign` round size when the request names no `limit`.
 pub const DEFAULT_ASSIGN_LIMIT: usize = 16;
 
-/// Salt for the service's assignment RNG stream (mirrors the router
-/// driver's salt discipline so serve draws are their own stream).
+/// Salt for the service's assignment RNG stream, so it never coincides
+/// with a stream seeded from the same number elsewhere.
 const SERVE_RNG_SALT: u64 = 0x5345_5256_4501;
 
 /// A status code plus a JSON body — one API response.
@@ -86,7 +86,8 @@ struct Inner {
     stream: StreamingTruth,
     instances: Interner,
     annotators: Interner,
-    /// Per instance id: annotators who already labelled it, arrival order.
+    /// Per instance id: annotators who already labelled it, arrival order,
+    /// no repeats — what `/assign` routes over.
     labeled: Vec<Vec<usize>>,
     policy: PolicyKind,
     budget: Option<LabelBudget>,
@@ -212,7 +213,8 @@ impl AppState {
     /// estimates.  Body is optional JSON `{"limit": N}` (default
     /// [`DEFAULT_ASSIGN_LIMIT`]); the plan never exceeds the remaining
     /// label budget.  Candidates for an instance are every annotator the
-    /// service has seen that has not labelled it yet.
+    /// service has seen that has not labelled it yet (see
+    /// [`crate::routing`]).
     fn post_assign(&self, body: &[u8]) -> ApiResponse {
         let mut limit = DEFAULT_ASSIGN_LIMIT;
         if !body.is_empty() {
@@ -239,21 +241,10 @@ impl AppState {
         }
         // drain pending re-estimates so the policy routes on fresh state
         inner.stream.drain_dirty();
-        let num_instances = inner.instances.names.len();
-        let num_annotators = inner.annotators.names.len();
-        let candidates: Vec<Vec<usize>> = (0..num_instances)
-            .map(|i| {
-                let seen = inner.labeled.get(i).map(Vec::as_slice).unwrap_or(&[]);
-                (0..num_annotators).filter(|a| !seen.contains(a)).collect()
-            })
-            .collect();
-        let collected: Vec<usize> = (0..num_instances).map(|i| inner.labeled.get(i).map_or(0, Vec::len)).collect();
-        let units: Vec<std::ops::Range<usize>> = (0..num_instances).map(|i| i..i + 1).collect();
-        let view = RoutingView { truth: &inner.stream, candidates: &candidates, collected: &collected, units: &units };
-        let mut rng = inner.rng.clone();
-        let mut policy = inner.policy.build();
-        let planned = policy.next_round(&view, limit, &mut rng);
-        inner.rng = rng;
+        let inner = &mut *inner;
+        let view =
+            RoutingView { truth: &inner.stream, labeled: &inner.labeled, num_annotators: inner.annotators.names.len() };
+        let planned = inner.policy.plan(&view, limit, &mut inner.rng);
         let assignments: Vec<Json> = planned
             .iter()
             .map(|a| {
@@ -462,7 +453,6 @@ mod tests {
 
     #[test]
     fn budget_reports_and_enforces_the_label_ceiling() {
-        use lncl_crowd::scenario::router::PolicyKind;
         let state = AppState::with_routing(StreamingConfig::pooled(2), PolicyKind::StaticRedundancy, Some(2), 7);
         let budget = state.handle("GET", "/budget", b"");
         assert_eq!(budget.status, 200);
@@ -530,7 +520,6 @@ mod tests {
 
     #[test]
     fn assign_round_trips_into_labels_until_coverage() {
-        use lncl_crowd::scenario::router::PolicyKind;
         let state = AppState::with_routing(StreamingConfig::pooled(2), PolicyKind::UncertaintyRouting, None, 11);
         for (instance, annotator, class) in [("i0", "a0", 0), ("i1", "a1", 1)] {
             let body = format!(r#"{{"instance": "{instance}", "annotator": "{annotator}", "class": {class}}}"#);
@@ -551,6 +540,52 @@ mod tests {
         // instances x 2 annotators bounds the label count
         let stats = state.handle("GET", "/stats", b"");
         assert!(stats.body.get("total_labels").and_then(Json::as_f64).unwrap() <= 4.0);
+    }
+
+    /// Feeds a seeded, shuffled label stream of a spam-mix scenario through
+    /// [`AppState::handle`], asks `/assign` every 25 labels (limits cycling
+    /// past the policies' round cap) and hashes every rendered answer.
+    fn assign_stream_digest(policy: PolicyKind) -> u64 {
+        use lncl_crowd::scenario::{generate_scenario, Archetype, ScenarioConfig};
+        let config = ScenarioConfig::classification("assign-pin")
+            .with_sizes(200, 10, 10)
+            .with_annotators(12)
+            .with_mix(vec![(Archetype::reliable(), 0.6), (Archetype::Spammer, 0.4)])
+            .with_seed(53);
+        let dataset = generate_scenario(&config);
+        let mut labels: Vec<(usize, usize, usize)> = dataset
+            .train
+            .iter()
+            .enumerate()
+            .flat_map(|(u, instance)| instance.crowd_labels.iter().map(move |cl| (u, cl.annotator, cl.labels[0])))
+            .collect();
+        TensorRng::seed_from_u64(5).shuffle(&mut labels);
+        let state = AppState::with_routing(StreamingConfig::pooled(dataset.num_classes), policy, None, 19);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let (mut calls, mut planned) = (0usize, 0usize);
+        for (n, &(u, a, class)) in labels.iter().enumerate() {
+            let body = format!(r#"{{"instance": "i{u}", "annotator": "a{a}", "class": {class}}}"#);
+            assert_eq!(post(&state, "/labels", &body).status, 200);
+            if (n + 1) % 25 == 0 || n + 1 == labels.len() {
+                let limit = 1 + (calls * 7) % 48;
+                calls += 1;
+                let assign = post(&state, "/assign", &format!(r#"{{"limit": {limit}}}"#));
+                assert_eq!(assign.status, 200, "{:?}", assign.body);
+                planned += assign.body.get("planned").and_then(Json::as_f64).unwrap() as usize;
+                for byte in format!("{} {}\n", assign.status, assign.body.render()).bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert!(planned > 400, "{} planned only {planned} assignments in {calls} calls", policy.name());
+        hash
+    }
+
+    #[test]
+    fn assign_answers_over_a_seeded_stream_are_pinned() {
+        let digests = PolicyKind::ALL.map(assign_stream_digest);
+        assert_eq!(digests, [0x3ea5_5033_d891_f277, 0x003d_9a70_d51d_c5d6, 0x0be3_3b6b_25da_1530], "{digests:x?}");
     }
 
     #[test]

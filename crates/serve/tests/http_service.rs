@@ -1,16 +1,17 @@
 //! End-to-end tests over real loopback sockets: the label → consensus
-//! flow, the closed-loop assign → label → consensus round under a budget,
+//! flow, the assign → label → consensus round under a budget,
 //! the HTTP robustness contract (malformed input answers 4xx and
 //! never kills the accept loop, however deeply a JSON body nests; a
 //! body-sized JSON string parses without stalling a worker; a 405
 //! carries its `Allow` header; an idle keep-alive connection is closed
-//! without an answer) and
+//! without an answer; a trickled request is answered `400` and closed at
+//! the read timeout) and
 //! concurrent-ingest determinism (the same label multiset, any arrival
 //! interleaving, any connection assignment → the same finalized
 //! consensus).
 
-use lncl_crowd::scenario::router::PolicyKind;
 use lncl_crowd::truth::streaming::StreamingConfig;
+use lncl_serve::routing::PolicyKind;
 use lncl_serve::server::{Server, ServerConfig};
 use lncl_serve::state::AppState;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -286,6 +287,41 @@ fn an_idle_keep_alive_connection_closes_without_an_answer() {
     reader.read_to_end(&mut rest).expect("EOF");
     assert!(rest.is_empty(), "idle connection got {:?}", String::from_utf8_lossy(&rest));
     assert_eq!(get(server.addr(), "/healthz").0, 200);
+}
+
+#[test]
+fn a_trickled_request_is_cut_off_at_the_read_timeout() {
+    let state = Arc::new(AppState::new(StreamingConfig::pooled(2)));
+    let config = ServerConfig { workers: 1, read_timeout: Duration::from_millis(300), ..ServerConfig::default() };
+    let server = Server::start(state, config).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(3))).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let start = Instant::now();
+    // a head that would take over 5 s at one byte per 100 ms: every read
+    // returns well within the timeout, only the whole request overruns it
+    let trickle = std::thread::spawn(move || {
+        for byte in b"GET /healthz HTTP/1.1\r\nX-Slow: aaaaaaaaaaaaaaaaa\r\n\r\n" {
+            if writer.write_all(&[*byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    let mut response = Vec::new();
+    let outcome = stream.read_to_end(&mut response);
+    let elapsed = start.elapsed();
+    // a reset also means closed: a trickled byte may be unread at close
+    let closed = match &outcome {
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    assert!(closed && elapsed < Duration::from_secs(1), "still open after {elapsed:?}: {outcome:?}");
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{response}");
+    // the only worker is free again
+    assert_eq!(get(server.addr(), "/healthz").0, 200);
+    trickle.join().expect("trickle thread");
 }
 
 #[test]
