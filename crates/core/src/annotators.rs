@@ -2,9 +2,6 @@
 //! their closed-form M-step update (Eq. 12 of the paper).
 
 use crate::posterior::FlatPosteriors;
-// the decay^distance blend is shared with windowed Dawid-Skene, so both
-// stream-windowed estimators always apply the same smoothing scheme
-use lncl_crowd::truth::ds_windowed::decay_blend_flat;
 use lncl_crowd::CrowdDataset;
 use lncl_tensor::{simd, Matrix};
 
@@ -201,190 +198,6 @@ impl AnnotatorModel {
     }
 }
 
-/// Per-annotator, per-**stream-window** confusion matrices: the
-/// drift-tracking variant of [`AnnotatorModel`]'s Eq. 12 / Eq. 13 surface.
-///
-/// Each annotator's label stream (their crowd labels in training-instance
-/// order, a proxy for time) is cut into windows of at most `window`
-/// instances; one confusion matrix is estimated per window, with raw counts
-/// smoothed across neighbouring windows by `decay^distance` (two linear
-/// geometric-prefix passes).  The E-step then judges every crowd label by the
-/// confusion matrix of the window it was produced in, which is what lets
-/// `logic-lncl-windowed` discount an annotator's late-stream garbage while
-/// still trusting their early-stream labels under the drifting-annotator
-/// scenarios of [`lncl_crowd::scenario::DriftSchedule`].
-///
-/// Degenerate parameters (`window == 0`, `decay` outside `(0, 1]`) are
-/// rejected with a descriptive panic instead of silently misbehaving;
-/// `decay == 1.0` pools all windows and recovers the static model's
-/// estimates.
-#[derive(Debug, Clone)]
-pub struct WindowedAnnotatorModel {
-    /// Flat truth-major blocks: row `(block_offset[j] + w) * K + m`,
-    /// column `n` is annotator `j`'s window-`w` `π_{m n}`.
-    confusions: Matrix,
-    /// Flat observed-major log-likelihood blocks, same block layout:
-    /// row `(block_offset[j] + w) * K + n`, column `m` is
-    /// `ln(max(π_{m n}, 1e-12))`.
-    log_by_observed: Matrix,
-    /// Per-annotator first block index; annotator `j` owns blocks
-    /// `block_offset[j]..block_offset[j + 1]`.
-    block_offset: Vec<usize>,
-    /// Per (instance, crowd-label slot): the window index *within* the
-    /// labelling annotator's stream.
-    window_of: Vec<Vec<usize>>,
-    num_classes: usize,
-    window: usize,
-    decay: f32,
-}
-
-impl WindowedAnnotatorModel {
-    /// Builds the model for a dataset: indexes every annotator's stream
-    /// (instance order, matching the scenario generator's notion of time),
-    /// sizes the per-window storage and initialises every window
-    /// diagonally dominant, like [`AnnotatorModel::new`].
-    ///
-    /// Panics with a descriptive message on degenerate parameters.
-    pub fn new(dataset: &CrowdDataset, window: usize, decay: f32, diag: f32) -> Self {
-        assert!(window >= 1, "windowed annotator model: window must hold at least one label, got {window}");
-        assert!(
-            decay > 0.0 && decay <= 1.0 && decay.is_finite(),
-            "windowed annotator model: decay must be in (0, 1], got {decay}"
-        );
-        let k = dataset.num_classes;
-        assert!(k >= 2);
-        assert!((0.0..=1.0).contains(&diag));
-
-        // stream positions advance once per crowd label per instance — the
-        // same granularity the scenario generator drifts on
-        let mut counters = vec![0usize; dataset.num_annotators];
-        let window_of: Vec<Vec<usize>> = dataset
-            .train
-            .iter()
-            .map(|inst| {
-                inst.crowd_labels
-                    .iter()
-                    .map(|cl| {
-                        let p = counters[cl.annotator];
-                        counters[cl.annotator] += 1;
-                        p / window
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut block_offset = Vec::with_capacity(dataset.num_annotators + 1);
-        block_offset.push(0);
-        for &len in &counters {
-            let windows = len.div_ceil(window).max(1);
-            block_offset.push(block_offset.last().unwrap() + windows);
-        }
-
-        let total_blocks = *block_offset.last().unwrap();
-        let off = (1.0 - diag) / (k - 1) as f32;
-        let confusions = Matrix::from_fn(total_blocks * k, k, |r, c| if r % k == c { diag } else { off });
-        let mut model = Self {
-            confusions,
-            log_by_observed: Matrix::zeros(total_blocks * k, k),
-            block_offset,
-            window_of,
-            num_classes: k,
-            window,
-            decay,
-        };
-        model.rebuild_log_cache();
-        model
-    }
-
-    /// Maximum instances per estimation window.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Cross-window count decay in `(0, 1]`.
-    pub fn decay(&self) -> f32 {
-        self.decay
-    }
-
-    /// Number of classes `K`.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Block index of annotator `j`'s window for the crowd-label `slot` of
-    /// training instance `i` (clamped into the annotator's window range, so
-    /// positions beyond the indexed stream reuse the last window).
-    #[inline]
-    fn block_of(&self, i: usize, slot: usize, j: usize) -> usize {
-        let windows = self.block_offset[j + 1] - self.block_offset[j];
-        self.block_offset[j] + self.window_of[i][slot].min(windows - 1)
-    }
-
-    /// The cached log-likelihoods `ln π_{m, observed}` of the window in
-    /// which annotator `j` produced the crowd-label `slot` of instance `i`,
-    /// over all truth classes `m`, as one contiguous slice.
-    #[inline]
-    pub fn log_likelihoods_for(&self, i: usize, slot: usize, j: usize, observed: usize) -> &[f32] {
-        let k = self.num_classes;
-        debug_assert!(observed < k, "observed label {observed} out of range for {k} classes");
-        self.log_by_observed.row(self.block_of(i, slot, j) * k + observed)
-    }
-
-    fn rebuild_log_cache(&mut self) {
-        let k = self.num_classes;
-        self.log_by_observed = Matrix::from_fn(self.confusions.rows(), k, |r, m| {
-            let (block, n) = (r / k, r % k);
-            self.confusions[(block * k + m, n)].max(1e-12).ln()
-        });
-    }
-
-    /// The windowed Eq. 12: accumulates soft counts per (annotator,
-    /// window), blends neighbouring windows with `decay^distance`, smooths
-    /// and row-normalises.  The counterpart of
-    /// [`AnnotatorModel::update_from_qf`].
-    pub fn update_from_qf(&mut self, dataset: &CrowdDataset, qf: &FlatPosteriors, smoothing: f32) {
-        assert_eq!(qf.num_instances(), dataset.train.len(), "qf must cover every training instance");
-        assert_eq!(qf.num_classes(), self.num_classes, "qf class count mismatch");
-        let k = self.num_classes;
-        let total_blocks = *self.block_offset.last().unwrap();
-        // observed-major accumulation per block, like the static model
-        let mut counts = vec![0.0f32; total_blocks * k * k];
-        let tier = simd::detected_tier();
-        for (i, inst) in dataset.train.iter().enumerate() {
-            let q_inst = qf.instance_slice(i);
-            for (slot, cl) in inst.crowd_labels.iter().enumerate() {
-                let base = self.block_of(i, slot, cl.annotator) * k * k;
-                for (&observed, src) in cl.labels.iter().zip(q_inst.chunks_exact(k)) {
-                    debug_assert!(observed < k, "observed label {observed} out of range for {k} classes");
-                    let dst = &mut counts[base + observed * k..][..k];
-                    simd::add_assign(tier, dst, src);
-                }
-            }
-        }
-        // blend each annotator's windows, then flip observed-major ->
-        // truth-major and normalise
-        let block = k * k;
-        let mut blended = Vec::with_capacity(counts.len());
-        for j in 0..self.block_offset.len() - 1 {
-            let range = self.block_offset[j] * block..self.block_offset[j + 1] * block;
-            blended.extend(decay_blend_flat(&counts[range], block, self.decay));
-        }
-        for chunk in blended.chunks_exact_mut(block) {
-            for m in 0..k {
-                for n in 0..m {
-                    chunk.swap(m * k + n, n * k + m);
-                }
-            }
-            for v in chunk.iter_mut() {
-                *v += smoothing;
-            }
-        }
-        let mut confusions = Matrix::from_vec(total_blocks * k, k, blended);
-        lncl_crowd::metrics::normalize_confusion_rows(&mut confusions);
-        self.confusions = confusions;
-        self.rebuild_log_cache();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,95 +286,5 @@ mod tests {
         let dataset = dataset_with_known_annotator();
         let mut model = AnnotatorModel::new(2, 2, 0.5);
         model.update_from_qf(&dataset, &FlatPosteriors::from_matrices(&[], 2), 0.01);
-    }
-
-    // -- windowed model ----------------------------------------------------
-
-    fn gold_qf(dataset: &CrowdDataset) -> FlatPosteriors {
-        let matrices: Vec<Matrix> = dataset
-            .train
-            .iter()
-            .map(|inst| Matrix::from_fn(inst.gold.len(), 2, |u, c| if inst.gold[u] == c { 1.0 } else { 0.0 }))
-            .collect();
-        FlatPosteriors::from_matrices(&matrices, 2)
-    }
-
-    /// Annotator 0 reports gold for the first 10 instances, then always 0;
-    /// annotator 1 reports gold throughout.
-    fn dataset_with_step_change() -> CrowdDataset {
-        let mut train = Vec::new();
-        for i in 0..20 {
-            let gold = i % 2;
-            let drifted = if i < 10 { gold } else { 0 };
-            train.push(Instance {
-                tokens: vec![1],
-                gold: vec![gold],
-                crowd_labels: vec![
-                    CrowdLabel { annotator: 0, labels: vec![drifted] },
-                    CrowdLabel { annotator: 1, labels: vec![gold] },
-                ],
-            });
-        }
-        CrowdDataset {
-            task: TaskKind::Classification,
-            num_classes: 2,
-            num_annotators: 2,
-            vocab: vec!["<pad>".into(), "w".into()],
-            class_names: vec!["0".into(), "1".into()],
-            train,
-            dev: vec![],
-            test: vec![],
-            but_token: None,
-            however_token: None,
-        }
-    }
-
-    #[test]
-    fn windowed_update_separates_the_streams_of_a_step_change() {
-        let dataset = dataset_with_step_change();
-        let mut model = WindowedAnnotatorModel::new(&dataset, 10, 0.2, 0.5);
-        model.update_from_qf(&dataset, &gold_qf(&dataset), 0.01);
-        // window 0 (instances 0..10): annotator 0 is near-perfect —
-        // ln π_{1,1} from a truth-1 unit labelled 1 should dominate
-        let early = model.log_likelihoods_for(1, 0, 0, 1); // instance 1 (gold 1, labelled 1)
-        assert!(early[1] > early[0] + 1.0, "early window should trust annotator 0: {early:?}");
-        // window 1 (instances 10..20): annotator 0 answers 0 on truth 1, so
-        // observing a 0 no longer implicates truth 0 strongly
-        let late = model.log_likelihoods_for(11, 0, 0, 0); // instance 11 (gold 1, labelled 0)
-        assert!(
-            (late[0] - late[1]).abs() < 1.0,
-            "late window should treat annotator 0's zeros as weak evidence: {late:?}"
-        );
-    }
-
-    #[test]
-    fn decay_one_windowed_update_matches_the_pooled_model() {
-        let dataset = dataset_with_step_change();
-        let qf = gold_qf(&dataset);
-        let mut pooled = AnnotatorModel::new(2, 2, 0.5);
-        pooled.update_from_qf(&dataset, &qf, 0.01);
-        let mut windowed = WindowedAnnotatorModel::new(&dataset, 5, 1.0, 0.5);
-        windowed.update_from_qf(&dataset, &qf, 0.01);
-        // decay 1.0 blends every window to the global counts, so each
-        // window's normalised matrix equals the pooled Eq. 12 estimate
-        for (i, slot, j, observed) in [(0, 0, 0, 0), (3, 1, 1, 1), (17, 0, 0, 0)] {
-            let w = windowed.log_likelihoods_for(i, slot, j, observed);
-            let p = pooled.log_likelihoods_for(j, observed);
-            for (a, b) in w.iter().zip(p) {
-                assert!((a - b).abs() < 1e-4, "decay 1.0 must pool to the static counts: {w:?} vs {p:?}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "window must hold at least one label")]
-    fn windowed_model_rejects_zero_window() {
-        let _ = WindowedAnnotatorModel::new(&dataset_with_known_annotator(), 0, 0.5, 0.7);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay must be in (0, 1]")]
-    fn windowed_model_rejects_out_of_range_decay() {
-        let _ = WindowedAnnotatorModel::new(&dataset_with_known_annotator(), 5, 0.0, 0.7);
     }
 }

@@ -313,17 +313,21 @@ impl CrowdMethod for LogicLnclMethod {
 }
 
 /// Logic-LNCL with the **stream-windowed** E-step
-/// ([`crate::annotators::WindowedAnnotatorModel`]): every crowd label is
-/// judged by its annotator's confusion matrix in the window of their stream
-/// it was produced in, so the method tracks drifting annotators
-/// ([`lncl_crowd::scenario::DriftSchedule`]) that the pooled Eq. 12
-/// averages away.
+/// ([`LogicLnclBuilder::windowed_confusions`](crate::LogicLnclBuilder::windowed_confusions),
+/// on lncl-crowd's [`Windows`](lncl_crowd::truth::ds_windowed::Windows)):
+/// every crowd label is judged by its annotator's confusion matrix in the
+/// window of their stream it was produced in, so the method tracks
+/// drifting annotators ([`lncl_crowd::scenario::DriftSchedule`]) that the
+/// pooled Eq. 12 averages away.
 pub struct LogicLnclWindowedMethod;
 
 impl LogicLnclWindowedMethod {
-    /// Maximum instances per estimation window — shared with
-    /// [`DsWindowed`](lncl_crowd::truth::DsWindowed) so both windowed
-    /// registry methods run the same windowing scheme.
+    /// Maximum labelled instances per estimation window.  The value is
+    /// [`DsWindowed`](lncl_crowd::truth::DsWindowed)'s default, but the
+    /// clocks differ: DS-W advances one stream position per unit label, so
+    /// the windows agree on sentiment (one unit per instance) while on NER
+    /// a DS-W window holds 48 token labels and a Logic-LNCL-W window 48
+    /// sentences.
     pub const WINDOW: usize = lncl_crowd::truth::DsWindowed::DEFAULT_WINDOW;
     /// Cross-window count decay in `(0, 1]`, shared like
     /// [`LogicLnclWindowedMethod::WINDOW`].

@@ -118,43 +118,25 @@ pub fn infer_qa(instance: &Instance, predictions: &Matrix, annotators: &Annotato
 /// into `out` (a flat `units * K` buffer, e.g. an instance slice of a
 /// [`FlatPosteriors`]).
 pub fn infer_qa_into(instance: &Instance, predictions: &Matrix, annotators: &AnnotatorModel, out: &mut [f32]) {
-    let units = instance.num_units();
-    let k = annotators.num_classes();
-    assert_eq!(predictions.rows(), units, "prediction rows must match instance units");
-    assert_eq!(predictions.cols(), k, "prediction columns must match class count");
-    assert_eq!(out.len(), units * k, "output buffer must hold units * K entries");
-
-    let tier = simd::detected_tier();
-    for (u, log_post) in out.chunks_exact_mut(k).enumerate() {
-        for (lp, &p) in log_post.iter_mut().zip(predictions.row(u)) {
-            *lp = p.max(1e-12).ln();
-        }
-        for cl in &instance.crowd_labels {
-            // one contiguous cached row of pre-computed logs per label —
-            // no `ln` and no strided confusion-matrix walk in this loop
-            let lls = annotators.log_likelihoods_for(cl.annotator, cl.labels[u]);
-            simd::add_assign(tier, log_post, lls);
-        }
-        stats::softmax_in_place(log_post);
-    }
+    eq13_into(instance, predictions, annotators.num_classes(), out, |_, _, j, observed| {
+        annotators.log_likelihoods_for(j, observed)
+    });
 }
 
-/// Drift-aware variant of [`infer_qa_into`]: every crowd label is judged by
-/// the confusion matrix of the **stream window** its annotator produced it
-/// in (see [`WindowedAnnotatorModel`](crate::annotators::WindowedAnnotatorModel)),
-/// so an annotator whose reliability
-/// changed mid-stream contributes correctly-weighted evidence on both sides
-/// of the change.  `i` is the training-instance index the windowed model
-/// was built over.
-pub fn infer_qa_windowed_into(
+/// The Eq. 13 body shared by the pooled and the stream-windowed E-step:
+/// `log_likelihoods(u, slot, annotator, observed)` is the contiguous row
+/// `ln π_{m, observed}` over truth classes `m` of the confusion that judges
+/// crowd label `slot` at unit `u` — no `ln` and no strided confusion walk
+/// in this loop.
+#[inline]
+pub(crate) fn eq13_into<'a>(
     instance: &Instance,
-    i: usize,
     predictions: &Matrix,
-    annotators: &crate::annotators::WindowedAnnotatorModel,
+    k: usize,
     out: &mut [f32],
+    log_likelihoods: impl Fn(usize, usize, usize, usize) -> &'a [f32],
 ) {
     let units = instance.num_units();
-    let k = annotators.num_classes();
     assert_eq!(predictions.rows(), units, "prediction rows must match instance units");
     assert_eq!(predictions.cols(), k, "prediction columns must match class count");
     assert_eq!(out.len(), units * k, "output buffer must hold units * K entries");
@@ -165,8 +147,7 @@ pub fn infer_qa_windowed_into(
             *lp = p.max(1e-12).ln();
         }
         for (slot, cl) in instance.crowd_labels.iter().enumerate() {
-            let lls = annotators.log_likelihoods_for(i, slot, cl.annotator, cl.labels[u]);
-            simd::add_assign(tier, log_post, lls);
+            simd::add_assign(tier, log_post, log_likelihoods(u, slot, cl.annotator, cl.labels[u]));
         }
         stats::softmax_in_place(log_post);
     }

@@ -21,15 +21,16 @@
 //! loss on `q_f` and runs the pseudo-E-step between the M-step and the
 //! dev check.
 
-use crate::annotators::{AnnotatorModel, WindowedAnnotatorModel};
+use crate::annotators::AnnotatorModel;
 use crate::config::{MStepObjective, TrainConfig};
 use crate::distill::{infer_qb, TaskRules};
 use crate::fit::{DevSelection, MStep};
-use crate::posterior::{infer_qa_into, infer_qa_windowed_into, FlatPosteriors};
+use crate::posterior::{eq13_into, infer_qa_into, FlatPosteriors};
 use crate::predict::{evaluate_predictions, evaluate_split, PredictionMode};
 use crate::report::{EvalMetrics, TrainReport};
+use lncl_crowd::truth::ds_windowed::Windows;
 use lncl_crowd::truth::{MajorityVote, TruthInference};
-use lncl_crowd::{CrowdDataset, TaskKind};
+use lncl_crowd::{AnnotationView, CrowdDataset, TaskKind};
 use lncl_nn::{InstanceClassifier, Module};
 use lncl_tensor::Matrix;
 
@@ -62,9 +63,70 @@ pub struct LogicLncl<M: InstanceClassifier + Module + Clone> {
     /// When set, the E-step judges every crowd label by its annotator's
     /// **stream-window** confusion matrix instead of the pooled one — the
     /// `logic-lncl-windowed` drift-tracking configuration.
-    windowed: Option<WindowedAnnotatorModel>,
+    windowed: Option<StreamWindows>,
     /// Current training target `q_f` for the whole split, stored flat.
     qf: FlatPosteriors,
+}
+
+/// The `logic-lncl-windowed` E-step state: lncl-crowd's stream
+/// [`Windows`] over the training split's annotation view, and every
+/// annotator window's confusion as observed-major log-likelihoods
+/// (`logs[j][w]` row `n`, column `m` is `ln(max(π_{m n}, 1e-12))`),
+/// refreshed once per Eq. 12.
+struct StreamWindows {
+    view: AnnotationView,
+    windows: Windows,
+    /// Empty until the first Eq. 12: every window starts from the pooled
+    /// model's diagonal initialisation, so the pooled rows judge until then.
+    logs: Vec<Vec<Matrix>>,
+}
+
+impl StreamWindows {
+    /// Windows of at most `size` instances: a label's position in its
+    /// annotator's stream advances once per labelled training instance (the
+    /// scenario generator's clock), so all units of an instance share their
+    /// labels' windows.  The weak-column backoff is off, so each label is
+    /// judged by its own window.
+    fn new(dataset: &CrowdDataset, size: usize, decay: f32) -> Self {
+        let view = dataset.annotation_view();
+        let mut next = vec![0usize; dataset.num_annotators];
+        let mut positions = Vec::with_capacity(view.num_units());
+        for inst in &dataset.train {
+            let stream: Vec<usize> = inst
+                .crowd_labels
+                .iter()
+                .map(|cl| {
+                    next[cl.annotator] += 1;
+                    next[cl.annotator] - 1
+                })
+                .collect();
+            positions.extend(std::iter::repeat_n(stream, inst.num_units()));
+        }
+        let windows = Windows::new(&view, &positions, size, decay, 0.0);
+        Self { view, windows, logs: Vec::new() }
+    }
+
+    /// The windowed Eq. 12 from `q_f`, whose flat rows are the view's units.
+    fn update_from_qf(&mut self, qf: &FlatPosteriors, smoothing: f32) {
+        let k = qf.num_classes();
+        let rows: Vec<&[f32]> = qf.data().as_slice().chunks_exact(k).collect();
+        assert_eq!(rows.len(), self.view.num_units(), "qf must cover every training unit");
+        let confusions = self.windows.confusions(&self.view, &rows, smoothing);
+        self.logs = confusions
+            .iter()
+            .map(|per_window| {
+                per_window.iter().map(|c| Matrix::from_fn(k, k, |n, m| c[(m, n)].max(1e-12).ln())).collect()
+            })
+            .collect();
+    }
+
+    /// The log-likelihood row that judges label `slot` of view unit `unit`
+    /// (annotator `j` reporting `observed`), or `None` while the pooled
+    /// model judges (before the first Eq. 12).
+    fn log_likelihoods_for(&self, unit: usize, slot: usize, j: usize, observed: usize) -> Option<&[f32]> {
+        let w = self.windows.judging_window(unit, slot, j, observed)?;
+        Some(self.logs.get(j)?[w].row(observed))
+    }
 }
 
 /// Builder for the [`LogicLncl`] trainer; see [`LogicLncl::builder`].
@@ -106,11 +168,14 @@ impl<M: InstanceClassifier + Module + Clone> LogicLnclBuilder<M> {
     }
 
     /// Switches the E-step to **stream-windowed** confusion matrices
-    /// ([`WindowedAnnotatorModel`]): windows of at most `window` instances
-    /// per annotator, neighbouring windows blended with `decay^distance`.
-    /// This is the `logic-lncl-windowed` drift-tracking configuration;
-    /// degenerate parameters are rejected with a descriptive panic when the
-    /// trainer is built.
+    /// (lncl-crowd's [`Windows`], the model DS-W runs on): each annotator's
+    /// stream, one position per labelled training instance, is cut into
+    /// windows of at most `window` instances, neighbouring windows are
+    /// blended with `decay^distance`, and every crowd label is judged by
+    /// its own window's confusion.  This is the `logic-lncl-windowed`
+    /// drift-tracking configuration; degenerate parameters (`window == 0`,
+    /// `decay` outside `(0, 1]`) are rejected with a descriptive panic when
+    /// the trainer is built.
     pub fn windowed_confusions(mut self, window: usize, decay: f32) -> Self {
         self.windowed = Some((window, decay));
         self
@@ -120,8 +185,7 @@ impl<M: InstanceClassifier + Module + Clone> LogicLnclBuilder<M> {
     pub fn build(self, dataset: &CrowdDataset) -> LogicLncl<M> {
         let mut trainer = LogicLncl::new(self.model, dataset, self.rules, self.config);
         trainer.posterior_mode = self.posterior;
-        trainer.windowed =
-            self.windowed.map(|(window, decay)| WindowedAnnotatorModel::new(dataset, window, decay, 0.7));
+        trainer.windowed = self.windowed.map(|(window, decay)| StreamWindows::new(dataset, window, decay));
         trainer
     }
 }
@@ -213,21 +277,24 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
         let clause = |tokens: &[usize]| model.predict_proba(tokens).row(0).to_vec();
         let imitation_k = imitation_k.clamp(0.0, 1.0);
 
-        let mut new_qf = FlatPosteriors::zeros(&dataset.train, dataset.num_classes);
+        let k = dataset.num_classes;
+        let mut new_qf = FlatPosteriors::zeros(&dataset.train, k);
+        // view unit index of instance i's first unit (windowed lookups)
+        let mut first_unit = 0;
         for (i, inst) in dataset.train.iter().enumerate() {
-            match &self.posterior_mode {
-                PosteriorMode::Iterative => match &self.windowed {
-                    Some(windowed) => {
-                        infer_qa_windowed_into(inst, i, &predictions[i], windowed, new_qf.instance_slice_mut(i));
-                    }
-                    None => {
-                        infer_qa_into(inst, &predictions[i], &self.annotators, new_qf.instance_slice_mut(i));
-                    }
-                },
-                PosteriorMode::Fixed(fixed) => {
-                    new_qf.instance_slice_mut(i).copy_from_slice(fixed[i].as_slice());
+            let out = new_qf.instance_slice_mut(i);
+            match (&self.posterior_mode, &self.windowed) {
+                (PosteriorMode::Iterative, None) => infer_qa_into(inst, &predictions[i], &self.annotators, out),
+                (PosteriorMode::Iterative, Some(windowed)) => {
+                    eq13_into(inst, &predictions[i], k, out, |u, slot, j, observed| {
+                        windowed
+                            .log_likelihoods_for(first_unit + u, slot, j, observed)
+                            .unwrap_or_else(|| self.annotators.log_likelihoods_for(j, observed))
+                    });
                 }
+                (PosteriorMode::Fixed(fixed), _) => out.copy_from_slice(fixed[i].as_slice()),
             }
+            first_unit += inst.num_units();
             if self.rules.is_none() {
                 // q_b == q_a: Eq. 9 in place
                 for v in new_qf.instance_slice_mut(i) {
@@ -247,7 +314,7 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
         // windowed model additionally tracks per-stream-window confusions.
         self.annotators.update_from_qf(dataset, &self.qf, 0.01);
         if let Some(windowed) = &mut self.windowed {
-            windowed.update_from_qf(dataset, &self.qf, 0.01);
+            windowed.update_from_qf(&self.qf, 0.01);
         }
     }
 
@@ -452,6 +519,77 @@ mod tests {
             pooled_report.inference.accuracy,
             windowed_report.inference.accuracy
         );
+    }
+
+    /// Annotator 0 reports gold for the first 10 instances, then always 0;
+    /// annotator 1 reports gold throughout.
+    fn dataset_with_step_change() -> CrowdDataset {
+        use lncl_crowd::{CrowdLabel, Instance};
+        let train = (0..20)
+            .map(|i| {
+                let gold = i % 2;
+                let drifted = if i < 10 { gold } else { 0 };
+                Instance {
+                    tokens: vec![1],
+                    gold: vec![gold],
+                    crowd_labels: vec![
+                        CrowdLabel { annotator: 0, labels: vec![drifted] },
+                        CrowdLabel { annotator: 1, labels: vec![gold] },
+                    ],
+                }
+            })
+            .collect();
+        CrowdDataset {
+            task: TaskKind::Classification,
+            num_classes: 2,
+            num_annotators: 2,
+            vocab: vec!["<pad>".into(), "w".into()],
+            class_names: vec!["0".into(), "1".into()],
+            train,
+            dev: vec![],
+            test: vec![],
+            but_token: None,
+            however_token: None,
+        }
+    }
+
+    #[test]
+    fn windowed_update_separates_the_streams_of_a_step_change() {
+        let dataset = dataset_with_step_change();
+        let gold: Vec<Matrix> = dataset
+            .train
+            .iter()
+            .map(|inst| Matrix::from_fn(inst.gold.len(), 2, |u, c| if inst.gold[u] == c { 1.0 } else { 0.0 }))
+            .collect();
+        let mut windowed = StreamWindows::new(&dataset, 10, 0.2);
+        assert!(windowed.log_likelihoods_for(1, 0, 0, 1).is_none(), "the pooled model judges before Eq. 12");
+        windowed.update_from_qf(&FlatPosteriors::from_matrices(&gold, 2), 0.01);
+        // one unit per instance, so view unit i is instance i.  Window 0
+        // (instances 0..10): annotator 0 is near-perfect — ln π_{1,1} from a
+        // truth-1 unit labelled 1 should dominate
+        let early = windowed.log_likelihoods_for(1, 0, 0, 1).unwrap(); // instance 1 (gold 1, labelled 1)
+        assert!(early[1] > early[0] + 1.0, "early window should trust annotator 0: {early:?}");
+        // window 1 (instances 10..20): annotator 0 answers 0 on truth 1, so
+        // observing a 0 no longer implicates truth 0 strongly
+        let late = windowed.log_likelihoods_for(11, 0, 0, 0).unwrap(); // instance 11 (gold 1, labelled 0)
+        assert!(
+            (late[0] - late[1]).abs() < 1.0,
+            "late window should treat annotator 0's zeros as weak evidence: {late:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "window must hold at least one label")]
+    fn windowed_model_rejects_zero_window() {
+        let dataset = dataset_with_step_change();
+        let _ = LogicLncl::builder(tiny_model(&dataset, 6)).windowed_confusions(0, 0.5).build(&dataset);
+    }
+
+    #[test]
+    #[should_panic(expected = "decay must be in (0, 1]")]
+    fn windowed_model_rejects_out_of_range_decay() {
+        let dataset = dataset_with_step_change();
+        let _ = LogicLncl::builder(tiny_model(&dataset, 6)).windowed_confusions(5, 0.0).build(&dataset);
     }
 
     #[test]

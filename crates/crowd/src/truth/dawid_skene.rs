@@ -51,8 +51,9 @@ impl DawidSkene {
             for (u, annotations) in view.annotations.iter().enumerate() {
                 let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
                 for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-                    let confusion = match (windows, &windowed) {
-                        (Some(w), Some(windowed)) => w.judge(u, slot, annotator, class, windowed, &pooled),
+                    let window = windows.and_then(|w| w.judging_window(u, slot, annotator, class));
+                    let confusion = match (window, &windowed) {
+                        (Some(w), Some(windowed)) => &windowed[annotator][w],
                         _ => &pooled[annotator],
                     };
                     for (m, lp) in log_post.iter_mut().enumerate() {

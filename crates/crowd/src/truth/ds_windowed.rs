@@ -72,10 +72,14 @@ impl Default for DsWindowed {
 }
 
 impl DsWindowed {
-    /// Default maximum labels per estimation window — the single source
+    /// Default stream positions per estimation window — the single source
     /// both windowed registry methods (`ds-windowed`,
-    /// `logic-lncl-windowed`) configure themselves from, so cross-method
-    /// sweep comparisons always run the same windowing scheme.
+    /// `logic-lncl-windowed`) configure themselves from.  The two clock
+    /// their streams differently: DS-W (and the streaming estimator)
+    /// advances one position per unit label, Logic-LNCL-W one per labelled
+    /// instance.  On sentiment (one unit per instance) the windows
+    /// coincide; on NER `48` means 48 token labels for DS-W but 48
+    /// sentences for Logic-LNCL-W.
     pub const DEFAULT_WINDOW: usize = 48;
     /// Default cross-window count decay, shared like
     /// [`DsWindowed::DEFAULT_WINDOW`].
@@ -110,11 +114,13 @@ impl DsWindowed {
     }
 }
 
-/// The stream-window layout of a view's labels, which turns
-/// [`DawidSkene::fit`] into DS-W: the window each label was produced in,
-/// and each window column's label-count support for the weak-column
-/// backoff.
-pub(crate) struct Windows {
+/// The stream-window layout of a view's labels, the one windowed
+/// confusion model of the workspace: the window each label was produced
+/// in, each window column's label-count support for the weak-column
+/// backoff, and the windowed M-step over any soft posteriors.  It turns
+/// the crate's Dawid–Skene EM into DS-W (and streaming finalize), and
+/// Logic-LNCL-W judges its Eq. 13 crowd labels by it.
+pub struct Windows {
     /// Parallel to `view.annotations`: per label, its window index in its
     /// annotator's stream.
     window: Vec<Vec<usize>>,
@@ -131,16 +137,23 @@ pub(crate) struct Windows {
 }
 
 impl Windows {
-    /// Cuts each annotator's stream into windows of `size` labels.
+    /// Cuts each annotator's stream into windows of `size` positions.
     /// `positions` is parallel to `view.annotations`: each label's position
-    /// in its annotator's stream (`0..len` per annotator).
-    pub(crate) fn new(
+    /// in its annotator's stream (`0..len` per annotator; labels sharing a
+    /// position share a window).  `backoff_min_support = 0.0` judges every
+    /// label by its own window.
+    ///
+    /// Panics with a descriptive message when `size == 0` or `decay` lies
+    /// outside `(0, 1]`.
+    pub fn new(
         view: &AnnotationView,
         positions: &[Vec<usize>],
         size: usize,
         decay: f32,
         backoff_min_support: f32,
     ) -> Self {
+        assert!(size >= 1, "stream window must hold at least one label, got {size}");
+        assert!(decay > 0.0 && decay <= 1.0 && decay.is_finite(), "stream window decay must be in (0, 1], got {decay}");
         let k = view.num_classes;
         let window: Vec<Vec<usize>> = positions.iter().map(|unit| unit.iter().map(|&p| p / size).collect()).collect();
         let mut count = vec![1; view.num_annotators];
@@ -159,20 +172,22 @@ impl Windows {
         Self { window, count, support, num_classes: k, decay, backoff_min_support }
     }
 
-    /// Per-annotator, per-window confusion matrices from soft posteriors:
-    /// raw window counts, decay blending, smoothing, row normalisation.
-    pub(crate) fn confusions(
+    /// Per-annotator, per-window confusion matrices from soft posteriors
+    /// (one row per unit of `view`): raw window counts, decay blending,
+    /// smoothing, row normalisation.
+    pub fn confusions(
         &self,
         view: &AnnotationView,
-        posteriors: &[Vec<f32>],
+        posteriors: &[impl AsRef<[f32]>],
         smoothing: f32,
     ) -> Vec<Vec<Matrix>> {
         let k = view.num_classes;
         let mut raw: Vec<Vec<Matrix>> = self.count.iter().map(|&w| vec![Matrix::zeros(k, k); w]).collect();
         for (u, annotations) in view.annotations.iter().enumerate() {
+            let posterior = posteriors[u].as_ref();
             for (&(annotator, class), &w) in annotations.iter().zip(&self.window[u]) {
                 for m in 0..k {
-                    raw[annotator][w][(m, class)] += posteriors[u][m];
+                    raw[annotator][w][(m, class)] += posterior[m];
                 }
             }
         }
@@ -190,26 +205,15 @@ impl Windows {
             .collect()
     }
 
-    /// The confusion that judges label `slot` of unit `u`: its window's,
-    /// unless that window's observed-class column has less support than
-    /// `backoff_min_support` — then it is little more than the label's own
-    /// circular self-evidence, and the annotator's pooled confusion judges
-    /// it instead.
-    pub(crate) fn judge<'a>(
-        &self,
-        u: usize,
-        slot: usize,
-        annotator: usize,
-        class: usize,
-        windowed: &'a [Vec<Matrix>],
-        pooled: &'a [Matrix],
-    ) -> &'a Matrix {
+    /// The window whose confusion judges label `slot` of unit `u`
+    /// (`annotator` reporting `class`), or `None` when that window's
+    /// observed-class column has less support than `backoff_min_support` —
+    /// then it is little more than the label's own circular self-evidence,
+    /// and the annotator's pooled confusion judges it instead.
+    #[inline]
+    pub fn judging_window(&self, u: usize, slot: usize, annotator: usize, class: usize) -> Option<usize> {
         let w = self.window[u][slot];
-        if self.support[annotator][w * self.num_classes + class] < self.backoff_min_support {
-            &pooled[annotator]
-        } else {
-            &windowed[annotator][w]
-        }
+        (self.support[annotator][w * self.num_classes + class] >= self.backoff_min_support).then_some(w)
     }
 }
 
@@ -220,10 +224,10 @@ impl Windows {
 /// `Σ_i decay^|w - i| · raw_i`; `decay == 1.0` pools every window to the
 /// global counts.
 ///
-/// Shared by both stream-windowed estimators — [`DsWindowed`] here and the
-/// windowed Logic-LNCL E-step in the core crate — so the two always apply
-/// the same smoothing scheme.
-pub fn decay_blend_flat(raw: &[f32], block: usize, decay: f32) -> Vec<f32> {
+/// Every stream-windowed estimate — DS-W, streaming finalize and the
+/// Logic-LNCL-W E-step, all through [`Windows`] or [`decay_blend`] — blends
+/// here, so they always apply the same smoothing scheme.
+fn decay_blend_flat(raw: &[f32], block: usize, decay: f32) -> Vec<f32> {
     // the chunked passes below walk whole blocks, so a ragged tail would be
     // passed through unblended — catch the caller's sizing bug loudly
     assert!(block >= 1, "decay_blend_flat: block size must be at least 1");
@@ -405,6 +409,27 @@ mod tests {
     fn out_of_range_decay_is_rejected_with_a_real_message() {
         let view = planted_view(10, 2, &[0.9, 0.9], 2, 3);
         let _ = DsWindowed { decay: 1.5, ..Default::default() }.infer(&view);
+    }
+
+    #[test]
+    fn decay_one_windows_pool_to_the_static_m_step() {
+        // every annotator labels all 300 units, so windows of 40 cut each
+        // stream into 8 windows; decay 1.0 blends each to the global counts
+        let view = planted_view(300, 3, &[0.9, 0.7, 0.5, 0.45], 4, 11);
+        let posteriors = crate::truth::MajorityVote.infer(&view).posteriors;
+        let windows = Windows::new(&view, &unit_order_positions(&view), 40, 1.0, 0.0);
+        let windowed = windows.confusions(&view, &posteriors, 0.01);
+        let pooled = crate::truth::estimate_confusions(&view, &posteriors, 0.01);
+        for (annotator, (per_window, pooled)) in windowed.iter().zip(&pooled).enumerate() {
+            assert_eq!(per_window.len(), 8, "annotator {annotator} window count");
+            for (w, confusion) in per_window.iter().enumerate() {
+                assert!(
+                    confusion.approx_eq(pooled, 1e-4),
+                    "decay 1.0 must pool annotator {annotator}'s window {w} to the static counts: {confusion:?} vs \
+                     {pooled:?}"
+                );
+            }
+        }
     }
 
     #[test]

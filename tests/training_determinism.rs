@@ -3,13 +3,14 @@
 //!
 //! * a `logic-lncl` run must reproduce the per-epoch training loss and the
 //!   teacher test metric recorded below;
-//! * the registry's `mv-classifier` (supervised training, both its rows)
-//!   and `cl-mw+pre2` (MV pre-training, then the crowd-layer loop) must
-//!   reproduce every row's prediction and inference metrics.  The NER
+//! * the registry's `mv-classifier` (supervised training, both its rows),
+//!   `cl-mw+pre2` (MV pre-training, then the crowd-layer loop) and
+//!   `logic-lncl-windowed` (the stream-windowed E-step) must reproduce every
+//!   row's prediction and inference metrics.  The NER
 //!   taggers still predict all-O after 2 epochs, so each pin also checks
 //!   one continuous value: the supervised loss history of the Gold
 //!   training and the summed non-`O` / positive-class posterior mass of
-//!   the trained crowd-layer backbone.
+//!   the trained crowd-layer backbone and of the windowed `q_f`.
 //!
 //! Values are raw `f32::to_bits`.  Any reordered floating-point reduction
 //! in the tensor kernels, the autograd backward rules or a training loop
@@ -19,6 +20,7 @@ use lncl_bench::Scale;
 use lncl_crowd::{CrowdDataset, TaskKind};
 use logic_lncl::baselines::train_supervised;
 use logic_lncl::baselines::two_stage::gold_targets;
+use logic_lncl::method::LogicLnclWindowedMethod;
 use logic_lncl::predict::PredictionMode;
 use logic_lncl::{paper_rules, LogicLncl, MethodRegistry, RunContext, TrainConfig};
 
@@ -137,4 +139,42 @@ fn tiny_ner_crowd_layer_training_is_bitwise_pinned() {
     let mass = posterior_mass("cl-mw+pre2", &dataset, &config);
     assert_eq!(rows, [[0x0000_0000, 0x3f34_e81b, 0x0000_0000]], "NER CL (MW) [2 pretrain] bits moved");
     assert_eq!(mass, 0x406a_cac4_e83d_f800, "NER CL (MW) [2 pretrain] posterior bits moved");
+}
+
+/// Asserts that some annotator's label stream (one position per labelled
+/// training instance, the windowed E-step's clock) spans at least two
+/// windows, so a windowed pin judges labels by more than one window.
+fn assert_some_stream_spans_two_windows(dataset: &CrowdDataset) {
+    let mut stream = vec![0usize; dataset.num_annotators];
+    for cl in dataset.train.iter().flat_map(|inst| &inst.crowd_labels) {
+        stream[cl.annotator] += 1;
+    }
+    let longest = stream.into_iter().max().unwrap_or(0);
+    let window = LogicLnclWindowedMethod::WINDOW;
+    assert!(
+        longest > window,
+        "the longest annotator stream ({longest} instances) fits in one {window}-instance window"
+    );
+}
+
+#[test]
+fn tiny_sentiment_windowed_training_is_bitwise_pinned() {
+    let dataset = Scale::Tiny.sentiment_dataset(SEED);
+    assert_some_stream_spans_two_windows(&dataset);
+    let config = tiny_config(dataset.task);
+    let rows = registry_rows("logic-lncl-windowed", &dataset, &config);
+    let mass = posterior_mass("logic-lncl-windowed", &dataset, &config);
+    assert_eq!(rows, [[0x3f22_2222, 0x3f22_2222, 0x3f75_c28f]], "sentiment Logic-LNCL-W bits moved");
+    assert_eq!(mass, 0x4057_5809_4d0f_9ab0, "sentiment Logic-LNCL-W posterior bits moved");
+}
+
+#[test]
+fn tiny_ner_windowed_training_is_bitwise_pinned() {
+    let dataset = Scale::Tiny.ner_dataset(SEED);
+    assert_some_stream_spans_two_windows(&dataset);
+    let config = tiny_config(dataset.task);
+    let rows = registry_rows("logic-lncl-windowed", &dataset, &config);
+    let mass = posterior_mass("logic-lncl-windowed", &dataset, &config);
+    assert_eq!(rows, [[0x0000_0000, 0x3f34_e81b, 0x3f33_3333]], "NER Logic-LNCL-W bits moved");
+    assert_eq!(mass, 0x406b_4f98_2de2_4d96, "NER Logic-LNCL-W posterior bits moved");
 }
