@@ -10,8 +10,8 @@
 //! `add` → `vstack` unroll), in the same order, so every value and every
 //! gradient is bitwise identical to the composed rules; every term they
 //! skip is an exact ±0, which cannot change a sum that starts from `+0`.
-//! The forward kernels are public so the tape-free eval paths of
-//! `lncl-nn` run the very same arithmetic.
+//! Training and evaluation both record these nodes: an eval pass is the
+//! same forward on a reused tape, with no backward.
 //!
 //! On a reused tape (see [`Tape::rewind`]) the rules build no temporaries
 //! of their own: outputs, cached gates and argmax lists live in the
@@ -24,7 +24,7 @@ use lncl_tensor::simd::{self, Lhs};
 use lncl_tensor::{ops, Matrix};
 
 /// Index of each GRU parameter in the `[Var; 9]` / `[&Matrix; 9]` arrays
-/// taken by [`Tape::gru_sequence`] and [`gru_sequence_forward`]:
+/// taken by [`Tape::gru_sequence`] and its kernel:
 /// `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.
 const WZ: usize = 0;
 const UZ: usize = 1;
@@ -36,7 +36,7 @@ const WH: usize = 6;
 const UH: usize = 7;
 const BH: usize = 8;
 
-/// Per-step GRU activations cached by [`gru_sequence_forward`] for the
+/// Per-step GRU activations cached by [`Tape::gru_sequence`] for the
 /// backward pass, each `T x hidden` (row `t` is step `t`).  The hidden
 /// states themselves are the op's output.
 pub struct GruGates {
@@ -103,21 +103,6 @@ fn conv_max_pool_into(
     }
 }
 
-/// Max-pooled text convolution `max_over_rows(relu(im2col(x, window) * w +
-/// bias))`: returns the pooled `1 x filters` row and, per filter, the
-/// first window position attaining the maximum.  Window `p` is read in
-/// place as the `window` consecutive rows of `x` starting at row `p`.
-///
-/// # Panics
-/// Panics if `x` has fewer rows than `window` or on a shape mismatch.
-pub fn conv_max_pool_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (Matrix, Vec<usize>) {
-    let (positions, filters) = conv_shape(x, w, bias, window);
-    let mut act = vec![0.0f32; positions * filters];
-    let (mut pooled, mut argmax) = (Matrix::zeros(1, filters), vec![0usize; filters]);
-    conv_max_pool_into(x, w, bias, window, &mut act, pooled.as_mut_slice(), &mut argmax);
-    (pooled, argmax)
-}
-
 /// Checks a same-length convolution's shapes; returns `(T, d, filters)`.
 fn same_conv_shape(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (usize, usize, usize) {
     assert!(window % 2 == 1, "same_conv: window {window} must be odd");
@@ -159,19 +144,6 @@ fn same_conv_into(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize, out: &mu
             *o = (*o + b).max(0.0);
         }
     }
-}
-
-/// Same-length text convolution `relu(im2col(zero_pad(x), window) * w +
-/// bias)` (`T x d -> T x filters`, `window/2` zero rows padded at each
-/// end), with the windows read in place from `x`.
-///
-/// # Panics
-/// Panics on an even window, an empty sequence or a shape mismatch.
-pub fn same_conv_forward(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> Matrix {
-    let (t, _, filters) = same_conv_shape(x, w, bias, window);
-    let mut out = Matrix::zeros(t, filters);
-    same_conv_into(x, w, bias, window, out.as_mut_slice());
-    out
 }
 
 /// Checks a GRU's shapes; returns `(T, in, hidden)`.
@@ -238,45 +210,17 @@ fn gru_sequence_into(
     }
 }
 
-/// Unrolls a GRU over the `T x in` sequence `x` from a zero hidden state:
-///
-/// ```text
-/// z = σ(x Wz + h Uz + bz)
-/// r = σ(x Wr + h Ur + br)
-/// h̃ = tanh(x Wh + (r ⊙ h) Uh + bh)
-/// h' = (1 - z) ⊙ h + z ⊙ h̃
-/// ```
-///
-/// `params` is `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.  Returns the stacked
-/// hidden states (`T x hidden`) and the gates the backward pass needs.
-/// The input projections of all three gates run up front into one
-/// `T x 3·hidden` buffer (each gate's weights written at its column offset)
-/// and the recurrent ones of `z` and `r` into one `[h Uz | h Ur]` row per
-/// step; every element is summed exactly as the per-step fused
-/// `dual_affine` computes it, `(x w + h u) + b`.
-///
-/// # Panics
-/// Panics on an empty sequence or a shape mismatch.
-pub fn gru_sequence_forward(x: &Matrix, params: [&Matrix; 9]) -> (Matrix, GruGates) {
-    let (steps, _, hid) = gru_shape(x, params);
-    let mut out = Matrix::zeros(steps, hid);
-    let mut gates =
-        GruGates { z: Matrix::zeros(steps, hid), r: Matrix::zeros(steps, hid), cand: Matrix::zeros(steps, hid) };
-    let (mut proj, mut step) = (vec![0.0f32; steps * 3 * hid], vec![0.0f32; 5 * hid]);
-    gru_sequence_into(x, params, &mut out, &mut gates, &mut proj, &mut step);
-    (out, gates)
-}
-
 impl Tape {
-    /// Fused max-pooled text convolution: `relu(im2col(x, window) * w +
-    /// bias)` followed by `max_over_rows` as one node (`T x d -> 1 x
-    /// filters`).  Only the pooled row and the argmax positions are kept;
-    /// the backward rule visits the argmax window of each filter whose
-    /// pooled value is positive instead of the whole `(T - window + 1) x
-    /// filters` map.
+    /// Fused max-pooled text convolution `max_over_rows(relu(im2col(x,
+    /// window) * w + bias))` as one node (`T x d -> 1 x filters`).  Window
+    /// `p` is read in place as the `window` consecutive rows of `x`
+    /// starting at row `p`.  Only the pooled row and, per filter, the
+    /// first window position attaining the maximum are kept; the backward
+    /// rule visits the argmax window of each filter whose pooled value is
+    /// positive instead of the whole `(T - window + 1) x filters` map.
     ///
     /// # Panics
-    /// Panics if `x` has fewer rows than `window`.
+    /// Panics if `x` has fewer rows than `window` or on a shape mismatch.
     pub fn conv_max_pool(&mut self, x: Var, w: Var, bias: Var, window: usize) -> Var {
         let (positions, filters) = conv_shape(self.value(x), self.value(w), self.value(bias), window);
         let mut node = self.next_node();
@@ -295,9 +239,11 @@ impl Tape {
         self.push_node(node)
     }
 
-    /// Fused same-length convolution (see [`same_conv_forward`]) as one
-    /// node (`T x d -> T x filters`): no padded copy, no im2col matrix and
-    /// no intermediate nodes.
+    /// Fused same-length convolution
+    /// `relu(im2col(zero_pad(x), window) * w + bias)` as one node
+    /// (`T x d -> T x filters`, `window/2` zero rows padded at each end):
+    /// the windows are read in place from `x`, with no padded copy, no
+    /// im2col matrix and no intermediate nodes.
     ///
     /// # Panics
     /// Panics on an even window, an empty sequence or a shape mismatch.
@@ -311,10 +257,22 @@ impl Tape {
     }
 
     /// Fused GRU unroll over the `T x in` sequence `x` from a zero hidden
-    /// state, as one node producing the stacked `T x hidden` states (see
-    /// [`gru_sequence_forward`]; `params` is `[wz, uz, bz, wr, ur, br, wh,
-    /// uh, bh]`).  Caches the gates, and the backward rule runs a
-    /// hand-written backpropagation through time.
+    /// state, as one node producing the stacked `T x hidden` states:
+    ///
+    /// ```text
+    /// z = σ(x Wz + h Uz + bz)
+    /// r = σ(x Wr + h Ur + br)
+    /// h̃ = tanh(x Wh + (r ⊙ h) Uh + bh)
+    /// h' = (1 - z) ⊙ h + z ⊙ h̃
+    /// ```
+    ///
+    /// `params` is `[wz, uz, bz, wr, ur, br, wh, uh, bh]`.  The input
+    /// projections of all three gates run up front into one `T x 3·hidden`
+    /// buffer (each gate's weights written at its column offset) and the
+    /// recurrent ones of `z` and `r` into one `[h Uz | h Ur]` row per step;
+    /// every element is summed exactly as the per-step fused `dual_affine`
+    /// computes it, `(x w + h u) + b`.  Caches the gates, and the backward
+    /// rule runs a hand-written backpropagation through time.
     ///
     /// # Panics
     /// Panics on an empty sequence, a shape mismatch, or a node passed
@@ -774,7 +732,6 @@ mod tests {
         for ((f, c), name) in fused.iter().zip(&composed).zip(["y", "dx", "dw", "dbias"]) {
             assert_bitwise(f, c, name);
         }
-        assert_bitwise(&same_conv_forward(x, w, b, *window), &fused[0], "eval kernel");
     }
 
     #[test]
@@ -867,22 +824,6 @@ mod tests {
                 check_gru(&dropped(&mut rng, steps, in_dim), &params, h, 100 + steps as u64);
             }
         }
-    }
-
-    #[test]
-    fn gru_forward_kernel_matches_the_tape_value() {
-        let mut rng = TensorRng::seed_from_u64(22);
-        let params = gru_params(&mut rng, 4, 6);
-        let x = rng.normal_matrix(5, 4, 1.0);
-        let (h, gates) = gru_sequence_forward(&x, std::array::from_fn(|i| &params[i]));
-        assert_eq!(gates.z.shape(), (5, 6));
-        // every hidden state is a convex mix of tanh values, so in (-1, 1)
-        assert!(h.as_slice().iter().all(|v| v.abs() < 1.0));
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x);
-        let pv: [Var; 9] = std::array::from_fn(|i| tape.leaf(params[i].clone()));
-        let out = composed_gru(&mut tape, xv, pv);
-        assert_bitwise(&h, tape.value(out), "forward kernel");
     }
 
     #[test]

@@ -269,8 +269,9 @@ impl Tape {
         self.nodes[v.0].value.shape()
     }
 
-    /// Resets every gradient accumulator to zero (rarely needed because a
-    /// fresh tape is built per step, but handy for multi-loss experiments).
+    /// Resets every gradient accumulator to zero (rarely needed: a reused
+    /// tape's [`Tape::rewind`] already clears them, but handy for
+    /// multi-loss experiments).
     pub fn zero_grad(&mut self) {
         for node in &mut self.nodes {
             node.grad.fill(0.0);

@@ -17,8 +17,6 @@ pub enum Op {
     MatMul(Var, Var),
     /// Element-wise `a + b`.
     Add(Var, Var),
-    /// Element-wise `a - b`.
-    Sub(Var, Var),
     /// Element-wise (Hadamard) `a ⊙ b`.
     Mul(Var, Var),
     /// Scalar multiple `s * a`.
@@ -35,8 +33,6 @@ pub enum Op {
     Sigmoid(Var),
     /// Sum of every entry, producing a scalar.
     SumAll(Var),
-    /// Mean of every entry, producing a scalar.
-    MeanAll(Var),
     /// Horizontal concatenation (same row count).
     HStack(Vec<Var>),
     /// Vertical concatenation (same column count).
@@ -92,12 +88,6 @@ impl Tape {
         self.push(value, Op::Add(a, b))
     }
 
-    /// Element-wise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = ops::sub(self.value(a), self.value(b));
-        self.push(value, Op::Sub(a, b))
-    }
-
     /// Element-wise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = ops::mul(self.value(a), self.value(b));
@@ -150,12 +140,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Matrix::full(1, 1, self.value(a).sum());
         self.push(value, Op::SumAll(a))
-    }
-
-    /// Mean of all entries (scalar output).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = Matrix::full(1, 1, self.value(a).mean());
-        self.push(value, Op::MeanAll(a))
     }
 
     /// Horizontal concatenation of equally-tall matrices.
@@ -274,16 +258,6 @@ impl Tape {
         self.push_node(node)
     }
 
-    /// Mean-squared-error against fixed targets, averaged over all entries.
-    /// Implemented compositionally (sub → mul → mean), so it needs no
-    /// dedicated backward rule.
-    pub fn mse(&mut self, predictions: Var, targets: Matrix) -> Var {
-        let t = self.constant(targets);
-        let diff = self.sub(predictions, t);
-        let sq = self.mul(diff, diff);
-        self.mean_all(sq)
-    }
-
     /// Fused affine layer `x * w + bias` with bias broadcast over rows: one
     /// node and one output allocation instead of the matmul + broadcast
     /// composition.
@@ -329,10 +303,6 @@ impl Tape {
                 ops::add_assign(&mut self.nodes[a.0].grad, &upstream);
                 ops::add_assign(&mut self.nodes[b.0].grad, &upstream);
             }
-            Op::Sub(a, b) => {
-                ops::add_assign(&mut self.nodes[a.0].grad, &upstream);
-                ops::add_scaled_assign(&mut self.nodes[b.0].grad, &upstream, -1.0);
-            }
             Op::Mul(a, b) => {
                 let da = ops::mul(&upstream, &self.nodes[b.0].value);
                 let db = ops::mul(&upstream, &self.nodes[a.0].value);
@@ -369,13 +339,6 @@ impl Tape {
             }
             Op::SumAll(a) => {
                 let g = upstream[(0, 0)];
-                let shape = self.nodes[a.0].value.shape();
-                let da = Matrix::full(shape.0, shape.1, g);
-                ops::add_assign(&mut self.nodes[a.0].grad, &da);
-            }
-            Op::MeanAll(a) => {
-                let n = self.nodes[a.0].value.len().max(1) as f32;
-                let g = upstream[(0, 0)] / n;
                 let shape = self.nodes[a.0].value.shape();
                 let da = Matrix::full(shape.0, shape.1, g);
                 ops::add_assign(&mut self.nodes[a.0].grad, &da);
@@ -746,16 +709,5 @@ mod tests {
         let y = tape.dropout(x, 0.5, || unreachable!("eval mode draws nothing"), false);
         assert_eq!(y, x, "eval-mode dropout must be the identity node");
         assert_eq!(tape.len(), before);
-    }
-
-    #[test]
-    fn mse_loss_and_gradient() {
-        let mut tape = Tape::new();
-        let x = tape.leaf(Matrix::row_vector(&[1.0, 3.0]));
-        let loss = tape.mse(x, Matrix::row_vector(&[0.0, 0.0]));
-        assert!((tape.scalar(loss) - 5.0).abs() < 1e-6);
-        tape.backward(loss);
-        // d/dx mean((x-t)^2) = 2(x-t)/n
-        assert!(tape.grad(x).approx_eq(&Matrix::row_vector(&[1.0, 3.0]), 1e-5));
     }
 }

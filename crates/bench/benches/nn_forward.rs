@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the two classifier architectures
 //! (forward pass and forward+backward, and one training mini-batch at the
-//! trainer's shapes); writes `BENCH_nn_forward.json`.
+//! trainer's shapes); writes `BENCH_nn_forward.json`.  The forward cases
+//! time one eval-mode sentence through a reused [`Workspace::eval`]
+//! evaluator, the path of every evaluation pass in training.
 use lncl_autograd::Tape;
 use lncl_bench::timing::BenchReport;
 use lncl_bench::Scale;
@@ -20,7 +22,9 @@ fn main() {
     let mut rng = TensorRng::seed_from_u64(0);
     let cnn = SentimentCnn::new(SentimentCnnConfig { vocab_size: 500, ..Default::default() }, &mut rng);
     let tokens: Vec<usize> = (1..18).collect();
-    report.bench("sentiment_cnn_forward", || cnn.predict_proba(&tokens));
+    let mut workspace = Workspace::new();
+    let mut evaluator = workspace.eval(&cnn);
+    report.bench("sentiment_cnn_forward", || evaluator.proba(&tokens));
     let mut model = cnn.clone();
     report.bench("sentiment_cnn_forward_backward", || {
         forward_backward(&mut model, &tokens, Matrix::row_vector(&[0.3, 0.7]))
@@ -28,7 +32,9 @@ fn main() {
 
     let ner = NerConvGru::new(NerConvGruConfig { vocab_size: 500, ..Default::default() }, &mut rng);
     let sentence: Vec<usize> = (1..15).collect();
-    report.bench("ner_conv_gru_forward", || ner.predict_proba(&sentence));
+    let mut workspace = Workspace::new();
+    let mut evaluator = workspace.eval(&ner);
+    report.bench("ner_conv_gru_forward", || evaluator.proba(&sentence));
     let mut model = ner.clone();
     let classes = model.num_classes();
     let targets = Matrix::from_fn(sentence.len(), classes, |r, c| if c == r % classes { 1.0 } else { 0.0 });

@@ -21,8 +21,8 @@ use crate::report::EvalMetrics;
 use lncl_crowd::truth::{MajorityVote, TruthInference};
 use lncl_crowd::{CrowdDataset, TaskKind};
 use lncl_nn::optim::{Optimizer, Sgd};
-use lncl_nn::{Binding, InstanceClassifier, Module, Param};
-use lncl_tensor::{Matrix, TensorRng};
+use lncl_nn::{Binding, InstanceClassifier, Module, Param, Workspace};
+use lncl_tensor::{stats, Matrix, TensorRng};
 
 /// Which annotator transformation the crowd layer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,7 +182,10 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
     /// Inference quality: the classifier's own outputs on the training split
     /// (the convention used for the CL rows of Tables II/III).
     pub fn inference_metrics(&self, dataset: &CrowdDataset) -> EvalMetrics {
-        let predictions: Vec<Vec<usize>> = dataset.train.iter().map(|inst| self.model.predict(&inst.tokens)).collect();
+        let mut workspace = Workspace::new();
+        let mut evaluator = workspace.eval(&self.model);
+        let predictions: Vec<Vec<usize>> =
+            dataset.train.iter().map(|inst| stats::argmax_rows(&evaluator.proba(&inst.tokens))).collect();
         crate::baselines::two_stage::inference_metrics_of(&predictions, dataset)
     }
 
@@ -206,9 +209,11 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
 /// Softmax class probabilities of a classifier for every unit of a split,
 /// one `K`-length row per unit in instance order.
 pub(crate) fn split_posteriors<M: InstanceClassifier>(model: &M, split: &[lncl_crowd::Instance]) -> Vec<Vec<f32>> {
+    let mut workspace = Workspace::new();
+    let mut evaluator = workspace.eval(model);
     let mut rows = Vec::new();
     for inst in split {
-        let probs = model.predict_proba(&inst.tokens);
+        let probs = evaluator.proba(&inst.tokens);
         rows.extend((0..probs.rows()).map(|r| probs.row(r).to_vec()));
     }
     rows

@@ -8,7 +8,7 @@ use crate::config::TrainConfig;
 use crate::predict::evaluate_predictions;
 use crate::report::EvalMetrics;
 use lncl_crowd::{CrowdDataset, Instance};
-use lncl_nn::{InstanceClassifier, Module};
+use lncl_nn::{InstanceClassifier, Module, Workspace};
 use lncl_tensor::stats;
 
 /// Configuration of the DL-DN baseline.
@@ -42,15 +42,9 @@ where
 {
     let ensemble = train_ensemble(dataset, config, model_factory);
     let evaluate = |weight: fn(usize) -> f32| {
-        let predictions: Vec<Vec<usize>> = dataset
-            .test
+        let predictions: Vec<Vec<usize>> = ensemble_proba(&ensemble, weight, &dataset.test, dataset.num_classes)
             .iter()
-            .map(|inst| {
-                ensemble_proba(&ensemble, weight, &inst.tokens, dataset.num_classes)
-                    .iter()
-                    .map(|row| stats::argmax(row))
-                    .collect()
-            })
+            .map(|rows| rows.iter().map(|row| stats::argmax(row)).collect())
             .collect();
         evaluate_predictions(&predictions, &dataset.test, dataset.task)
     };
@@ -69,11 +63,7 @@ where
     F: FnMut(u64) -> M,
 {
     let ensemble = train_ensemble(dataset, config, model_factory);
-    dataset
-        .train
-        .iter()
-        .flat_map(|inst| ensemble_proba(&ensemble, |_| 1.0, &inst.tokens, dataset.num_classes))
-        .collect()
+    ensemble_proba(&ensemble, |_| 1.0, &dataset.train, dataset.num_classes).into_iter().flatten().collect()
 }
 
 /// Trains one network per qualifying annotator on that annotator's labels,
@@ -142,35 +132,39 @@ fn stream_fingerprint(dataset: &CrowdDataset, annotator: usize) -> u64 {
     hash
 }
 
-/// Weighted-average class distribution of the ensemble, one row per unit;
-/// `weight` maps each network's labelled-instance count to its weight.
+/// Weighted-average class distribution of the ensemble for every instance
+/// of `split`, one row per unit; `weight` maps each network's
+/// labelled-instance count to its weight.  Each network evaluates the whole
+/// split in turn, so every unit sums the networks in ensemble order.
 fn ensemble_proba<M: InstanceClassifier>(
     ensemble: &[(M, usize)],
     weight: fn(usize) -> f32,
-    tokens: &[usize],
+    split: &[Instance],
     num_classes: usize,
-) -> Vec<Vec<f32>> {
-    let mut total: Vec<Vec<f32>> = Vec::new();
+) -> Vec<Vec<Vec<f32>>> {
+    let mut totals: Vec<Vec<Vec<f32>>> = vec![Vec::new(); split.len()];
     let mut weight_sum = 0.0f32;
+    let mut workspace = Workspace::new();
     for (model, count) in ensemble {
         let w = weight(*count);
-        let probs = model.predict_proba(tokens);
-        if total.is_empty() {
-            total = vec![vec![0.0; num_classes]; probs.rows()];
-        }
-        for (r, acc) in total.iter_mut().enumerate() {
-            for (c, a) in acc.iter_mut().enumerate() {
-                *a += w * probs[(r, c)];
+        let mut evaluator = workspace.eval(model);
+        for (inst, total) in split.iter().zip(&mut totals) {
+            let probs = evaluator.proba(&inst.tokens);
+            if total.is_empty() {
+                *total = vec![vec![0.0; num_classes]; probs.rows()];
+            }
+            for (r, acc) in total.iter_mut().enumerate() {
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a += w * probs[(r, c)];
+                }
             }
         }
         weight_sum += w;
     }
-    for row in &mut total {
-        for v in row.iter_mut() {
-            *v /= weight_sum.max(1e-6);
-        }
+    for v in totals.iter_mut().flatten().flatten() {
+        *v /= weight_sum.max(1e-6);
     }
-    total
+    totals
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@ use lncl_tensor::TensorRng;
 
 /// The pseudo-M-step's mini-batch pass over the training split.  Owns the
 /// shuffling / dropout RNG, the optimiser and its optional step decay, and
-/// the workspace every instance trains in, for the whole training.
+/// the workspace every instance trains in (and the E-step evaluates in),
+/// for the whole training.
 pub(crate) struct MStep {
     rng: TensorRng,
     workspace: Workspace,
@@ -85,6 +86,13 @@ impl MStep {
             batches += 1;
         }
         epoch_loss / batches.max(1) as f32
+    }
+
+    /// The training workspace; after an [`MStep::epoch`] its buffers fit
+    /// the longest training sentence, so an evaluation pass over the
+    /// training split reuses them.
+    pub(crate) fn workspace(&mut self) -> &mut Workspace {
+        &mut self.workspace
     }
 }
 

@@ -5,8 +5,9 @@ use crate::distill::TaskRules;
 use crate::report::EvalMetrics;
 use lncl_crowd::{metrics, Instance, TaskKind};
 use lncl_logic::{project_distribution, project_sequence};
-use lncl_nn::InstanceClassifier;
+use lncl_nn::{Evaluator, InstanceClassifier, Workspace};
 use lncl_tensor::stats;
+use std::cell::RefCell;
 
 /// Which output to use at test time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,20 +21,22 @@ pub enum PredictionMode {
 }
 
 /// Predicts the per-unit class probabilities for one instance under the
-/// chosen mode.
+/// chosen mode, through an evaluator of the model (see
+/// [`Workspace::eval`]); the teacher's clause predictions run through it
+/// too.
 pub fn predict_proba<M: InstanceClassifier>(
-    model: &M,
+    evaluator: &RefCell<Evaluator<'_, M>>,
     tokens: &[usize],
     mode: PredictionMode,
     rules: &TaskRules,
     regularization_c: f32,
 ) -> Vec<Vec<f32>> {
-    let probs = model.predict_proba(tokens);
+    let probs = evaluator.borrow_mut().proba(tokens);
     let student: Vec<Vec<f32>> = (0..probs.rows()).map(|r| probs.row(r).to_vec()).collect();
     match (mode, rules) {
         (PredictionMode::Student, _) | (_, TaskRules::None) => student,
         (PredictionMode::Teacher, TaskRules::Classification(rules)) => {
-            let clause = |clause_tokens: &[usize]| model.predict_proba(clause_tokens).row(0).to_vec();
+            let clause = |clause_tokens: &[usize]| evaluator.borrow_mut().proba(clause_tokens).row(0).to_vec();
             let penalties = lncl_logic::grounded_penalties(rules, tokens, &clause, student[0].len());
             vec![project_distribution(&student[0], &penalties, regularization_c)]
         }
@@ -41,20 +44,9 @@ pub fn predict_proba<M: InstanceClassifier>(
     }
 }
 
-/// Predicts hard labels for one instance.
-pub fn predict_labels<M: InstanceClassifier>(
-    model: &M,
-    tokens: &[usize],
-    mode: PredictionMode,
-    rules: &TaskRules,
-    regularization_c: f32,
-) -> Vec<usize> {
-    predict_proba(model, tokens, mode, rules, regularization_c).iter().map(|p| stats::argmax(p)).collect()
-}
-
 /// Evaluates a model on a dataset split (dev or test), producing accuracy
 /// for classification tasks and strict span P/R/F1 (plus token accuracy) for
-/// sequence tasks.
+/// sequence tasks.  One evaluator serves the whole split.
 pub fn evaluate_split<M: InstanceClassifier>(
     model: &M,
     split: &[Instance],
@@ -63,8 +55,15 @@ pub fn evaluate_split<M: InstanceClassifier>(
     rules: &TaskRules,
     regularization_c: f32,
 ) -> EvalMetrics {
-    let predictions: Vec<Vec<usize>> =
-        split.iter().map(|inst| predict_labels(model, &inst.tokens, mode, rules, regularization_c)).collect();
+    let mut workspace = Workspace::new();
+    let evaluator = RefCell::new(workspace.eval(model));
+    let predictions: Vec<Vec<usize>> = split
+        .iter()
+        .map(|inst| {
+            let probs = predict_proba(&evaluator, &inst.tokens, mode, rules, regularization_c);
+            probs.iter().map(|p| stats::argmax(p)).collect()
+        })
+        .collect();
     evaluate_predictions(&predictions, split, task)
 }
 
@@ -109,16 +108,20 @@ mod tests {
     #[test]
     fn student_equals_model_probabilities() {
         let model = tiny_model();
-        let p = predict_proba(&model, &[1, 2, 3], PredictionMode::Student, &TaskRules::None, 5.0);
+        let mut workspace = Workspace::new();
+        let evaluator = RefCell::new(workspace.eval(&model));
+        let p = predict_proba(&evaluator, &[1, 2, 3], PredictionMode::Student, &TaskRules::None, 5.0);
         let direct = model.predict_proba(&[1, 2, 3]);
-        assert!((p[0][0] - direct[(0, 0)]).abs() < 1e-6);
+        assert_eq!(p[0], direct.row(0));
     }
 
     #[test]
     fn teacher_without_rules_falls_back_to_student() {
         let model = tiny_model();
-        let s = predict_proba(&model, &[1, 2, 3], PredictionMode::Student, &TaskRules::None, 5.0);
-        let t = predict_proba(&model, &[1, 2, 3], PredictionMode::Teacher, &TaskRules::None, 5.0);
+        let mut workspace = Workspace::new();
+        let evaluator = RefCell::new(workspace.eval(&model));
+        let s = predict_proba(&evaluator, &[1, 2, 3], PredictionMode::Student, &TaskRules::None, 5.0);
+        let t = predict_proba(&evaluator, &[1, 2, 3], PredictionMode::Teacher, &TaskRules::None, 5.0);
         assert_eq!(s, t);
     }
 
@@ -128,8 +131,10 @@ mod tests {
         let but = 9usize;
         let rules = TaskRules::Classification(vec![Box::new(SentimentContrastRule::but_rule(but))]);
         let tokens = vec![1, 2, but, 3, 4, 5];
-        let s = predict_proba(&model, &tokens, PredictionMode::Student, &rules, 5.0);
-        let t = predict_proba(&model, &tokens, PredictionMode::Teacher, &rules, 5.0);
+        let mut workspace = Workspace::new();
+        let evaluator = RefCell::new(workspace.eval(&model));
+        let s = predict_proba(&evaluator, &tokens, PredictionMode::Student, &rules, 5.0);
+        let t = predict_proba(&evaluator, &tokens, PredictionMode::Teacher, &rules, 5.0);
         // the teacher projects the prediction towards the clause-B prediction,
         // so unless they already agree exactly the distributions differ.
         let moved = (s[0][0] - t[0][0]).abs() > 1e-6 || (s[0][1] - t[0][1]).abs() > 1e-6;

@@ -31,8 +31,9 @@ use crate::report::{EvalMetrics, TrainReport};
 use lncl_crowd::truth::ds_windowed::Windows;
 use lncl_crowd::truth::{MajorityVote, TruthInference};
 use lncl_crowd::{AnnotationView, CrowdDataset, TaskKind};
-use lncl_nn::{InstanceClassifier, Module};
+use lncl_nn::{InstanceClassifier, Module, Workspace};
 use lncl_tensor::Matrix;
+use std::cell::RefCell;
 
 /// Where the truth posterior `q_a` comes from.
 #[derive(Debug, Clone)]
@@ -259,22 +260,20 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
         self.qf = qf;
     }
 
-    /// Evaluation-mode class probabilities for every training instance.
-    fn train_predictions(&self, dataset: &CrowdDataset) -> Vec<Matrix> {
-        dataset.train.iter().map(|inst| self.model.predict_proba(&inst.tokens)).collect()
-    }
-
     /// The pseudo-E-step: recompute `q_a`, `q_b`, `q_f` and update Π.
     ///
     /// All of `q_a` and `q_f` live in one [`FlatPosteriors`] allocation;
     /// with no rules attached the rule projection and Eq. 9 interpolation
     /// run in place on it, so the whole step allocates nothing per
     /// instance.  Per-instance work only happens on the rules path, where
-    /// the projection algorithms allocate their own results anyway.
-    fn pseudo_e_step(&mut self, dataset: &CrowdDataset, imitation_k: f32) {
-        let predictions = self.train_predictions(dataset);
-        let model = &self.model;
-        let clause = |tokens: &[usize]| model.predict_proba(tokens).row(0).to_vec();
+    /// the projection algorithms allocate their own results anyway.  The
+    /// network's predictions (`p(t | x; Θ)` of every training instance and
+    /// of every rule clause) run through one evaluator on `workspace`.
+    fn pseudo_e_step(&mut self, dataset: &CrowdDataset, imitation_k: f32, workspace: &mut Workspace) {
+        let evaluator = RefCell::new(workspace.eval(&self.model));
+        let predictions: Vec<Matrix> =
+            dataset.train.iter().map(|inst| evaluator.borrow_mut().proba(&inst.tokens)).collect();
+        let clause = |tokens: &[usize]| evaluator.borrow_mut().proba(tokens).row(0).to_vec();
         let imitation_k = imitation_k.clamp(0.0, 1.0);
 
         let k = dataset.num_classes;
@@ -343,7 +342,7 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
             }));
 
             // ---- pseudo-E-step ------------------------------------------
-            self.pseudo_e_step(dataset, imitation_k);
+            self.pseudo_e_step(dataset, imitation_k, m_step.workspace());
 
             // ---- development evaluation & early stopping ----------------
             if dev.stop_after(&self.model, dataset, epoch) {

@@ -3,7 +3,6 @@
 //! a "same-length" 1-D convolution used by the NER tagger.
 
 use crate::module::{Binding, Module, Param};
-use lncl_autograd::fused::{conv_max_pool_forward, same_conv_forward};
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -86,19 +85,6 @@ impl TextConv {
         binding.vars = pooled;
         features
     }
-
-    /// Eval-mode forward on a raw `T x emb_dim` matrix (no tape): the
-    /// kernel of [`Tape::conv_max_pool`] per window, so both paths run the
-    /// same arithmetic.
-    pub fn forward_matrix(&self, embedded: &Matrix) -> Matrix {
-        assert_eq!(embedded.cols(), self.emb_dim, "TextConv: embedding dim mismatch");
-        let pooled: Vec<Matrix> = self
-            .filters
-            .iter()
-            .map(|filter| conv_max_pool_forward(embedded, &filter.weight.value, &filter.bias.value, filter.window).0)
-            .collect();
-        Matrix::hstack(&pooled.iter().collect::<Vec<_>>())
-    }
 }
 
 impl Module for TextConv {
@@ -164,13 +150,6 @@ impl SameConv {
         let w = binding.bind(tape, &self.weight);
         let b = binding.bind(tape, &self.bias);
         tape.same_conv(x, w, b, self.window)
-    }
-
-    /// Eval-mode forward on a raw `T x in_dim` matrix (no tape): the kernel
-    /// of [`Tape::same_conv`], so both paths run the same arithmetic.
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.in_dim, "SameConv: input dim mismatch");
-        same_conv_forward(x, &self.weight.value, &self.bias.value, self.window)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::module::{Binding, Module, Param};
 use lncl_autograd::{Tape, Var};
-use lncl_tensor::{Matrix, TensorRng};
+use lncl_tensor::TensorRng;
 
 /// Learned word-embedding table (`vocab_size x dim`).
 ///
@@ -57,11 +57,6 @@ impl Embedding {
         let padding = std::iter::repeat_n(0, min_rows.saturating_sub(tokens.len()));
         binding.bind_gathered(tape, &self.table, tokens.iter().copied().chain(padding))
     }
-
-    /// Eval-mode lookup returning a plain matrix.
-    pub fn lookup(&self, tokens: &[usize]) -> Matrix {
-        lncl_tensor::ops::gather_rows(&self.table.value, tokens)
-    }
 }
 
 impl Module for Embedding {
@@ -81,12 +76,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_returns_table_rows() {
+    fn forward_returns_table_rows_then_padding() {
         let mut rng = TensorRng::seed_from_u64(0);
         let emb = Embedding::new("emb", 5, 3, &mut rng);
-        let m = emb.lookup(&[2, 4]);
+        let mut tape = Tape::new();
+        let mut binding = Binding::new();
+        let e = emb.forward(&mut tape, &mut binding, &[2, 4], 3);
+        let m = tape.value(e);
         assert_eq!(m.row(0), emb.table.value.row(2));
         assert_eq!(m.row(1), emb.table.value.row(4));
+        assert_eq!(m.row(2), emb.table.value.row(0));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! [`Tape::gru_sequence`] node.
 
 use crate::module::{Binding, Module, Param};
-use lncl_autograd::fused::gru_sequence_forward;
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -132,12 +131,6 @@ impl Gru {
     pub fn forward(&self, tape: &mut Tape, binding: &mut Binding, x: Var) -> Var {
         let params = self.cell.ordered().map(|p| binding.bind(tape, p));
         tape.gru_sequence(x, params)
-    }
-
-    /// Eval-mode unroll on a raw `T x in_dim` matrix (no tape): the kernel
-    /// of [`Tape::gru_sequence`], so both paths run the same arithmetic.
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        gru_sequence_forward(x, self.cell.ordered().map(|p| &p.value)).0
     }
 }
 
@@ -299,7 +292,6 @@ mod tests {
                 ms.iter().map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
             };
             assert_eq!(bits(run(true)), bits(run(false)), "T = {steps}");
-            assert_eq!(gru.forward_matrix(&x), run(true)[0], "eval kernel, T = {steps}");
         }
     }
 

@@ -39,11 +39,6 @@ impl Linear {
         let b = binding.bind(tape, &self.bias);
         tape.affine(x, w, b)
     }
-
-    /// Convenience eval-mode forward on raw data (no tape bookkeeping kept).
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        lncl_tensor::ops::affine(x, &self.weight.value, &self.bias.value)
-    }
 }
 
 impl Module for Linear {
@@ -75,7 +70,6 @@ mod tests {
         let x = tape.leaf(Matrix::from_rows(&[&[1.0, 2.0, 3.0]]));
         let y = layer.forward(&mut tape, &mut binding, x);
         assert_eq!(tape.value(y), &Matrix::row_vector(&[4.5, 4.5]));
-        assert_eq!(tape.value(y), &layer.forward_matrix(&Matrix::from_rows(&[&[1.0, 2.0, 3.0]])));
     }
 
     #[test]

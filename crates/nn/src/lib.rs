@@ -4,8 +4,9 @@
 //!
 //! * [`module`] — [`Param`], parameter/tape [`Binding`]
 //!   and the [`Module`] trait;
-//! * [`workspace`] — the [`Workspace`] the M-step trains every instance in:
-//!   one reused tape, the parameters bound once per mini-batch;
+//! * [`workspace`] — the [`Workspace`] the M-step trains every instance in
+//!   and every evaluation pass runs its [`Evaluator`] on: one reused tape,
+//!   the parameters bound once per mini-batch or pass;
 //! * [`layers`] — embeddings, linear layers, text convolutions, GRU and
 //!   dropout;
 //! * [`optim`] — SGD, Adam and Adadelta plus learning-rate schedules and
@@ -35,4 +36,4 @@ pub mod workspace;
 
 pub use models::InstanceClassifier;
 pub use module::{Binding, Module, Param};
-pub use workspace::Workspace;
+pub use workspace::{Evaluator, Workspace};

@@ -9,6 +9,7 @@ pub use ner_conv_gru::{NerConvGru, NerConvGruConfig};
 pub use sentiment_cnn::{SentimentCnn, SentimentCnnConfig};
 
 use crate::module::{Binding, Module};
+use crate::Workspace;
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{stats, Matrix, TensorRng};
 
@@ -74,14 +75,6 @@ impl InstanceClassifier for AnyModel {
         }
     }
 
-    fn predict_proba(&self, tokens: &[usize]) -> Matrix {
-        // delegate so both architectures take their tape-free eval paths
-        match self {
-            AnyModel::Sentiment(m) => m.predict_proba(tokens),
-            AnyModel::Ner(m) => m.predict_proba(tokens),
-        }
-    }
-
     fn forward_logits(
         &self,
         tape: &mut Tape,
@@ -122,14 +115,12 @@ pub trait InstanceClassifier: Module {
     ) -> Var;
 
     /// Evaluation-mode class probabilities (`units x K`), softmax of
-    /// [`InstanceClassifier::forward_logits`] with dropout disabled.
+    /// [`InstanceClassifier::forward_logits`] with dropout disabled, on a
+    /// workspace of its own.  A pass over many sentences should take one
+    /// [`Workspace::eval`] evaluator instead, which binds the parameters
+    /// once and reuses the tape.
     fn predict_proba(&self, tokens: &[usize]) -> Matrix {
-        let mut tape = Tape::new();
-        let mut binding = Binding::new();
-        // dropout is disabled in eval mode, so the rng seed is irrelevant.
-        let mut rng = TensorRng::seed_from_u64(0);
-        let logits = self.forward_logits(&mut tape, &mut binding, tokens, false, &mut rng);
-        stats::softmax_rows(tape.value(logits))
+        Workspace::new().eval(self).proba(tokens)
     }
 
     /// Evaluation-mode hard predictions (argmax per unit).

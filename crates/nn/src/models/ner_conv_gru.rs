@@ -73,18 +73,6 @@ impl NerConvGru {
     pub fn config(&self) -> &NerConvGruConfig {
         &self.config
     }
-
-    /// Eval-mode logits straight through the fused tensor ops — no tape,
-    /// no gradient bookkeeping.  Produces exactly the values of the tape
-    /// forward with dropout disabled.
-    pub fn forward_logits_matrix(&self, tokens: &[usize]) -> lncl_tensor::Matrix {
-        let tokens: &[usize] = if tokens.is_empty() { &[0] } else { tokens };
-        let embedded = self.embedding.lookup(tokens);
-        let conv = self.conv.forward_matrix(&embedded);
-        // dropout is the identity in eval mode
-        let hidden = self.gru.forward_matrix(&conv);
-        self.output.forward_matrix(&hidden)
-    }
 }
 
 impl Module for NerConvGru {
@@ -113,12 +101,6 @@ impl Module for NerConvGru {
 impl InstanceClassifier for NerConvGru {
     fn num_classes(&self) -> usize {
         self.config.num_classes
-    }
-
-    fn predict_proba(&self, tokens: &[usize]) -> lncl_tensor::Matrix {
-        let mut probs = self.forward_logits_matrix(tokens);
-        lncl_tensor::stats::softmax_rows_in_place(&mut probs);
-        probs
     }
 
     fn forward_logits(
@@ -203,22 +185,6 @@ mod tests {
             opt.step(&mut params);
         }
         assert!(last < first * 0.6, "loss should drop: {first} -> {last}");
-    }
-
-    #[test]
-    fn tape_free_eval_matches_tape_forward_exactly() {
-        let model = tiny_model(7);
-        for tokens in [vec![1usize, 5, 9, 2, 7, 3, 11], vec![4], vec![]] {
-            let mut tape = lncl_autograd::Tape::new();
-            let mut binding = Binding::new();
-            let mut rng = TensorRng::seed_from_u64(0);
-            let logits = model.forward_logits(&mut tape, &mut binding, &tokens, false, &mut rng);
-            assert_eq!(
-                tape.value(logits),
-                &model.forward_logits_matrix(&tokens),
-                "eval path must be bitwise identical for {tokens:?}"
-            );
-        }
     }
 
     #[test]

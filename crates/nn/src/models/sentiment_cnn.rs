@@ -70,31 +70,6 @@ impl SentimentCnn {
     pub fn config(&self) -> &SentimentCnnConfig {
         &self.config
     }
-
-    /// Pads (with token 0) so the sequence is at least as long as the
-    /// largest convolution window.
-    fn padded(&self, tokens: &[usize]) -> Vec<usize> {
-        let min_len = self.conv.max_window();
-        let mut out = tokens.to_vec();
-        if out.is_empty() {
-            out.push(0);
-        }
-        while out.len() < min_len {
-            out.push(0);
-        }
-        out
-    }
-
-    /// Eval-mode logits straight through the fused tensor ops — no tape,
-    /// no gradient bookkeeping.  Produces exactly the values of the tape
-    /// forward with dropout disabled.
-    pub fn forward_logits_matrix(&self, tokens: &[usize]) -> lncl_tensor::Matrix {
-        let tokens = self.padded(tokens);
-        let embedded = self.embedding.lookup(&tokens);
-        let features = self.conv.forward_matrix(&embedded);
-        // dropout is the identity in eval mode
-        self.output.forward_matrix(&features)
-    }
 }
 
 impl Module for SentimentCnn {
@@ -122,12 +97,6 @@ impl InstanceClassifier for SentimentCnn {
         self.config.num_classes
     }
 
-    fn predict_proba(&self, tokens: &[usize]) -> lncl_tensor::Matrix {
-        let mut probs = self.forward_logits_matrix(tokens);
-        lncl_tensor::stats::softmax_rows_in_place(&mut probs);
-        probs
-    }
-
     fn forward_logits(
         &self,
         tape: &mut Tape,
@@ -136,7 +105,7 @@ impl InstanceClassifier for SentimentCnn {
         training: bool,
         rng: &mut TensorRng,
     ) -> Var {
-        // padded to the largest window, as `padded`
+        // padded with token 0 to the largest window (an empty sentence too)
         let embedded = self.embedding.forward(tape, binding, tokens, self.conv.max_window().max(1));
         let features = self.conv.forward(tape, binding, embedded);
         let dropped = self.dropout.forward(tape, features, rng, training);
@@ -209,22 +178,6 @@ mod tests {
             losses[0],
             losses.last().unwrap()
         );
-    }
-
-    #[test]
-    fn tape_free_eval_matches_tape_forward_exactly() {
-        let model = tiny_model(7);
-        for tokens in [vec![1usize, 5, 9, 2, 7, 3], vec![4], vec![]] {
-            let mut tape = Tape::new();
-            let mut binding = crate::module::Binding::new();
-            let mut rng = TensorRng::seed_from_u64(0);
-            let logits = model.forward_logits(&mut tape, &mut binding, &tokens, false, &mut rng);
-            assert_eq!(
-                tape.value(logits),
-                &model.forward_logits_matrix(&tokens),
-                "eval path must be bitwise identical for {tokens:?}"
-            );
-        }
     }
 
     #[test]

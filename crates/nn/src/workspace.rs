@@ -1,4 +1,4 @@
-//! The reused training state of the per-instance M-step: one tape and one
+//! The reused tape state of training and evaluation: one tape and one
 //! binding for a whole training run.
 //!
 //! Parameter values do not change inside a mini-batch, so
@@ -9,13 +9,19 @@
 //! `Tape` + [`Binding`] + [`Binding::accumulate`] pass would.  Once the
 //! buffers have grown to the longest sentence an instance allocates
 //! nothing beyond what its loss closure builds.
+//!
+//! Evaluation runs the same forward pass: [`Workspace::eval`] binds the
+//! parameters once and each [`Evaluator::proba`] rewinds to them, runs the
+//! eval-mode [`InstanceClassifier::forward_logits`] and softmaxes the
+//! logits, allocating only its result once the buffers have grown.
 
 use crate::models::InstanceClassifier;
 use crate::module::{Binding, Module};
 use lncl_autograd::{Tape, Var};
-use lncl_tensor::TensorRng;
+use lncl_tensor::{stats, Matrix, TensorRng};
 
-/// One tape and binding reused across the instances of every mini-batch.
+/// One tape and binding reused across the instances of every mini-batch
+/// and the sentences of every evaluation pass.
 #[derive(Default)]
 pub struct Workspace {
     tape: Tape,
@@ -40,13 +46,20 @@ impl Workspace {
     /// Starts a mini-batch: places a copy of every parameter of `model`
     /// except its lookup tables ([`Param::is_gathered`](crate::Param::is_gathered))
     /// on the tape.
-    pub fn begin_batch(&mut self, model: &impl Module) {
+    pub fn begin_batch<M: Module + ?Sized>(&mut self, model: &M) {
         self.tape.rewind(0);
         self.binding.truncate(0);
         for param in model.params().into_iter().filter(|p| !p.is_gathered()) {
             self.binding.bind(&mut self.tape, param);
         }
         self.bound = (self.tape.len(), self.binding.len());
+    }
+
+    /// Drops everything recorded after the parameters bound by
+    /// [`Workspace::begin_batch`].
+    fn rewind(&mut self) {
+        self.tape.rewind(self.bound.0);
+        self.binding.truncate(self.bound.1);
     }
 
     /// Trains on one instance: the training-mode forward pass of `model` on
@@ -61,8 +74,7 @@ impl Workspace {
         rng: &mut TensorRng,
         loss: impl FnOnce(&mut Tape, Var) -> Var,
     ) -> f32 {
-        self.tape.rewind(self.bound.0);
-        self.binding.truncate(self.bound.1);
+        self.rewind();
         let logits = model.forward_logits(&mut self.tape, &mut self.binding, tokens, true, rng);
         let loss = loss(&mut self.tape, logits);
         let value = self.tape.scalar(loss);
@@ -71,13 +83,44 @@ impl Workspace {
         model.visit_params_mut(&mut |param| binding.accumulate_param(tape, param));
         value
     }
+
+    /// Starts an evaluation pass of `model`: binds its parameters as
+    /// [`Workspace::begin_batch`] does.  The evaluator borrows the model,
+    /// so its parameters cannot change while it lives; take a new one after
+    /// a training step.
+    pub fn eval<'a, M: InstanceClassifier + ?Sized>(&'a mut self, model: &'a M) -> Evaluator<'a, M> {
+        self.begin_batch(model);
+        // eval-mode dropout draws nothing, so the seed is never used
+        Evaluator { workspace: self, model, rng: TensorRng::seed_from_u64(0) }
+    }
+}
+
+/// Evaluation-mode class probabilities of one model, computed on the tape
+/// of a [`Workspace`] (see [`Workspace::eval`]).
+pub struct Evaluator<'a, M: ?Sized> {
+    workspace: &'a mut Workspace,
+    model: &'a M,
+    rng: TensorRng,
+}
+
+impl<M: InstanceClassifier + ?Sized> Evaluator<'_, M> {
+    /// The `units x K` class probabilities of `tokens`: the softmax of
+    /// [`InstanceClassifier::forward_logits`] with dropout disabled.
+    pub fn proba(&mut self, tokens: &[usize]) -> Matrix {
+        let workspace = &mut *self.workspace;
+        workspace.rewind();
+        let logits =
+            self.model.forward_logits(&mut workspace.tape, &mut workspace.binding, tokens, false, &mut self.rng);
+        let mut probs = workspace.tape.value(logits).clone();
+        stats::softmax_rows_in_place(&mut probs);
+        probs
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{NerConvGru, NerConvGruConfig, SentimentCnn, SentimentCnnConfig};
-    use lncl_tensor::Matrix;
 
     fn bits<M: Module>(model: &M) -> Vec<Vec<u32>> {
         model.params().iter().map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
@@ -122,6 +165,72 @@ mod tests {
     fn sentences() -> Vec<Vec<usize>> {
         // lengths around the windows, a repeated token, an empty sentence
         vec![vec![1, 2, 3, 4, 5, 6], vec![7], vec![3, 3, 9, 3], vec![], vec![2, 8, 4, 4, 6, 1, 9, 5, 2, 7], vec![5, 6]]
+    }
+
+    /// Softmax of the eval-mode logits on a fresh tape and binding.
+    fn fresh_proba<M: InstanceClassifier>(model: &M, tokens: &[usize]) -> Matrix {
+        let (mut tape, mut binding) = (Tape::new(), Binding::new());
+        let logits = model.forward_logits(&mut tape, &mut binding, tokens, false, &mut TensorRng::seed_from_u64(9));
+        stats::softmax_rows(tape.value(logits))
+    }
+
+    fn matrix_bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One evaluator over every sentence, in a workspace that has just
+    /// trained, against the one-shot trait default and a fresh tape; then a
+    /// parameter update, after which a new evaluator must see the new
+    /// values.
+    fn check_eval<M: InstanceClassifier + Clone>(mut model: M, sentences: &[Vec<usize>]) {
+        let mut workspace = Workspace::new();
+        let mut rng = TensorRng::seed_from_u64(4);
+        workspace.begin_batch(&model);
+        workspace.instance(&mut model, &sentences[0], &mut rng, |tape, logits| tape.sum_all(logits));
+        for round in 0..2 {
+            let mut evaluator = workspace.eval(&model);
+            let before: Vec<Matrix> = sentences.iter().map(|tokens| evaluator.proba(tokens)).collect();
+            for (tokens, probs) in sentences.iter().zip(&before) {
+                let expected = matrix_bits(&fresh_proba(&model, tokens));
+                assert_eq!(matrix_bits(probs), expected, "round {round}, fresh tape, {tokens:?}");
+                assert_eq!(matrix_bits(&model.predict_proba(tokens)), expected, "round {round}, default, {tokens:?}");
+            }
+            model.visit_params_mut(&mut |p| p.value.map_inplace(|v| v * 0.5 + 0.01));
+            let mut evaluator = workspace.eval(&model);
+            for (tokens, old) in sentences.iter().zip(&before) {
+                let probs = evaluator.proba(tokens);
+                assert_eq!(matrix_bits(&probs), matrix_bits(&fresh_proba(&model, tokens)), "updated, {tokens:?}");
+                assert_ne!(matrix_bits(&probs), matrix_bits(old), "stale parameters for {tokens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sentiment_evaluator_matches_the_default_and_sees_updates() {
+        let mut rng = TensorRng::seed_from_u64(5);
+        let config = SentimentCnnConfig {
+            vocab_size: 12,
+            embedding_dim: 6,
+            windows: vec![2, 3],
+            filters_per_window: 4,
+            ..Default::default()
+        };
+        check_eval(SentimentCnn::new(config, &mut rng), &sentences());
+    }
+
+    #[test]
+    fn ner_evaluator_matches_the_default_and_sees_updates() {
+        let mut rng = TensorRng::seed_from_u64(6);
+        let config = NerConvGruConfig {
+            vocab_size: 12,
+            embedding_dim: 5,
+            conv_window: 3,
+            conv_features: 6,
+            gru_hidden: 4,
+            num_classes: 5,
+            ..Default::default()
+        };
+        check_eval(NerConvGru::new(config, &mut rng), &sentences());
     }
 
     #[test]
