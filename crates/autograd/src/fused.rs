@@ -54,10 +54,10 @@ fn rows(data: &[f32], off: usize, row_step: usize) -> Lhs<'_> {
 }
 
 /// `out[r * out_stride + j] += Σ_kk a(r, kk) · b[kk * b_stride + j]`: one
-/// [`simd::matmul_block`] on the detected tier.  Per element the terms add
-/// in ascending `kk` onto the existing value, zero `a` entries skipped —
-/// exactly the order of [`ops::matmul_acc`], so every result is bitwise
-/// that of the matrix product.
+/// [`simd::matmul_block`] on the detected tier.  Per element every term
+/// adds in ascending `kk` onto the existing value — exactly the order of
+/// [`ops::matmul_acc`], so every result is bitwise that of the matrix
+/// product.
 fn block(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], out_stride: usize, shape: simd::Shape) {
     simd::matmul_block(simd::detected_tier(), a, b, b_stride, out, out_stride, shape);
 }
@@ -116,8 +116,9 @@ fn same_conv_shape(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize) -> (usi
 /// window of position `p` covers rows `p - window/2 ..= p + window/2` of a
 /// zero-padded `x`.  Windows are read in place from `x`: the full ones as
 /// one product with `row_step = d`, each border one clipped to its rows
-/// inside `x` — the padding rows' terms are zero `a` entries the kernel
-/// skips anyway, so the sums are those of the padded product.
+/// inside `x`.  The padded product's terms from padding rows are `±0`
+/// added to a sum that starts at `+0`, which leaves it unchanged while `w`
+/// is finite, so the sums are bitwise those of the padded product.
 fn same_conv_into(x: &Matrix, w: &Matrix, bias: &Matrix, window: usize, out: &mut [f32]) {
     let (t, d, filters) = same_conv_shape(x, w, bias, window);
     let half = window / 2;
@@ -314,9 +315,10 @@ impl Tape {
     ///
     /// Each `dW` element gets its one nonzero term; the others are `±0`
     /// added to a sum that starts at `+0`, which leaves it unchanged while
-    /// `x` is finite.  Each `dcols` row adds the nonzero `G` entries of its
-    /// position in ascending filter order, skipping the zeros, as the
-    /// per-filter loop of the composed rule did.
+    /// `x` is finite.  Each `dcols` row adds every `G` entry of its position
+    /// in ascending filter order; the zero ones add `±0` to a sum that
+    /// starts at `+0`, so while `W` is finite the row equals the composed
+    /// rule's per-filter loop, which visited only the live filters.
     pub(crate) fn backward_conv_max_pool(&mut self, index: usize, op: &Op, upstream: &Matrix) {
         let &Op::ConvMaxPool { x, w, bias, window, ref argmax } = op else {
             unreachable!("backward_conv_max_pool on another op")

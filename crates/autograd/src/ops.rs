@@ -40,9 +40,13 @@ pub enum Op {
     /// Gather of the listed rows (embedding lookup).
     GatherRows(Var, Vec<usize>),
     /// Sliding-window flattening: row `p` of the output is the
-    /// concatenation of input rows `p .. p+window`.
+    /// concatenation of input rows `p .. p+window`.  Test-only: a link of
+    /// the composed chains the fused convolutions are checked against.
+    #[cfg(test)]
     Im2Col(Var, usize),
     /// Column-wise max over rows ("max-over-time" pooling); stores argmax.
+    /// Test-only, like [`Op::Im2Col`].
+    #[cfg(test)]
     MaxOverRows(Var, Vec<usize>),
     /// Element-wise multiplication by a fixed inverted-dropout mask.
     Dropout(Var, Matrix),
@@ -183,19 +187,31 @@ impl Tape {
     }
 
     /// Sliding-window flattening used to express a text convolution as a
-    /// single matrix product: with input `T x d` and window `w`, the output
-    /// is `(T - w + 1) x (w * d)`.
+    /// single matrix product: with input `T x d` and window `w`, row `p` of
+    /// the `(T - w + 1) x (w * d)` output is the concatenation of input rows
+    /// `p .. p + w`.
     ///
     /// # Panics
-    /// Panics if the input has fewer rows than the window size.
+    /// Panics if the window is zero or the input has fewer rows than it.
+    #[cfg(test)]
     pub fn im2col(&mut self, a: Var, window: usize) -> Var {
-        let value = ops::im2col(self.value(a), window);
+        let input = self.value(a);
+        assert!(window >= 1 && input.rows() >= window, "im2col: {} rows for window {window}", input.rows());
+        let d = input.cols();
+        let value = Matrix::from_fn(input.rows() - window + 1, window * d, |p, j| input[(p + j / d, j % d)]);
         self.push(value, Op::Im2Col(a, window))
     }
 
-    /// Column-wise max over rows ("max-over-time" pooling): `T x c -> 1 x c`.
+    /// Column-wise max over rows ("max-over-time" pooling): `T x c -> 1 x c`,
+    /// keeping the first row that attains each maximum.
+    #[cfg(test)]
     pub fn max_over_rows(&mut self, a: Var) -> Var {
-        let (value, argmax) = ops::max_over_rows(self.value(a));
+        let input = self.value(a);
+        assert!(input.rows() > 0, "max_over_rows: empty matrix");
+        let argmax: Vec<usize> = (0..input.cols())
+            .map(|c| (0..input.rows()).fold(0, |best, r| if input[(r, c)] > input[(best, c)] { r } else { best }))
+            .collect();
+        let value = Matrix::from_fn(1, input.cols(), |_, c| input[(argmax[c], c)]);
         self.push(value, Op::MaxOverRows(a, argmax))
     }
 
@@ -368,6 +384,7 @@ impl Tape {
             Op::GatherRows(a, indices) => {
                 ops::scatter_add_rows(&mut self.nodes[a.0].grad, indices, &upstream);
             }
+            #[cfg(test)]
             Op::Im2Col(a, window) => {
                 let d = self.nodes[a.0].value.cols();
                 let grad = &mut self.nodes[a.0].grad;
@@ -380,6 +397,7 @@ impl Tape {
                     }
                 }
             }
+            #[cfg(test)]
             Op::MaxOverRows(a, argmax) => {
                 let grad = &mut self.nodes[a.0].grad;
                 for (c, &r) in argmax.iter().enumerate() {
@@ -508,11 +526,13 @@ mod tests {
     #[test]
     fn max_over_rows_routes_gradient_to_argmax() {
         let mut tape = Tape::new();
-        let x = tape.leaf(Matrix::from_rows(&[&[1.0, 9.0], &[7.0, 2.0]]));
+        let x = tape.leaf(Matrix::from_rows(&[&[1.0, 9.0], &[7.0, 2.0], &[3.0, 4.0], &[7.0, 9.0]]));
         let pooled = tape.max_over_rows(x);
+        // ties keep the first row
+        assert_eq!(tape.value(pooled), &Matrix::row_vector(&[7.0, 9.0]));
         let loss = tape.sum_all(pooled);
         tape.backward(loss);
-        assert_eq!(tape.grad(x), &Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]));
+        assert_eq!(tape.grad(x), &Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0], &[0.0, 0.0], &[0.0, 0.0]]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```text
 //! bench_diff compare <baseline.json> <current.json>... [--gate <factor>]
 //! bench_diff merge <out.json> <in.json>...
-//! bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>]
+//! bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>] [--exact]
 //! bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]
 //! ```
 //!
@@ -24,7 +24,10 @@
 //!   flips against the baseline report per scenario; `--gate D` then
 //!   fails (exit 1) when any method's metric drops by more than `D`
 //!   absolute, or a baseline row vanishes — the quality counterpart of
-//!   the perf gate.
+//!   the perf gate.  `--exact` fails when any quality row, of any metric,
+//!   is not bitwise equal to the baseline's, or when a row vanished or
+//!   appeared: the gate on which a kernel or backward-rule change that
+//!   moves one bit fails.
 //! * `predictivity` joins a small-scale and a large-scale sweep report
 //!   cell by cell (`lncl_bench::predictivity`) and prints per-cell rank
 //!   correlation (Spearman ρ, Kendall τ-b), flip counts, winners and a
@@ -35,7 +38,7 @@
 use lncl_bench::merge::{merge_reports, qualified_cases};
 use lncl_bench::predictivity::predictivity_report;
 use lncl_bench::quality::HEADLINE_METRIC;
-use lncl_bench::rank::{quality_regressions, rank_scenarios, ranking_flips, RankingFlip};
+use lncl_bench::rank::{quality_regressions, rank_scenarios, ranking_flips, unmatched_rows, RankingFlip};
 use lncl_bench::timing::{BenchReport, QualityCase};
 use std::path::Path;
 use std::process::ExitCode;
@@ -43,7 +46,9 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: bench_diff compare <baseline.json> <current.json>... [--gate <factor>]");
     eprintln!("       bench_diff merge <out.json> <in.json>...");
-    eprintln!("       bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>]");
+    eprintln!(
+        "       bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>] [--exact]"
+    );
     eprintln!("       bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]");
     ExitCode::from(2)
 }
@@ -267,6 +272,7 @@ fn rank(args: &[String]) -> ExitCode {
     let mut metric = HEADLINE_METRIC.to_string();
     let mut baseline_file: Option<String> = None;
     let mut gate: Option<f64> = None;
+    let mut exact = false;
     let mut files = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -275,6 +281,7 @@ fn rank(args: &[String]) -> ExitCode {
                 Some(key) => metric = key.clone(),
                 None => return usage(),
             },
+            "--exact" => exact = true,
             "--baseline" => match iter.next() {
                 Some(file) => baseline_file = Some(file.clone()),
                 None => return usage(),
@@ -292,8 +299,8 @@ fn rank(args: &[String]) -> ExitCode {
     if files.is_empty() {
         return usage();
     }
-    if gate.is_some() && baseline_file.is_none() {
-        eprintln!("bench_diff: rank --gate needs --baseline <file> to compare against");
+    if (gate.is_some() || exact) && baseline_file.is_none() {
+        eprintln!("bench_diff: rank --gate and --exact need --baseline <file> to compare against");
         return ExitCode::from(2);
     }
     let mut quality: Vec<QualityCase> = Vec::new();
@@ -387,6 +394,18 @@ fn rank(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("quality gate ok: no {metric:?} drop above {max_drop} and no vanished rows");
+    }
+    if exact {
+        // `-` a baseline row not reproduced, `+` a current row the baseline lacks
+        let (lost, new) = (unmatched_rows(&baseline.quality, &quality), unmatched_rows(&quality, &baseline.quality));
+        for (sign, q) in lost.iter().map(|q| ('-', q)).chain(new.iter().map(|q| ('+', q))).take(20) {
+            println!("MISMATCH {sign} {}/{} {:?}", q.scenario, q.method, q.metrics);
+        }
+        if !lost.is_empty() || !new.is_empty() {
+            eprintln!("bench_diff: {} baseline row(s) not reproduced, {} new or changed", lost.len(), new.len());
+            return ExitCode::FAILURE;
+        }
+        println!("exact gate ok: all {} quality row(s) bitwise equal to the baseline", quality.len());
     }
     ExitCode::SUCCESS
 }

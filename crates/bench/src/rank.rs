@@ -5,9 +5,10 @@
 //! interesting question across crowd scenarios is where that ranking
 //! flips.  This module turns [`QualityCase`] rows into per-scenario
 //! rankings ([`rank_scenarios`]), detects strict pairwise order reversals
-//! between two rankings ([`ranking_flips`]) and scores quality regressions
+//! between two rankings ([`ranking_flips`]), scores quality regressions
 //! between two reports ([`quality_regressions`], the quality counterpart
-//! of the `bench_diff compare --gate` perf gate).
+//! of the `bench_diff compare --gate` perf gate) and finds the rows one
+//! report does not hold bitwise ([`unmatched_rows`]).
 
 use crate::timing::{QualityCase, SCENARIO_CASE};
 use std::collections::BTreeMap;
@@ -155,6 +156,31 @@ pub fn quality_regressions(
     regressions
 }
 
+/// The rows of `rows` that `other` does not hold bitwise: the same
+/// scenario, method and metric keys in the same order, each value equal to
+/// the bit.  Row order does not matter, and a row listed `n` times needs
+/// `n` copies in `other`.  Quality values are deterministic given the
+/// seeds, so in both directions this is the gate any moved bit fails.
+pub fn unmatched_rows<'a>(rows: &'a [QualityCase], other: &[QualityCase]) -> Vec<&'a QualityCase> {
+    let bits = |q: &QualityCase| {
+        let metrics: Vec<(String, u64)> = q.metrics.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+        (q.scenario.clone(), q.method.clone(), metrics)
+    };
+    let mut left: BTreeMap<_, usize> = BTreeMap::new();
+    for q in other {
+        *left.entry(bits(q)).or_default() += 1;
+    }
+    rows.iter()
+        .filter(|q| match left.get_mut(&bits(q)) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
+            }
+            _ => true,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +260,31 @@ mod tests {
         assert_eq!(regressions[1].method, "gone");
         assert_eq!(regressions[1].current, None);
         assert!(quality_regressions(&baseline, &baseline, "headline", 0.0).is_empty());
+    }
+
+    #[test]
+    fn unmatched_rows_catch_any_moved_bit_and_missing_or_new_rows() {
+        let baseline = vec![case("s", "a", 0.8), case("s", "b", 0.5), case("s", "gone", 0.1), case("t", "a", 0.0)];
+        assert!(unmatched_rows(&baseline, &baseline).is_empty());
+        // row order does not matter, but every copy of a row needs a match
+        let reversed: Vec<QualityCase> = baseline.iter().rev().cloned().collect();
+        assert!(unmatched_rows(&baseline, &reversed).is_empty());
+        let doubled = [&baseline[..], &baseline[..1]].concat();
+        assert_eq!(unmatched_rows(&doubled, &baseline), vec![&baseline[0]]);
+
+        // one ulp, a vanished row, a new row and the sign of a zero
+        let mut current = baseline.clone();
+        current[0].metrics[0].1 = f64::from_bits(0.8f64.to_bits() + 1);
+        current[2] = case("s", "new", 0.1);
+        current[3].metrics[0].1 = -0.0;
+        let lost: Vec<&str> = unmatched_rows(&baseline, &current).iter().map(|q| q.method.as_str()).collect();
+        assert_eq!(lost, vec!["a", "gone", "a"]);
+        assert_eq!(unmatched_rows(&current, &baseline), vec![&current[0], &current[2], &current[3]]);
+
+        // a renamed or an extra metric is a mismatch too
+        let mut renamed = baseline.clone();
+        renamed[1].metrics[0].0 = "pred_f1".to_string();
+        renamed[0].metrics.push(("inf_f1".to_string(), 0.3));
+        assert_eq!(unmatched_rows(&renamed, &baseline).len(), 2);
     }
 }

@@ -168,10 +168,10 @@ fn dot_seq(x: &[f32], y: &[f32]) -> f32 {
 
 /// `a * b^T`.  Above a small size the transpose is materialised once and
 /// the product runs through the register-blocked i-k-j kernel — per output
-/// element the summands still combine in ascending inner-index order, so
-/// the result matches the direct row-row dot products bitwise (modulo the
-/// sign of exact zeros).  Tiny products skip the transpose and use the
-/// dots directly.
+/// element the summands still combine from `+0` in ascending inner-index
+/// order, one `mul` and one `add` each, so the result matches the direct
+/// row-row dot products bitwise.  Tiny products skip the transpose and use
+/// the dots directly.
 pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
@@ -235,30 +235,6 @@ pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             simd::matmul_block(plan.tier, lhs, &b.as_slice()[pc * n..], n, block, n, shape);
         }
     });
-}
-
-/// Sliding-window flattening used to express a text convolution as a single
-/// matrix product: with input `T x d` and window `w`, row `p` of the output
-/// is the concatenation of input rows `p .. p + w`.
-///
-/// # Panics
-/// Panics if the window is zero or the input has fewer rows than the window.
-pub fn im2col(input: &Matrix, window: usize) -> Matrix {
-    assert!(window >= 1, "im2col: window must be >= 1");
-    assert!(
-        input.rows() >= window,
-        "im2col: input has {} rows but window is {window}; pad the sequence first",
-        input.rows()
-    );
-    let positions = input.rows() - window + 1;
-    let d = input.cols();
-    let mut out = Matrix::zeros(positions, window * d);
-    for p in 0..positions {
-        for w in 0..window {
-            out.row_mut(p)[w * d..(w + 1) * d].copy_from_slice(input.row(p + w));
-        }
-    }
-    out
 }
 
 /// Transposes the matrix.
@@ -465,25 +441,6 @@ pub fn mean_rows(a: &Matrix) -> Matrix {
     scale(&sum_rows(a), 1.0 / n)
 }
 
-/// Column-wise maximum together with the row index achieving it for each
-/// column.  Returns `(max_values: 1 x cols, argmax_rows)`.
-///
-/// This is the "max-over-time" pooling used by the Kim-2014 text CNN.
-pub fn max_over_rows(a: &Matrix) -> (Matrix, Vec<usize>) {
-    assert!(a.rows() > 0, "max_over_rows: empty matrix");
-    let mut vals = Matrix::full(1, a.cols(), f32::NEG_INFINITY);
-    let mut idx = vec![0usize; a.cols()];
-    for r in 0..a.rows() {
-        for (c, &v) in a.row(r).iter().enumerate() {
-            if v > vals[(0, c)] {
-                vals[(0, c)] = v;
-                idx[c] = r;
-            }
-        }
-    }
-    (vals, idx)
-}
-
 /// Dot product between two equally-shaped matrices viewed as flat vectors.
 pub fn dot(a: &Matrix, b: &Matrix) -> f32 {
     assert_same_shape(a, b, "dot");
@@ -597,14 +554,6 @@ mod tests {
         assert_eq!(sum_rows(&a), Matrix::row_vector(&[9.0, 12.0]));
         assert_eq!(sum_cols(&a), Matrix::col_vector(&[3.0, 7.0, 11.0]));
         assert_eq!(mean_rows(&a), Matrix::row_vector(&[3.0, 4.0]));
-    }
-
-    #[test]
-    fn max_over_rows_tracks_argmax() {
-        let a = Matrix::from_rows(&[&[1.0, 9.0], &[7.0, 2.0], &[3.0, 4.0]]);
-        let (vals, idx) = max_over_rows(&a);
-        assert_eq!(vals, Matrix::row_vector(&[7.0, 9.0]));
-        assert_eq!(idx, vec![1, 0]);
     }
 
     #[test]

@@ -320,9 +320,6 @@ fn matmul_block_scalar(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f32], 
         let out_row = &mut out[r * out_stride..r * out_stride + width];
         for kk in 0..depth {
             let a_rk = a.data[a.off + r * a.row_step + kk * a.k_step];
-            if a_rk == 0.0 {
-                continue;
-            }
             for (o, bv) in out_row.iter_mut().zip(&b[kk * b_stride..kk * b_stride + width]) {
                 *o += a_rk * bv;
             }
@@ -349,11 +346,7 @@ unsafe fn block_sse2<const R: usize, const V: usize>(p: Raw) {
             *x = _mm_loadu_ps(bp.add(4 * v));
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            let a_rk = *p.a.add(r * p.a_row_step + kk * p.a_k_step);
-            if a_rk == 0.0 {
-                continue;
-            }
-            let va = _mm_set1_ps(a_rk);
+            let va = _mm_set1_ps(*p.a.add(r * p.a_row_step + kk * p.a_k_step));
             for (x, &bx) in row.iter_mut().zip(&bv) {
                 *x = _mm_add_ps(*x, _mm_mul_ps(va, bx));
             }
@@ -435,11 +428,7 @@ unsafe fn block_avx2<const R: usize, const V: usize>(p: Raw, mask: std::arch::x8
             *x = if v + 1 < V { _mm256_loadu_ps(bp.add(8 * v)) } else { _mm256_maskload_ps(bp.add(8 * v), mask) };
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            let a_rk = *p.a.add(r * p.a_row_step + kk * p.a_k_step);
-            if a_rk == 0.0 {
-                continue;
-            }
-            let va = _mm256_set1_ps(a_rk);
+            let va = _mm256_set1_ps(*p.a.add(r * p.a_row_step + kk * p.a_k_step));
             for (x, &bx) in row.iter_mut().zip(&bv) {
                 *x = _mm256_add_ps(*x, _mm256_mul_ps(va, bx));
             }
@@ -521,9 +510,16 @@ pub type Shape = (usize, usize, usize);
 /// block; AVX2 reads and writes the last, partial vector of a strip with
 /// masked loads and stores, so `b` and `out` are used in place.  Per
 /// element the terms still add in ascending `kk` onto the existing value,
-/// one `mul` and one `add` each (no FMA), and a zero `a(r, kk)` is skipped
-/// for its row — so every tier is bitwise the scalar loop, which is the
+/// one `mul` and one `add` each for every `kk` (no FMA, and no test of the
+/// data) — so every tier is bitwise the scalar loop, which is the
 /// reference.
+///
+/// A zero `a(r, kk)` adds `±0` like any other term.  That equals skipping
+/// it whenever `b` is finite and the accumulator does not enter as `-0`:
+/// a sum that starts at `+0` never becomes `-0` under round-to-nearest,
+/// and `v + (±0) == v` for every `v ≠ 0`.  Every product in training and
+/// evaluation meets both conditions, so its sums are bitwise those of a
+/// loop that skips the zeros (the seeded training pins check this).
 ///
 /// # Panics
 /// Panics when an addressed element falls outside `a`, `b` or `out`, or

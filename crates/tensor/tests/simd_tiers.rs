@@ -18,8 +18,8 @@ fn random(rows: usize, cols: usize, rng: &mut TensorRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| (rng.uniform() - 0.5) * 2.0)
 }
 
-/// Random matrix with ~25% exact zeros, exercising the zero-skip branch of
-/// the depth loop on every tier.
+/// Random matrix with ~25% exact zeros, whose `0 · b` terms every tier
+/// must add alike.
 fn random_sparse(rows: usize, cols: usize, rng: &mut TensorRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| {
         let v = rng.uniform();
@@ -84,10 +84,9 @@ fn matmul_tiers_agree_bitwise_over_the_shape_grid() {
 }
 
 #[test]
-fn zero_skip_branch_agrees_bitwise_across_tiers() {
-    // sparse A drives the `a_ik == 0.0` skip, which must fire identically
-    // on every tier (skipping a multiply is observable: it never turns a
-    // -0.0 accumulator into +0.0)
+fn sparse_left_operands_agree_bitwise_across_tiers() {
+    // the exact zeros of a sparse A add their `±0` terms on every tier in
+    // the same order as the scalar loop: no tier may skip or reorder them
     let mut rng = TensorRng::seed_from_u64(73);
     for (m, k, n) in [(7usize, 33, 17), (19, 64, 48), (33, 127, 65)] {
         let a = random_sparse(m, k, &mut rng);
@@ -164,11 +163,7 @@ fn planned_tiers_match_the_public_entry_points() {
             for j in 0..19 {
                 let mut acc = 0.0f32;
                 for kk in 0..41 {
-                    let v = at[(kk, i)];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    acc += v * bb[(kk, j)];
+                    acc += at[(kk, i)] * bb[(kk, j)];
                 }
                 out[(i, j)] = acc;
             }
@@ -251,10 +246,8 @@ fn matmul_block_tiers_agree_bitwise_and_write_only_their_block() {
                     for r in 0..rows {
                         for kk in 0..depth {
                             let x = a[off + r * row_step + kk * k_step];
-                            if x != 0.0 {
-                                for j in 0..width {
-                                    naive[out_off + r * out_stride + j] += x * b[kk * b_stride + j];
-                                }
+                            for j in 0..width {
+                                naive[out_off + r * out_stride + j] += x * b[kk * b_stride + j];
                             }
                         }
                     }
@@ -271,5 +264,103 @@ fn matmul_block_tiers_agree_bitwise_and_write_only_their_block() {
                 }
             }
         }
+    }
+}
+
+/// The product kernel's old zero-skipping loop, kept only as an oracle: a
+/// zero `a(r, kk)` adds nothing to its row, so `0 · b` never reaches the
+/// sum.
+fn zero_skipping_block(
+    a: simd::Lhs<'_>,
+    b: &[f32],
+    b_stride: usize,
+    out: &mut [f32],
+    out_stride: usize,
+    shape: simd::Shape,
+) {
+    let (rows, depth, width) = shape;
+    for r in 0..rows {
+        for kk in 0..depth {
+            let x = a.data[a.off + r * a.row_step + kk * a.k_step];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..width {
+                out[r * out_stride + j] += x * b[kk * b_stride + j];
+            }
+        }
+    }
+}
+
+/// A uniform value in `[-1, 1)` other than zero.
+fn nonzero(rng: &mut TensorRng) -> f32 {
+    let v = (rng.uniform() - 0.5) * 2.0;
+    if v == 0.0 {
+        1.0
+    } else {
+        v
+    }
+}
+
+fn assert_same_bits(actual: &[f32], expect: &[f32], label: &str) {
+    for (i, (x, y)) in actual.iter().zip(expect).enumerate() {
+        assert!(x.to_bits() == y.to_bits(), "{label}: slot {i}: {x:?} vs {y:?}");
+    }
+}
+
+#[test]
+fn plain_accumulation_equals_the_zero_skipping_loop_except_on_negative_zero_and_non_finite_b() {
+    // a ~30% `±0`, b finite, accumulators at `+0`, nonzero or a mix: the
+    // added `0 · b` terms are `±0`, which a sum that starts at `+0` or at a
+    // nonzero value cannot notice
+    let mut rng = TensorRng::seed_from_u64(101);
+    for (rows, depth, width) in [(1usize, 1usize, 1usize), (3, 7, 5), (5, 24, 17), (4, 64, 33), (9, 100, 65)] {
+        let a: Vec<f32> = (0..rows * depth)
+            .map(|_| match rng.uniform() {
+                u if u < 0.15 => 0.0,
+                u if u < 0.3 => -0.0,
+                _ => nonzero(&mut rng),
+            })
+            .collect();
+        let b: Vec<f32> = (0..depth * width).map(|_| (rng.uniform() - 0.5) * 2.0).collect();
+        let lhs = simd::Lhs { data: &a, off: 0, row_step: depth, k_step: 1 };
+        let shape = (rows, depth, width);
+        let inits = [
+            ("+0", vec![0.0; rows * width]),
+            ("nonzero", (0..rows * width).map(|_| nonzero(&mut rng)).collect::<Vec<f32>>()),
+            ("mixed", (0..rows * width).map(|i| if i % 2 == 0 { 0.0 } else { nonzero(&mut rng) }).collect()),
+        ];
+        for (name, init) in inits {
+            let mut skipped = init.clone();
+            zero_skipping_block(lhs, &b, width, &mut skipped, width, shape);
+            for tier in simd::available_tiers() {
+                let mut out = init.clone();
+                simd::matmul_block(tier, lhs, &b, width, &mut out, width, shape);
+                assert_same_bits(&out, &skipped, &format!("{rows}x{depth}x{width} from {name} tier {tier:?}"));
+            }
+        }
+    }
+
+    // where the two loops part: an accumulator that enters as `-0` (the
+    // added `+0 · b` turns it into `+0`) and a non-finite `b` (`0 · ∞` is
+    // NaN, which the skipping loop never forms)
+    let a = [0.0f32, -0.0, 0.0, 1.0];
+    let lhs = simd::Lhs { data: &a, off: 0, row_step: 2, k_step: 1 };
+    let b = [1.0f32, -2.0];
+    let infinite_b = [f32::INFINITY, 2.0];
+    for tier in simd::available_tiers() {
+        let mut skipped = [-0.0f32, 0.0];
+        zero_skipping_block(lhs, &b, 1, &mut skipped, 1, (2, 2, 1));
+        let mut out = [-0.0f32, 0.0];
+        simd::matmul_block(tier, lhs, &b, 1, &mut out, 1, (2, 2, 1));
+        assert_eq!(skipped[0].to_bits(), (-0.0f32).to_bits(), "the skipping loop keeps a -0 accumulator");
+        assert_eq!(out[0].to_bits(), 0.0f32.to_bits(), "tier {tier:?}: plain accumulation turns -0 into +0");
+
+        let mut skipped = [0.0f32; 2];
+        zero_skipping_block(lhs, &infinite_b, 1, &mut skipped, 1, (2, 2, 1));
+        let mut out = [0.0f32; 2];
+        simd::matmul_block(tier, lhs, &infinite_b, 1, &mut out, 1, (2, 2, 1));
+        assert_eq!(skipped[1], 2.0, "the skipping loop never forms 0 · inf");
+        assert!(out[1].is_nan(), "tier {tier:?}: plain accumulation adds 0 · inf = NaN, got {}", out[1]);
     }
 }
