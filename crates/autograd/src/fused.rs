@@ -310,15 +310,17 @@ impl Tape {
     /// each filter `c` whose pooled value is positive and zeros elsewhere;
     /// then `dW += colsᵀ · G` (the windows of `x` read in place with
     /// `row_step = 1, k_step = d`), `dbias[c] += g_c` for those filters,
-    /// and `dcols = G · Wᵀ` against the cached transpose, whose argmax rows
-    /// are scattered into `x` in ascending `(p, window row)` order.
+    /// and `dcols = G · Wᵀ`, whose argmax rows are scattered into `x` in
+    /// ascending `(p, window row)` order.
     ///
     /// Each `dW` element gets its one nonzero term; the others are `±0`
     /// added to a sum that starts at `+0`, which leaves it unchanged while
-    /// `x` is finite.  Each `dcols` row adds every `G` entry of its position
-    /// in ascending filter order; the zero ones add `±0` to a sum that
-    /// starts at `+0`, so while `W` is finite the row equals the composed
-    /// rule's per-filter loop, which visited only the live filters.
+    /// `x` is finite.  `G` has one nonzero per live filter, so `dcols` is
+    /// built from those alone: row `argmax[c]` adds `g_c` times row `c` of
+    /// the cached transpose, in ascending filter order.  That is the
+    /// product's own order without its `±0` terms, the composed rule's
+    /// per-filter loop, and it costs `live filters × span` instead of
+    /// `positions × filters × span`.
     pub(crate) fn backward_conv_max_pool(&mut self, index: usize, op: &Op, upstream: &Matrix) {
         let &Op::ConvMaxPool { x, w, bias, window, ref argmax } = op else {
             unreachable!("backward_conv_max_pool on another op")
@@ -347,8 +349,12 @@ impl Tape {
         }
 
         self.zeroed(dcols, positions, span);
-        let wt = self.transposes[wt].value.as_slice();
-        block(rows(gm.as_slice(), 0, filters), wt, span, dcols.as_mut_slice(), span, (positions, filters, span));
+        let wt = &self.transposes[wt].value;
+        for c in (0..filters).filter(|&c| live(c)) {
+            for (s, &v) in dcols.row_mut(argmax[c]).iter_mut().zip(wt.row(c)) {
+                *s += g[c] * v;
+            }
+        }
         let dx = self.nodes[x.0].grad.as_mut_slice();
         for p in (0..positions).filter(|&p| gm.row(p).iter().any(|&v| v != 0.0)) {
             for (dst, s) in dx[p * d..p * d + span].iter_mut().zip(dcols.row(p)) {

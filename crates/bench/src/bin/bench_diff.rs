@@ -6,7 +6,7 @@
 //! ```text
 //! bench_diff compare <baseline.json> <current.json>... [--gate <factor>]
 //! bench_diff merge <out.json> <in.json>...
-//! bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>] [--exact]
+//! bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate]
 //! bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]
 //! ```
 //!
@@ -21,13 +21,11 @@
 //! * `rank` ranks each scenario's methods by a **quality** metric
 //!   (default `headline`), prints the rankings and every pairwise
 //!   ranking flip between scenarios.  With `--baseline` it also reports
-//!   flips against the baseline report per scenario; `--gate D` then
-//!   fails (exit 1) when any method's metric drops by more than `D`
-//!   absolute, or a baseline row vanishes — the quality counterpart of
-//!   the perf gate.  `--exact` fails when any quality row, of any metric,
-//!   is not bitwise equal to the baseline's, or when a row vanished or
-//!   appeared: the gate on which a kernel or backward-rule change that
-//!   moves one bit fails.
+//!   flips against the baseline report per scenario; `--gate` then
+//!   fails (exit 1) when any quality row, of any metric, is not bitwise
+//!   equal to the baseline's, or a row vanished or appeared — the quality
+//!   counterpart of the perf gate, on which a kernel or backward-rule
+//!   change that moves one bit fails.
 //! * `predictivity` joins a small-scale and a large-scale sweep report
 //!   cell by cell (`lncl_bench::predictivity`) and prints per-cell rank
 //!   correlation (Spearman ρ, Kendall τ-b), flip counts, winners and a
@@ -38,7 +36,7 @@
 use lncl_bench::merge::{merge_reports, qualified_cases};
 use lncl_bench::predictivity::predictivity_report;
 use lncl_bench::quality::HEADLINE_METRIC;
-use lncl_bench::rank::{quality_regressions, rank_scenarios, ranking_flips, unmatched_rows, RankingFlip};
+use lncl_bench::rank::{rank_scenarios, ranking_flips, unmatched_rows, RankingFlip};
 use lncl_bench::timing::{BenchReport, QualityCase};
 use std::path::Path;
 use std::process::ExitCode;
@@ -46,9 +44,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: bench_diff compare <baseline.json> <current.json>... [--gate <factor>]");
     eprintln!("       bench_diff merge <out.json> <in.json>...");
-    eprintln!(
-        "       bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate <max-drop>] [--exact]"
-    );
+    eprintln!("       bench_diff rank <report.json>... [--metric <key>] [--baseline <file>] [--gate]");
     eprintln!("       bench_diff predictivity <small.json> <large.json> [--metric <key>] [--json <out.json>]");
     ExitCode::from(2)
 }
@@ -271,8 +267,7 @@ fn print_flips(flips: &[RankingFlip]) {
 fn rank(args: &[String]) -> ExitCode {
     let mut metric = HEADLINE_METRIC.to_string();
     let mut baseline_file: Option<String> = None;
-    let mut gate: Option<f64> = None;
-    let mut exact = false;
+    let mut gate = false;
     let mut files = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -281,26 +276,19 @@ fn rank(args: &[String]) -> ExitCode {
                 Some(key) => metric = key.clone(),
                 None => return usage(),
             },
-            "--exact" => exact = true,
             "--baseline" => match iter.next() {
                 Some(file) => baseline_file = Some(file.clone()),
                 None => return usage(),
             },
-            "--gate" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(d) if d >= 0.0 => gate = Some(d),
-                _ => {
-                    eprintln!("bench_diff: --gate needs a non-negative absolute drop");
-                    return ExitCode::from(2);
-                }
-            },
+            "--gate" => gate = true,
             _ => files.push(arg.clone()),
         }
     }
     if files.is_empty() {
         return usage();
     }
-    if (gate.is_some() || exact) && baseline_file.is_none() {
-        eprintln!("bench_diff: rank --gate and --exact need --baseline <file> to compare against");
+    if gate && baseline_file.is_none() {
+        eprintln!("bench_diff: rank --gate needs --baseline <file> to compare against");
         return ExitCode::from(2);
     }
     let mut quality: Vec<QualityCase> = Vec::new();
@@ -370,42 +358,21 @@ fn rank(args: &[String]) -> ExitCode {
     if !any_baseline_flip {
         println!("  none");
     }
-    if let Some(max_drop) = gate {
-        let regressions = quality_regressions(&baseline.quality, &quality, &metric, max_drop);
-        for regression in &regressions {
-            match regression.current {
-                Some(value) => println!(
-                    "REGRESSED {:<44} {} {:.4} -> {:.4}",
-                    format!("{}/{}", regression.scenario, regression.method),
-                    metric,
-                    regression.baseline,
-                    value
-                ),
-                None => println!(
-                    "MISSING   {:<44} {} {:.4} -> (row vanished)",
-                    format!("{}/{}", regression.scenario, regression.method),
-                    metric,
-                    regression.baseline
-                ),
-            }
-        }
-        if !regressions.is_empty() {
-            eprintln!("bench_diff: {} quality row(s) regressed by more than {max_drop} or vanished", regressions.len());
-            return ExitCode::FAILURE;
-        }
-        println!("quality gate ok: no {metric:?} drop above {max_drop} and no vanished rows");
-    }
-    if exact {
+    if gate {
         // `-` a baseline row not reproduced, `+` a current row the baseline lacks
         let (lost, new) = (unmatched_rows(&baseline.quality, &quality), unmatched_rows(&quality, &baseline.quality));
         for (sign, q) in lost.iter().map(|q| ('-', q)).chain(new.iter().map(|q| ('+', q))).take(20) {
             println!("MISMATCH {sign} {}/{} {:?}", q.scenario, q.method, q.metrics);
         }
         if !lost.is_empty() || !new.is_empty() {
-            eprintln!("bench_diff: {} baseline row(s) not reproduced, {} new or changed", lost.len(), new.len());
+            eprintln!(
+                "bench_diff: {} baseline row(s) not reproduced bitwise, {} new or changed",
+                lost.len(),
+                new.len()
+            );
             return ExitCode::FAILURE;
         }
-        println!("exact gate ok: all {} quality row(s) bitwise equal to the baseline", quality.len());
+        println!("quality gate ok: all {} quality row(s) bitwise equal to the baseline", quality.len());
     }
     ExitCode::SUCCESS
 }

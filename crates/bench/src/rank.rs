@@ -5,10 +5,10 @@
 //! interesting question across crowd scenarios is where that ranking
 //! flips.  This module turns [`QualityCase`] rows into per-scenario
 //! rankings ([`rank_scenarios`]), detects strict pairwise order reversals
-//! between two rankings ([`ranking_flips`]), scores quality regressions
-//! between two reports ([`quality_regressions`], the quality counterpart
-//! of the `bench_diff compare --gate` perf gate) and finds the rows one
-//! report does not hold bitwise ([`unmatched_rows`]).
+//! between two rankings ([`ranking_flips`]) and finds the rows one report
+//! does not hold bitwise ([`unmatched_rows`], what `bench_diff rank
+//! --gate` fails on, the quality counterpart of the `bench_diff compare
+//! --gate` perf gate).
 
 use crate::timing::{QualityCase, SCENARIO_CASE};
 use std::collections::BTreeMap;
@@ -105,62 +105,12 @@ pub fn ranking_flips(a: &ScenarioRanking, b: &ScenarioRanking) -> Vec<RankingFli
     flips
 }
 
-/// One quality regression of a current report against a baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityRegression {
-    /// Scenario of the regressed row.
-    pub scenario: String,
-    /// Method of the regressed row.
-    pub method: String,
-    /// Baseline metric value.
-    pub baseline: f64,
-    /// Current metric value; `None` when the row vanished from the current
-    /// report (a lost protection, counted as a regression like the perf
-    /// gate counts missing cases).
-    pub current: Option<f64>,
-}
-
-/// Every baseline quality row whose `metric` dropped by more than
-/// `max_drop` (absolute) in the current rows, or that vanished entirely.
-/// The quality counterpart of the perf gate's regression factor: quality
-/// metrics live in `[0, 1]`, so the gate is an absolute drop, not a ratio.
-pub fn quality_regressions(
-    baseline: &[QualityCase],
-    current: &[QualityCase],
-    metric: &str,
-    max_drop: f64,
-) -> Vec<QualityRegression> {
-    let mut regressions = Vec::new();
-    for base in baseline {
-        if base.method == SCENARIO_CASE {
-            continue;
-        }
-        let Some(base_value) = base.metric(metric) else { continue };
-        let current_value = current
-            .iter()
-            .find(|c| c.scenario == base.scenario && c.method == base.method)
-            .and_then(|c| c.metric(metric));
-        let regressed = match current_value {
-            None => true,
-            Some(v) => base_value - v > max_drop,
-        };
-        if regressed {
-            regressions.push(QualityRegression {
-                scenario: base.scenario.clone(),
-                method: base.method.clone(),
-                baseline: base_value,
-                current: current_value,
-            });
-        }
-    }
-    regressions
-}
-
 /// The rows of `rows` that `other` does not hold bitwise: the same
 /// scenario, method and metric keys in the same order, each value equal to
 /// the bit.  Row order does not matter, and a row listed `n` times needs
 /// `n` copies in `other`.  Quality values are deterministic given the
-/// seeds, so in both directions this is the gate any moved bit fails.
+/// seeds, so in both directions this is the quality gate: any moved bit
+/// fails it.
 pub fn unmatched_rows<'a>(rows: &'a [QualityCase], other: &[QualityCase]) -> Vec<&'a QualityCase> {
     let bits = |q: &QualityCase| {
         let metrics: Vec<(String, u64)> = q.metrics.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
@@ -247,19 +197,6 @@ mod tests {
         let a = rank_scenarios(&[case("a", "x", 0.9), case("a", "y", 0.5)], "headline");
         let b = rank_scenarios(&[case("b", "y", 0.8)], "headline");
         assert!(ranking_flips(&a[0], &b[0]).is_empty());
-    }
-
-    #[test]
-    fn regressions_catch_drops_and_vanished_rows() {
-        let baseline = vec![case("s", "ok", 0.8), case("s", "dropped", 0.8), case("s", "gone", 0.8)];
-        let current = vec![case("s", "ok", 0.78), case("s", "dropped", 0.6)];
-        let regressions = quality_regressions(&baseline, &current, "headline", 0.05);
-        assert_eq!(regressions.len(), 2);
-        assert_eq!(regressions[0].method, "dropped");
-        assert_eq!(regressions[0].current, Some(0.6));
-        assert_eq!(regressions[1].method, "gone");
-        assert_eq!(regressions[1].current, None);
-        assert!(quality_regressions(&baseline, &baseline, "headline", 0.0).is_empty());
     }
 
     #[test]

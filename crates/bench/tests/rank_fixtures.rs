@@ -3,7 +3,7 @@
 //! writes) exercised through parsing, ranking, tie handling, flip
 //! detection and multi-report ranking (`bench_diff rank a.json b.json`).
 
-use lncl_bench::rank::{quality_regressions, rank_scenarios, ranking_flips, RankingFlip};
+use lncl_bench::rank::{rank_scenarios, ranking_flips, unmatched_rows, RankingFlip};
 use lncl_bench::timing::{BenchReport, QualityCase, SCENARIO_CASE};
 
 const REPORT_A: &str = include_str!("fixtures/rank_report_a.json");
@@ -86,16 +86,19 @@ fn rank_over_sorted_rows_equals_rank_over_individual_reports() {
 fn quality_gate_flags_drops_against_a_baseline_fixture() {
     let (a, _) = load_fixtures();
     let mut current = a.quality.clone();
-    // degrade DS on sent/clean below the gate and drop CATD entirely
+    // degrade DS on sent/clean and drop CATD entirely
     for case in &mut current {
         if case.scenario == "sent/clean" && case.method == "DS" {
             case.metrics = vec![("headline".to_string(), 0.80)];
         }
     }
     current.retain(|c| !(c.scenario == "sent/clean" && c.method == "CATD"));
-    let regressions = quality_regressions(&a.quality, &current, "headline", 0.05);
-    let keys: Vec<(&str, &str)> = regressions.iter().map(|r| (r.scenario.as_str(), r.method.as_str())).collect();
-    assert_eq!(keys, vec![("sent/clean", "CATD"), ("sent/clean", "DS")]);
-    // within the gate: nothing fires
-    assert!(quality_regressions(&a.quality, &a.quality, "headline", 0.0).is_empty());
+    let mut lost: Vec<(&str, &str)> =
+        unmatched_rows(&a.quality, &current).iter().map(|r| (r.scenario.as_str(), r.method.as_str())).collect();
+    lost.sort();
+    assert_eq!(lost, vec![("sent/clean", "CATD"), ("sent/clean", "DS")]);
+    let new: Vec<&str> = unmatched_rows(&current, &a.quality).iter().map(|r| r.method.as_str()).collect();
+    assert_eq!(new, vec!["DS"]);
+    // the baseline against itself: nothing fires
+    assert!(unmatched_rows(&a.quality, &a.quality).is_empty());
 }

@@ -517,9 +517,11 @@ pub type Shape = (usize, usize, usize);
 /// A zero `a(r, kk)` adds `±0` like any other term.  That equals skipping
 /// it whenever `b` is finite and the accumulator does not enter as `-0`:
 /// a sum that starts at `+0` never becomes `-0` under round-to-nearest,
-/// and `v + (±0) == v` for every `v ≠ 0`.  Every product in training and
-/// evaluation meets both conditions, so its sums are bitwise those of a
-/// loop that skips the zeros (the seeded training pins check this).
+/// and `v + (±0) == v` for every `v ≠ 0`.  Nothing checks the two
+/// conditions per call; the seeded training pins and the sweep's quality
+/// rows show the sums bitwise equal to a zero-skipping loop's on the runs
+/// they cover.  A non-finite `b` now gives NaN (`0 · ∞`) where that loop
+/// stayed finite, so a diverging run turns NaN sooner.
 ///
 /// # Panics
 /// Panics when an addressed element falls outside `a`, `b` or `out`, or
