@@ -15,14 +15,14 @@
 
 use crate::baselines::two_stage::{one_hot_targets, train_supervised};
 use crate::config::TrainConfig;
-use crate::fit::DevSelection;
+use crate::fit::{DevSelection, MStep};
 use crate::predict::{evaluate_split, PredictionMode};
 use crate::report::EvalMetrics;
 use lncl_crowd::truth::{MajorityVote, TruthInference};
 use lncl_crowd::{CrowdDataset, TaskKind};
 use lncl_nn::optim::{Optimizer, Sgd};
-use lncl_nn::{Binding, InstanceClassifier, Module, Param, Workspace};
-use lncl_tensor::{stats, Matrix, TensorRng};
+use lncl_nn::{InstanceClassifier, Module, Param, Workspace};
+use lncl_tensor::{stats, Matrix};
 
 /// Which annotator transformation the crowd layer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +51,9 @@ pub struct CrowdLayerTrainer<M: InstanceClassifier + Module + Clone> {
     /// The backbone classifier.
     pub model: M,
     kind: CrowdLayerKind,
-    /// Per-annotator transformation parameters.
-    weights: Vec<Param>,
-    biases: Vec<Param>,
+    /// Per-annotator transformation parameters: every annotator's weight,
+    /// then every annotator's bias (trained only by VW-B).
+    layer: Vec<Param>,
     config: TrainConfig,
     /// Number of epochs of majority-voting pre-training before end-to-end
     /// training (0 disables pre-training).
@@ -70,15 +70,12 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
         pretrain_epochs: usize,
     ) -> Self {
         let k = dataset.num_classes;
-        let weights = (0..dataset.num_annotators)
-            .map(|j| match kind {
-                CrowdLayerKind::MatrixWeight => Param::new(format!("crowd_layer.w{j}"), Matrix::identity(k)),
-                _ => Param::new(format!("crowd_layer.w{j}"), Matrix::full(1, k, 1.0)),
-            })
-            .collect();
-        let biases =
-            (0..dataset.num_annotators).map(|j| Param::new(format!("crowd_layer.b{j}"), Matrix::zeros(1, k))).collect();
-        Self { model, kind, weights, biases, config, pretrain_epochs }
+        let weights = (0..dataset.num_annotators).map(|j| match kind {
+            CrowdLayerKind::MatrixWeight => Param::new(format!("crowd_layer.w{j}"), Matrix::identity(k)),
+            _ => Param::new(format!("crowd_layer.w{j}"), Matrix::full(1, k, 1.0)),
+        });
+        let biases = (0..dataset.num_annotators).map(|j| Param::new(format!("crowd_layer.b{j}"), Matrix::zeros(1, k)));
+        Self { model, kind, layer: weights.chain(biases).collect(), config, pretrain_epochs }
     }
 
     /// Trains the crowd layer end-to-end on the raw crowd labels.
@@ -87,89 +84,52 @@ impl<M: InstanceClassifier + Module + Clone> CrowdLayerTrainer<M> {
         if self.pretrain_epochs > 0 {
             let view = dataset.annotation_view();
             let mv = MajorityVote.infer(&view);
-            let targets = one_hot_targets(&mv.hard_by_instance(&view), dataset.num_classes);
+            let targets = one_hot_targets(mv.hard_by_instance(&view), dataset.num_classes);
             let pre_config = TrainConfig { epochs: self.pretrain_epochs, ..self.config.clone() };
             train_supervised(&mut self.model, dataset, &targets, &pre_config);
         }
 
-        let mut rng = TensorRng::seed_from_u64(self.config.seed.wrapping_add(17));
-        let mut optimizer = self.config.optimizer.build();
+        let mut m_step = MStep::new(&TrainConfig { seed: self.config.seed.wrapping_add(17), ..self.config.clone() });
         // The crowd layer is invariant to a global class permutation (the
         // backbone can flip classes as long as every annotator matrix flips
         // them back).  Identity/ones initialisation plus a slow, plain-SGD
         // update of the annotator parameters keeps the class semantics
         // anchored to the backbone, as in the reference implementation.
-        let mut annotator_optimizer: Box<dyn Optimizer> = Box::new(Sgd::new(0.01));
+        let mut annotator_optimizer = Sgd::new(0.01);
         let mut dev = DevSelection::new(&self.config);
+        let (kind, annotators) = (self.kind, dataset.num_annotators);
 
         for epoch in 0..self.config.epochs {
-            let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-            rng.shuffle(&mut order);
-            for batch in order.chunks(self.config.batch_size) {
-                self.model.zero_grad();
-                for p in self.weights.iter_mut().chain(self.biases.iter_mut()) {
-                    p.zero_grad();
+            let group = Some((&mut self.layer[..], &mut annotator_optimizer as &mut dyn Optimizer));
+            m_step.epoch(&mut self.model, &dataset.train, epoch, group, |tape, binding, layer, logits, i| {
+                // The annotator transformation is applied to the class
+                // scores (logits): with identity/ones initialisation the
+                // crowd layer starts as plain cross-entropy training and
+                // learns per-annotator distortions on top, which trains
+                // much faster at this scale than stacking two softmaxes.
+                let labels = &dataset.train[i].crowd_labels;
+                let (units, k) = tape.shape(logits);
+                let mut instance_loss = None;
+                for (cl, observed) in labels.iter().zip(one_hot_targets(labels.iter().map(|cl| &cl.labels), k)) {
+                    let w = binding.bind(tape, &layer[cl.annotator]);
+                    let scores = match kind {
+                        CrowdLayerKind::MatrixWeight => tape.matmul(logits, w),
+                        CrowdLayerKind::VectorWeight => {
+                            let w_rep = tape.gather_rows(w, &vec![0; units]);
+                            tape.mul(logits, w_rep)
+                        }
+                        CrowdLayerKind::VectorWeightBias => {
+                            let b = binding.bind(tape, &layer[annotators + cl.annotator]);
+                            let w_rep = tape.gather_rows(w, &vec![0; units]);
+                            let scaled = tape.mul(logits, w_rep);
+                            tape.add_row_broadcast(scaled, b)
+                        }
+                    };
+                    let loss = tape.softmax_cross_entropy(scores, observed);
+                    instance_loss = Some(instance_loss.map_or(loss, |total| tape.add(total, loss)));
                 }
-                for &i in batch {
-                    let inst = &dataset.train[i];
-                    if inst.crowd_labels.is_empty() {
-                        continue;
-                    }
-                    let mut tape = lncl_autograd::Tape::new();
-                    let mut binding = Binding::new();
-                    let logits = self.model.forward_logits(&mut tape, &mut binding, &inst.tokens, true, &mut rng);
-                    // The annotator transformation is applied to the class
-                    // scores (logits): with identity/ones initialisation the
-                    // crowd layer starts as plain cross-entropy training and
-                    // learns per-annotator distortions on top, which trains
-                    // much faster at this scale than stacking two softmaxes.
-                    let (units, k) = tape.shape(logits);
-                    let mut instance_loss: Option<lncl_autograd::Var> = None;
-                    for cl in &inst.crowd_labels {
-                        let observed = one_hot_matrix(&cl.labels, k);
-                        let scores = match self.kind {
-                            CrowdLayerKind::MatrixWeight => {
-                                let w = binding.bind(&mut tape, &self.weights[cl.annotator]);
-                                tape.matmul(logits, w)
-                            }
-                            CrowdLayerKind::VectorWeight => {
-                                let w = binding.bind(&mut tape, &self.weights[cl.annotator]);
-                                let w_rep = tape.gather_rows(w, &vec![0; units]);
-                                tape.mul(logits, w_rep)
-                            }
-                            CrowdLayerKind::VectorWeightBias => {
-                                let w = binding.bind(&mut tape, &self.weights[cl.annotator]);
-                                let b = binding.bind(&mut tape, &self.biases[cl.annotator]);
-                                let w_rep = tape.gather_rows(w, &vec![0; units]);
-                                let scaled = tape.mul(logits, w_rep);
-                                tape.add_row_broadcast(scaled, b)
-                            }
-                        };
-                        let loss = tape.softmax_cross_entropy(scores, observed);
-                        instance_loss = Some(match instance_loss {
-                            Some(total) => tape.add(total, loss),
-                            None => loss,
-                        });
-                    }
-                    let Some(instance_loss) = instance_loss else { continue };
-                    tape.backward(instance_loss);
-                    binding.accumulate(&tape, self.model.params_mut());
-                    binding.accumulate(&tape, self.weights.iter_mut().chain(self.biases.iter_mut()));
-                }
-                let scale = 1.0 / batch.len() as f32;
-                self.model.scale_grads(scale);
-                for p in self.weights.iter_mut().chain(self.biases.iter_mut()) {
-                    p.grad.map_inplace(|g| g * scale);
-                }
-                if let Some(clip) = self.config.grad_clip {
-                    self.model.clip_grad_norm(clip);
-                }
-                let mut params: Vec<&mut Param> = self.model.params_mut();
-                optimizer.step(&mut params);
-                let mut annotator_params: Vec<&mut Param> =
-                    self.weights.iter_mut().chain(self.biases.iter_mut()).collect();
-                annotator_optimizer.step(&mut annotator_params);
-            }
+                instance_loss
+            });
             if dev.stop_after(&self.model, dataset, epoch) {
                 break;
             }
@@ -219,19 +179,12 @@ pub(crate) fn split_posteriors<M: InstanceClassifier>(model: &M, split: &[lncl_c
     rows
 }
 
-fn one_hot_matrix(labels: &[usize], num_classes: usize) -> Matrix {
-    let mut m = Matrix::zeros(labels.len(), num_classes);
-    for (r, &l) in labels.iter().enumerate() {
-        m[(r, l)] = 1.0;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lncl_crowd::datasets::{generate_sentiment, SentimentDatasetConfig};
     use lncl_nn::models::{SentimentCnn, SentimentCnnConfig};
+    use lncl_tensor::TensorRng;
 
     fn setup() -> (CrowdDataset, SentimentCnn, TrainConfig) {
         let dataset = generate_sentiment(&SentimentDatasetConfig {
@@ -287,9 +240,19 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_matrix_layout() {
-        let m = one_hot_matrix(&[2, 0], 3);
-        assert_eq!(m.row(0), &[0.0, 0.0, 1.0]);
-        assert_eq!(m.row(1), &[1.0, 0.0, 0.0]);
+    fn training_skips_instances_without_crowd_labels() {
+        let (mut dataset, model, config) = setup();
+        for inst in dataset.train.iter_mut().step_by(3) {
+            inst.crowd_labels.clear();
+        }
+        let config = TrainConfig { epochs: 2, ..config };
+        for kind in [CrowdLayerKind::MatrixWeight, CrowdLayerKind::VectorWeightBias] {
+            let mut trainer = CrowdLayerTrainer::new(model.clone(), &dataset, kind, config.clone(), 0);
+            trainer.train(&dataset);
+            let params = trainer.model.params().into_iter().chain(&trainer.layer);
+            for p in params {
+                assert!(p.value.as_slice().iter().all(|v| v.is_finite()), "{}: {} is not finite", kind.name(), p.name);
+            }
+        }
     }
 }

@@ -101,8 +101,7 @@ where
             })
             .collect();
         let sub_dataset = CrowdDataset { train, ..dataset.clone() };
-        let targets =
-            one_hot_targets(&sub_dataset.train.iter().map(|i| i.gold.clone()).collect::<Vec<_>>(), dataset.num_classes);
+        let targets = one_hot_targets(sub_dataset.train.iter().map(|i| &i.gold), dataset.num_classes);
         let mut model = model_factory(idx as u64);
         let sub_config = TrainConfig { seed: config.train.seed.wrapping_add(idx as u64), ..config.train.clone() };
         train_supervised(&mut model, &sub_dataset, &targets, &sub_config);

@@ -27,8 +27,8 @@ pub fn train_supervised<M: InstanceClassifier + Module + Clone>(
     let mut dev = DevSelection::new(config);
     let mut loss_history = Vec::new();
     for epoch in 0..config.epochs {
-        loss_history.push(m_step.epoch(model, &dataset.train, epoch, |tape, logits, i| {
-            tape.softmax_cross_entropy(logits, targets[i].clone())
+        loss_history.push(m_step.epoch(model, &dataset.train, epoch, None, |tape, _, _, logits, i| {
+            Some(tape.softmax_cross_entropy(logits, targets[i].clone()))
         }));
         if dev.stop_after(model, dataset, epoch) {
             break;
@@ -37,17 +37,21 @@ pub fn train_supervised<M: InstanceClassifier + Module + Clone>(
     TrainReport { loss_history, ..dev.finish(model) }
 }
 
-/// Converts hard per-instance labels into one-hot soft-target matrices.
-pub fn one_hot_targets(labels: &[Vec<usize>], num_classes: usize) -> Vec<Matrix> {
+/// Converts hard label sequences (an instance's units, or one crowd label's)
+/// into one-hot soft-target matrices, one `len x num_classes` matrix each.
+pub fn one_hot_targets(labels: impl IntoIterator<Item = impl AsRef<[usize]>>, num_classes: usize) -> Vec<Matrix> {
     labels
-        .iter()
-        .map(|inst| Matrix::from_fn(inst.len(), num_classes, |u, c| if inst[u] == c { 1.0 } else { 0.0 }))
+        .into_iter()
+        .map(|inst| {
+            let inst = inst.as_ref();
+            Matrix::from_fn(inst.len(), num_classes, |u, c| if inst[u] == c { 1.0 } else { 0.0 })
+        })
         .collect()
 }
 
 /// Gold-label targets of a dataset's training split (the "Gold" upper bound).
 pub fn gold_targets(dataset: &CrowdDataset) -> Vec<Matrix> {
-    one_hot_targets(&dataset.train.iter().map(|i| i.gold.clone()).collect::<Vec<_>>(), dataset.num_classes)
+    one_hot_targets(dataset.train.iter().map(|i| &i.gold), dataset.num_classes)
 }
 
 /// Evaluates the inference quality of a set of hard labels against the

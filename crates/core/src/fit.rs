@@ -2,13 +2,13 @@
 //! with the learning-rate step decay ([`MStep`]) and the development-split
 //! model selection with early stopping ([`DevSelection`]).
 //!
-//! [`LogicLncl::train`](crate::trainer::LogicLncl::train) and
-//! [`train_supervised`](crate::baselines::train_supervised) run both;
+//! [`LogicLncl::train`](crate::trainer::LogicLncl::train),
+//! [`train_supervised`](crate::baselines::train_supervised) and
 //! [`CrowdLayerTrainer::train`](crate::baselines::CrowdLayerTrainer::train)
-//! keeps its own batch body (it also trains the annotator layer) and runs
-//! only the dev selection.  Both follow Table I: patience on the dev metric,
-//! the best dev epoch's model kept, the learning rate optionally decayed in
-//! steps.
+//! run both; the crowd layer passes its annotator layer to the M-step as a
+//! second parameter group with its own optimiser.  All follow Table I:
+//! patience on the dev metric, the best dev epoch's model kept, the
+//! learning rate optionally decayed in steps.
 
 use crate::config::TrainConfig;
 use crate::distill::TaskRules;
@@ -17,7 +17,7 @@ use crate::report::TrainReport;
 use lncl_autograd::{Tape, Var};
 use lncl_crowd::{CrowdDataset, Instance, TaskKind};
 use lncl_nn::optim::{EarlyStopping, Optimizer, StepDecay, Verdict};
-use lncl_nn::{InstanceClassifier, Module, Workspace};
+use lncl_nn::{Binding, InstanceClassifier, Module, Param, Workspace};
 use lncl_tensor::TensorRng;
 
 /// The pseudo-M-step's mini-batch pass over the training split.  Owns the
@@ -49,15 +49,19 @@ impl MStep {
     }
 
     /// One epoch of mini-batch updates of `model` over `train` in a freshly
-    /// shuffled order.  `loss(tape, logits, i)` is training instance `i`'s
-    /// loss; each batch's gradients are averaged over the batch, clipped and
-    /// applied.  Returns the mean of the per-batch mean losses.
+    /// shuffled order.  `loss(tape, binding, group, logits, i)` is training
+    /// instance `i`'s loss, `None` when the instance adds nothing (see
+    /// [`Workspace::instance`]).  `group` is a second parameter group the
+    /// loss may bind, stepped by its own optimiser.  Each batch's gradients
+    /// are averaged over the batch, the model's clipped, and both applied.
+    /// Returns the mean of the per-batch mean losses.
     pub(crate) fn epoch<M: InstanceClassifier + Module>(
         &mut self,
         model: &mut M,
         train: &[Instance],
         epoch: usize,
-        mut loss: impl FnMut(&mut Tape, Var, usize) -> Var,
+        mut group: Option<(&mut [Param], &mut dyn Optimizer)>,
+        mut loss: impl FnMut(&mut Tape, &mut Binding, &[Param], Var, usize) -> Option<Var>,
     ) -> f32 {
         if let Some(decay) = self.decay {
             self.optimizer.set_learning_rate(decay.learning_rate(epoch));
@@ -68,20 +72,31 @@ impl MStep {
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
         for batch in order.chunks(self.batch_size) {
+            let params: &mut [Param] = match &mut group {
+                Some((params, _)) => params,
+                None => &mut [],
+            };
             model.zero_grad();
+            params.iter_mut().for_each(Param::zero_grad);
             self.workspace.begin_batch(model);
             let mut batch_loss = 0.0f32;
             for &i in batch {
                 let tokens = &train[i].tokens;
                 batch_loss +=
-                    self.workspace.instance(model, tokens, &mut self.rng, |tape, logits| loss(tape, logits, i));
+                    self.workspace.instance(model, params, tokens, &mut self.rng, |tape, binding, params, logits| {
+                        loss(tape, binding, params, logits, i)
+                    });
             }
-            model.scale_grads(1.0 / batch.len() as f32);
+            let scale = 1.0 / batch.len() as f32;
+            model.scale_grads(scale);
+            params.iter_mut().for_each(|p| p.grad.map_inplace(|g| g * scale));
             if let Some(clip) = self.grad_clip {
                 model.clip_grad_norm(clip);
             }
-            let mut params = model.params_mut();
-            self.optimizer.step(&mut params);
+            self.optimizer.step(&mut model.params_mut());
+            if let Some((params, optimizer)) = &mut group {
+                optimizer.step(&mut params.iter_mut().collect::<Vec<_>>());
+            }
             epoch_loss += batch_loss / batch.len() as f32;
             batches += 1;
         }

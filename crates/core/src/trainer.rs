@@ -332,13 +332,9 @@ impl<M: InstanceClassifier + Module + Clone> LogicLncl<M> {
             // ---- pseudo-M-step: one pass of mini-batch updates on q_f ----
             let qf = &self.qf;
             let weighted = self.config.objective == MStepObjective::AnnotationWeighted;
-            loss_history.push(m_step.epoch(&mut self.model, &dataset.train, epoch, |tape, logits, i| {
+            loss_history.push(m_step.epoch(&mut self.model, &dataset.train, epoch, None, |tape, _, _, logits, i| {
                 let loss = tape.softmax_cross_entropy(logits, qf.instance_matrix(i));
-                if weighted {
-                    tape.scale(loss, dataset.train[i].num_annotations().max(1) as f32)
-                } else {
-                    loss
-                }
+                Some(if weighted { tape.scale(loss, dataset.train[i].num_annotations().max(1) as f32) } else { loss })
             }));
 
             // ---- pseudo-E-step ------------------------------------------

@@ -16,7 +16,7 @@
 //! logits, allocating only its result once the buffers have grown.
 
 use crate::models::InstanceClassifier;
-use crate::module::{Binding, Module};
+use crate::module::{Binding, Module, Param};
 use lncl_autograd::{Tape, Var};
 use lncl_tensor::{stats, Matrix, TensorRng};
 
@@ -63,24 +63,29 @@ impl Workspace {
     }
 
     /// Trains on one instance: the training-mode forward pass of `model` on
-    /// `tokens` (dropout drawn from `rng`), `loss(tape, logits)`, the
-    /// backward pass, and the gradients added into `model`'s accumulators.
-    /// Returns the loss value.  Call [`Workspace::begin_batch`] first, and
+    /// `tokens` (dropout drawn from `rng`), `loss(tape, binding, group,
+    /// logits)`, the backward pass, and the gradients added into the
+    /// accumulators of `model` and of the parameters of `group` the loss
+    /// bound (with `binding.bind(tape, &group[j])`).  Returns the loss
+    /// value; a loss of `None` skips the instance (no backward pass, no
+    /// gradient, a value of 0).  Call [`Workspace::begin_batch`] first, and
     /// again whenever the parameter values change.
     pub fn instance<M: InstanceClassifier>(
         &mut self,
         model: &mut M,
+        group: &mut [Param],
         tokens: &[usize],
         rng: &mut TensorRng,
-        loss: impl FnOnce(&mut Tape, Var) -> Var,
+        loss: impl FnOnce(&mut Tape, &mut Binding, &[Param], Var) -> Option<Var>,
     ) -> f32 {
         self.rewind();
         let logits = model.forward_logits(&mut self.tape, &mut self.binding, tokens, true, rng);
-        let loss = loss(&mut self.tape, logits);
+        let Some(loss) = loss(&mut self.tape, &mut self.binding, group, logits) else { return 0.0 };
         let value = self.tape.scalar(loss);
         self.tape.backward(loss);
         let (tape, binding) = (&self.tape, &self.binding);
         model.visit_params_mut(&mut |param| binding.accumulate_param(tape, param));
+        binding.accumulate(tape, group);
         value
     }
 
@@ -122,40 +127,52 @@ mod tests {
     use super::*;
     use crate::models::{NerConvGru, NerConvGruConfig, SentimentCnn, SentimentCnnConfig};
 
-    fn bits<M: Module>(model: &M) -> Vec<Vec<u32>> {
-        model.params().iter().map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+    fn bits<'a>(params: impl IntoIterator<Item = &'a Param>) -> Vec<Vec<u32>> {
+        params.into_iter().map(|p| p.grad.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
     }
 
     /// Two batches through a workspace against a fresh tape and binding per
-    /// instance: losses and every accumulated gradient bit for bit.
+    /// instance: losses and every accumulated gradient bit for bit, the
+    /// model's and those of a second group (a `K x K` parameter the loss
+    /// binds and maps the logits through).
     fn check<M: InstanceClassifier + Clone>(model: M, sentences: &[Vec<usize>], classes: usize) {
-        let target = |tape: &mut Tape, logits: Var| {
+        let target = |tape: &mut Tape, binding: &mut Binding, group: &[Param], logits: Var| {
             let rows = tape.shape(logits).0;
-            tape.softmax_cross_entropy(
-                logits,
+            let w = binding.bind(tape, &group[0]);
+            let scores = tape.matmul(logits, w);
+            Some(tape.softmax_cross_entropy(
+                scores,
                 Matrix::from_fn(rows, classes, |r, c| ((r + c) % classes == 0) as u8 as f32),
-            )
+            ))
         };
+        let extra =
+            Param::new("extra", Matrix::from_fn(classes, classes, |r, c| (r == c) as u8 as f32 + 0.1 * c as f32));
         let (mut fresh, mut reused) = (model.clone(), model);
+        let (mut fresh_group, mut reused_group) = ([extra.clone()], [extra]);
         let (mut rng_a, mut rng_b) = (TensorRng::seed_from_u64(3), TensorRng::seed_from_u64(3));
         let mut workspace = Workspace::new();
         for batch in sentences.chunks(3) {
             fresh.zero_grad();
             reused.zero_grad();
+            fresh_group[0].zero_grad();
+            reused_group[0].zero_grad();
             workspace.begin_batch(&reused);
             for tokens in batch {
                 let mut tape = Tape::new();
                 let mut binding = Binding::new();
                 let logits = fresh.forward_logits(&mut tape, &mut binding, tokens, true, &mut rng_a);
-                let loss = target(&mut tape, logits);
+                let loss = target(&mut tape, &mut binding, &fresh_group, logits).expect("a loss");
                 tape.backward(loss);
                 binding.accumulate(&tape, fresh.params_mut());
-                let value = workspace.instance(&mut reused, tokens, &mut rng_b, target);
+                binding.accumulate(&tape, &mut fresh_group);
+                let value = workspace.instance(&mut reused, &mut reused_group, tokens, &mut rng_b, target);
                 assert_eq!(value.to_bits(), tape.scalar(loss).to_bits(), "loss of {tokens:?}");
             }
-            assert_eq!(bits(&fresh), bits(&reused), "accumulated gradients");
+            assert_eq!(bits(fresh.params()), bits(reused.params()), "accumulated gradients");
+            assert_eq!(bits(&fresh_group), bits(&reused_group), "accumulated second-group gradients");
             // a step between batches, so the next one rebinds new values
-            for (a, b) in fresh.params_mut().into_iter().zip(reused.params_mut()) {
+            let fresh_params = fresh.params_mut().into_iter().chain(&mut fresh_group);
+            for (a, b) in fresh_params.zip(reused.params_mut().into_iter().chain(&mut reused_group)) {
                 a.value.map_inplace(|v| v * 0.5);
                 b.value.map_inplace(|v| v * 0.5);
             }
@@ -186,7 +203,8 @@ mod tests {
         let mut workspace = Workspace::new();
         let mut rng = TensorRng::seed_from_u64(4);
         workspace.begin_batch(&model);
-        workspace.instance(&mut model, &sentences[0], &mut rng, |tape, logits| tape.sum_all(logits));
+        workspace
+            .instance(&mut model, &mut [], &sentences[0], &mut rng, |tape, _, _, logits| Some(tape.sum_all(logits)));
         for round in 0..2 {
             let mut evaluator = workspace.eval(&model);
             let before: Vec<Matrix> = sentences.iter().map(|tokens| evaluator.proba(tokens)).collect();

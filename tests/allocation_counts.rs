@@ -1,5 +1,6 @@
 //! Heap-allocation pins of Logic-LNCL training on the `Scale::Tiny`
-//! sentiment and NER datasets, 2 epochs each (seed 1, as
+//! sentiment and NER datasets, and of crowd-layer (`cl-mw`) training on
+//! the sentiment one, 2 epochs each (seed 1, as
 //! `tests/training_determinism.rs`).
 //!
 //! A counting global allocator counts the allocations and reallocations
@@ -24,6 +25,7 @@ use lncl_nn::optim::{Optimizer, Sgd};
 use lncl_nn::{Module, Workspace};
 use lncl_tensor::TensorRng;
 use logic_lncl::baselines::two_stage::gold_targets;
+use logic_lncl::baselines::{CrowdLayerKind, CrowdLayerTrainer};
 use logic_lncl::{paper_rules, LogicLncl, RunContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,6 +109,21 @@ fn tiny_ner_training_allocations_are_pinned() {
     assert_eq!(training_allocations(&Scale::Tiny.ner_dataset(SEED)), 8_511, "NER training allocations moved");
 }
 
+/// The registry's `cl-mw` construction (no pre-training), its training
+/// alone counted.
+#[test]
+fn tiny_crowd_layer_training_allocations_are_pinned() {
+    let dataset = Scale::Tiny.sentiment_dataset(SEED);
+    let config = Scale::Tiny.train_config_with_epochs(dataset.task, SEED, EPOCHS);
+    let ctx = RunContext::for_dataset(&dataset, config);
+    let model = ctx.model(ctx.config.seed);
+    let mut trainer = CrowdLayerTrainer::new(model, &dataset, CrowdLayerKind::MatrixWeight, ctx.config.clone(), 0);
+    let n = allocations(|| {
+        trainer.train(&dataset);
+    });
+    assert_eq!(n, 12_988, "crowd-layer training allocations moved");
+}
+
 /// Runs the M-step's mini-batch loop over `dataset` with the gold labels as
 /// targets and returns, per batch, the allocations of each instance.
 fn instance_allocations(dataset: &CrowdDataset) -> Vec<Vec<u64>> {
@@ -130,8 +147,8 @@ fn instance_allocations(dataset: &CrowdDataset) -> Vec<Vec<u64>> {
                 .map(|&i| {
                     let tokens = &dataset.train[i].tokens;
                     allocations(|| {
-                        workspace.instance(&mut model, tokens, &mut rng, |tape, logits| {
-                            tape.softmax_cross_entropy(logits, targets[i].clone())
+                        workspace.instance(&mut model, &mut [], tokens, &mut rng, |tape, _, _, logits| {
+                            Some(tape.softmax_cross_entropy(logits, targets[i].clone()))
                         });
                     })
                 })

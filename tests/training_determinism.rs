@@ -4,9 +4,11 @@
 //! * a `logic-lncl` run must reproduce the per-epoch training loss and the
 //!   teacher test metric recorded below;
 //! * the registry's `mv-classifier` (supervised training, both its rows),
-//!   `cl-mw+pre2` (MV pre-training, then the crowd-layer loop) and
-//!   `logic-lncl-windowed` (the stream-windowed E-step) must reproduce every
-//!   row's prediction and inference metrics.  The NER
+//!   `cl-mw+pre2` (MV pre-training, then the crowd layer's annotator
+//!   matrices trained as `MStep`'s second parameter group), `cl-vw-b`
+//!   (sentiment only: per-annotator scaling vectors and biases, no
+//!   pre-training) and `logic-lncl-windowed` (the stream-windowed E-step)
+//!   must reproduce every row's prediction and inference metrics.  The NER
 //!   taggers still predict all-O after 2 epochs, so each pin also checks
 //!   one continuous value: the supervised loss history of the Gold
 //!   training and the summed non-`O` / positive-class posterior mass of
@@ -139,6 +141,16 @@ fn tiny_ner_crowd_layer_training_is_bitwise_pinned() {
     let mass = posterior_mass("cl-mw+pre2", &dataset, &config);
     assert_eq!(rows, [[0x0000_0000, 0x3f34_e81b, 0x0000_0000]], "NER CL (MW) [2 pretrain] bits moved");
     assert_eq!(mass, 0x406a_cac4_e83d_f800, "NER CL (MW) [2 pretrain] posterior bits moved");
+}
+
+#[test]
+fn tiny_sentiment_crowd_layer_vw_b_training_is_bitwise_pinned() {
+    let dataset = Scale::Tiny.sentiment_dataset(SEED);
+    let config = tiny_config(dataset.task);
+    let rows = registry_rows("cl-vw-b", &dataset, &config);
+    let mass = posterior_mass("cl-vw-b", &dataset, &config);
+    assert_eq!(rows, [[0x3f11_1111, 0x3f11_1111, 0x3f68_f5c3]], "sentiment CL (VW-B) bits moved");
+    assert_eq!(mass, 0x4059_0ab1_1f40_0000, "sentiment CL (VW-B) posterior bits moved");
 }
 
 /// Asserts that some annotator's label stream (one position per labelled
