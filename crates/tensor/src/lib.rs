@@ -10,19 +10,17 @@
 //! it; the full crate map lives in `ARCHITECTURE.md` at the repository
 //! root.
 //!
-//! The crate is intentionally BLAS-free but not naive: the matrix products
-//! are plan-driven ([`ops::MatmulPlan`]) cache-blocked i-k-j kernels that
-//! shard output rows across scoped threads ([`par`]) once a product is
-//! large enough to pay for the spawn.  Every block runs one register-blocked
-//! micro-kernel ([`simd::matmul_block`]: several output rows × up to 64
-//! columns per depth pass, a masked last vector instead of a scalar tail) on
-//! tiered AVX2 / SSE2 / scalar bodies ([`simd`], runtime-detected, bitwise
-//! identical across tiers), and the hot compositions the trainers
-//! need (`affine`, `dual_affine`, `softmax_xent_rows`, `axpy`) exist as
-//! fused single-allocation ops, with `_into` / `_acc` forms that write into
-//! a caller's buffer.  Everything stays
-//! dependency-free and, on the shapes the paper's experiments use,
-//! bit-for-bit reproducible across plans.
+//! The crate is intentionally BLAS-free but not naive: every matrix product
+//! is one call of a register-blocked micro-kernel
+//! ([`simd::matmul_block`]: several output rows × up to 64 columns per
+//! depth pass, a masked last vector instead of a scalar tail) on tiered
+//! AVX2 / SSE2 / scalar bodies ([`simd`], runtime-detected, bitwise
+//! identical across tiers), and the hot compositions the trainers need
+//! (`affine`, `dual_affine`, `softmax_xent_rows`, `axpy`) exist as fused
+//! single-allocation ops, with `_into` / `_acc` forms that write into a
+//! caller's buffer.  Everything stays dependency-free and bit-for-bit
+//! reproducible across tiers; [`par::max_threads`] caps the job pools of
+//! the experiment harness, and no kernel spawns a thread.
 //!
 //! ## Quick example
 //!

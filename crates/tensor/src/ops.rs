@@ -3,78 +3,18 @@
 //! descriptive message on mismatch (shape errors are programming errors in
 //! this workspace, not recoverable conditions).
 //!
-//! The matrix products are plan-driven: [`MatmulPlan::for_shape`] picks loop
-//! tiling (and, for very large products, a row-shard count for
-//! [`crate::par`]) from the operand shapes.  Products below
-//! [`MatmulPlan::SMALL_FLOPS`] run a single-tile i-k-j kernel whose
-//! per-element arithmetic is chosen so results are bitwise independent of
-//! the plan — the seeded end-to-end experiments stay reproducible no matter
-//! which path a shape takes.
-//!
-//! Each block of the tiling is one call of the register-blocked micro-kernel
-//! [`crate::simd::matmul_block`], on the plan's **kernel tier**
-//! ([`crate::simd::KernelTier`]): AVX2 / SSE2 when the CPU supports them,
-//! scalar otherwise (`LNCL_SIMD=off` forces it).  Every tier adds the same
-//! terms in the same per-element order, so the tier is — like the tiling —
-//! bitwise invisible in the results.
+//! Every dense product ([`matmul_acc`] and what builds on it, and
+//! [`matmul_transpose_a_acc`]) is one call of the register-blocked
+//! micro-kernel [`crate::simd::matmul_block`] over the whole `m × k × n`
+//! shape, on the process's **kernel tier** ([`crate::simd::detected_tier`]):
+//! AVX2 / SSE2 when the CPU supports them, scalar otherwise (`LNCL_SIMD=off`
+//! forces it).  Every tier adds the same terms in the same per-element
+//! order, so the tier is bitwise invisible in the results.  The models of
+//! this workspace keep every product to a few dozen rows, so there is no
+//! cache tiling and no threading below the job pool.
 
-use crate::simd::{self, KernelTier};
-use crate::{par, Matrix};
-
-/// Loop-blocking and sharding parameters for one matrix product, chosen per
-/// shape by [`MatmulPlan::for_shape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatmulPlan {
-    /// Rows of the output processed per L1-resident block.
-    pub mc: usize,
-    /// Depth (inner dimension) per block; bounds the live panel of `b`.
-    pub kc: usize,
-    /// Output columns per block.
-    pub nc: usize,
-    /// Number of row shards to spread across threads (1 = serial).
-    pub shards: usize,
-    /// Kernel tier the micro-kernel dispatches to (scalar / SSE2 / AVX2).
-    pub tier: KernelTier,
-}
-
-impl MatmulPlan {
-    /// Below this many multiply-adds the kernel runs as one tile: at that
-    /// size everything fits in L1/L2 and tiling only costs loop overhead.
-    pub const SMALL_FLOPS: usize = 1 << 18;
-    /// Above this many multiply-adds the output rows are sharded across
-    /// [`par::max_threads`] scoped threads.
-    pub const PAR_FLOPS: usize = 1 << 21;
-    /// Minimum output rows given to one thread; caps the shard count for
-    /// wide-but-short products.
-    pub const MIN_ROWS_PER_SHARD: usize = 16;
-
-    /// Chooses tile sizes and a shard count for an `m x k * k x n` product.
-    /// Every width runs the detected kernel tier: in the `nn_forward`
-    /// benches the masked AVX2 tail is no slower than the scalar loop even
-    /// below one vector.
-    pub fn for_shape(m: usize, k: usize, n: usize) -> Self {
-        let tier = simd::detected_tier();
-        let flops = m.saturating_mul(k).saturating_mul(n);
-        if flops <= Self::SMALL_FLOPS {
-            return Self { mc: m.max(1), kc: k.max(1), nc: n.max(1), shards: 1, tier };
-        }
-        let shards =
-            if flops >= Self::PAR_FLOPS { par::max_threads().min(m / Self::MIN_ROWS_PER_SHARD).max(1) } else { 1 };
-        Self { mc: m.clamp(1, 64), kc: k.clamp(1, 128), nc: n.clamp(1, 256), shards, tier }
-    }
-
-    /// The same plan with the kernel tier overridden — the hook the
-    /// cross-tier equivalence suite uses to force every path over one
-    /// shape.
-    pub fn with_tier(self, tier: KernelTier) -> Self {
-        Self { tier, ..self }
-    }
-
-    /// True when this plan runs the single-tile kernel.
-    pub fn is_single_tile(&self, m: usize, k: usize, n: usize) -> bool {
-        self.shards == 1 && self.mc >= m && self.kc >= k && self.nc >= n
-    }
-}
+use crate::simd;
+use crate::Matrix;
 
 /// `y += alpha * x`, the fused scaled-accumulate of every optimiser
 /// update.  Every lane is independent (one `mul` + one `add` per element),
@@ -86,32 +26,6 @@ impl MatmulPlan {
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     simd::axpy(simd::detected_tier(), alpha, x, y);
-}
-
-/// Blocked accumulation `out_block += a[rows] * b` for the output rows
-/// `[row0, row0 + rows)`, where `block` is the flat slice backing exactly
-/// those rows.  Shared by the serial and sharded paths; each
-/// `(kc, nc, mc)` block is one [`simd::matmul_block`] call.
-///
-/// Per output element the summands combine in ascending-`kk` order starting
-/// from the existing output value — the blocking changes where the running
-/// sums live, not their rounding — so results are bitwise identical to the
-/// plain nested loop.
-fn matmul_acc_rows(a: &Matrix, b: &Matrix, block: &mut [f32], row0: usize, rows: usize, plan: &MatmulPlan) {
-    let k = a.cols();
-    let n = b.cols();
-    for pc in (0..k).step_by(plan.kc) {
-        let depth = plan.kc.min(k - pc);
-        for jc in (0..n).step_by(plan.nc) {
-            let width = plan.nc.min(n - jc);
-            for ic in (0..rows).step_by(plan.mc) {
-                let lhs = simd::Lhs { data: a.as_slice(), off: (row0 + ic) * k + pc, row_step: k, k_step: 1 };
-                let (b_block, out_block) = (&b.as_slice()[pc * n + jc..], &mut block[ic * n + jc..]);
-                let shape = (plan.mc.min(rows - ic), depth, width);
-                simd::matmul_block(plan.tier, lhs, b_block, n, out_block, n, shape);
-            }
-        }
-    }
 }
 
 /// In-place accumulation `out += a * b` (the building block behind
@@ -131,18 +45,8 @@ pub fn matmul_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "matmul_acc: output shape {:?} does not match {m}x{n}", out.shape());
-    let plan = MatmulPlan::for_shape(m, k, n);
-    matmul_acc_planned(a, b, out, &plan);
-}
-
-/// [`matmul_acc`] under an explicit, caller-supplied plan.  Normal code
-/// lets [`MatmulPlan::for_shape`] choose; the cross-tier equivalence suite
-/// uses this entry point to drive one shape through every kernel tier and
-/// assert the results are bitwise identical.
-pub fn matmul_acc_planned(a: &Matrix, b: &Matrix, out: &mut Matrix, plan: &MatmulPlan) {
-    assert_eq!(a.cols(), b.rows(), "matmul_acc_planned: inner dimensions do not match");
-    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_acc_planned: output shape mismatch");
-    par::shard_rows(out, plan.shards, |row0, rows, block| matmul_acc_rows(a, b, block, row0, rows, plan));
+    let lhs = simd::Lhs { data: a.as_slice(), off: 0, row_step: k, k_step: 1 };
+    simd::matmul_block(simd::detected_tier(), lhs, b.as_slice(), n, out.as_mut_slice(), n, (m, k, n));
 }
 
 /// Matrix product `a * b`.
@@ -155,9 +59,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Sequential dot product; kept scalar (single accumulator, ascending
-/// index) so the small path of [`matmul_transpose_b`] reproduces the naive
-/// kernel bitwise.
+/// Sequential dot product: a single accumulator from `+0`, ascending
+/// index, one `mul` and one `add` per term.
 fn dot_seq(x: &[f32], y: &[f32]) -> f32 {
     let mut acc = 0.0;
     for (a, b) in x.iter().zip(y.iter()) {
@@ -166,12 +69,10 @@ fn dot_seq(x: &[f32], y: &[f32]) -> f32 {
     acc
 }
 
-/// `a * b^T`.  Above a small size the transpose is materialised once and
-/// the product runs through the register-blocked i-k-j kernel — per output
-/// element the summands still combine from `+0` in ascending inner-index
-/// order, one `mul` and one `add` each, so the result matches the direct
-/// row-row dot products bitwise.  Tiny products skip the transpose and use
-/// the dots directly.
+/// `a * b^T` as row-by-row dot products (`dot_seq`), without
+/// materialising the transpose.  Per output element the summands combine
+/// from `+0` in ascending inner-index order, as in [`matmul`] of `a` and
+/// the materialised `b^T`, so the two agree bitwise.
 pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
@@ -182,12 +83,8 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    if m.saturating_mul(k).saturating_mul(n) >= 2048 {
-        return matmul(a, &transpose(b));
-    }
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
         let a_row = a.row(i);
         let out_row = out.row_mut(i);
         for (j, out_val) in out_row.iter_mut().enumerate() {
@@ -200,8 +97,7 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// `a^T * b` without materialising the transpose.  Output rows (columns of
 /// `a`, read with a stride) run through the same micro-kernel as [`matmul`]
 /// — per element the summands combine in ascending inner-index order, so the
-/// result is bitwise identical to the plain k-outer loop.  Large products
-/// block over `k` and shard output rows across threads.
+/// result is bitwise identical to the plain k-outer loop.
 pub fn matmul_transpose_a(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), b.cols());
     matmul_transpose_a_acc(a, b, &mut out);
@@ -225,16 +121,9 @@ pub fn matmul_transpose_a_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let (m, k, n) = (a.cols(), a.rows(), b.cols());
     assert_eq!(out.shape(), (m, n), "matmul_transpose_a_acc: output shape {:?} does not match {m}x{n}", out.shape());
-    let plan = MatmulPlan::for_shape(m, k, n);
-    par::shard_rows(out, plan.shards, |row0, rows, block| {
-        for pc in (0..k).step_by(plan.kc) {
-            // output row `i` walks column `row0 + i` of `a`: element `kk`
-            // lives at `(row0 + i) + kk * m`
-            let lhs = simd::Lhs { data: a.as_slice(), off: row0 + pc * m, row_step: 1, k_step: m };
-            let shape = (rows, plan.kc.min(k - pc), n);
-            simd::matmul_block(plan.tier, lhs, &b.as_slice()[pc * n..], n, block, n, shape);
-        }
-    });
+    // output row `i` walks column `i` of `a`: element `kk` lives at `i + kk * m`
+    let lhs = simd::Lhs { data: a.as_slice(), off: 0, row_step: 1, k_step: m };
+    simd::matmul_block(simd::detected_tier(), lhs, b.as_slice(), n, out.as_mut_slice(), n, (m, k, n));
 }
 
 /// Transposes the matrix.
@@ -583,20 +472,6 @@ mod tests {
     fn clamp_limits_range() {
         let a = Matrix::row_vector(&[-2.0, 0.5, 3.0]);
         assert_eq!(clamp(&a, 0.0, 1.0), Matrix::row_vector(&[0.0, 0.5, 1.0]));
-    }
-
-    #[test]
-    fn plan_is_single_tile_for_small_shapes() {
-        let plan = MatmulPlan::for_shape(16, 32, 8);
-        assert!(plan.is_single_tile(16, 32, 8));
-        assert_eq!(plan.shards, 1);
-    }
-
-    #[test]
-    fn plan_blocks_large_shapes() {
-        let plan = MatmulPlan::for_shape(512, 512, 512);
-        assert!(!plan.is_single_tile(512, 512, 512));
-        assert!(plan.kc <= 128 && plan.nc <= 256 && plan.mc <= 64);
     }
 
     #[test]

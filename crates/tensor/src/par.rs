@@ -1,21 +1,13 @@
-//! Row-block sharding across scoped threads.
+//! The worker-thread cap of the workspace's job pools.
 //!
-//! The matmul kernels in [`crate::ops`] dispatch here when a product is
-//! large enough that splitting the output rows across cores pays for the
-//! thread spawn (see [`crate::ops::MatmulPlan`]).  The worker count is the
-//! same cap the experiment harness uses: `available_parallelism()`,
-//! overridable with the `LNCL_THREADS` environment variable.
-//!
-//! Sharding is always by *output rows*, so every worker writes a disjoint
-//! `&mut [f32]` region and no synchronisation beyond the scope join is
-//! needed.  Results are bitwise identical to the serial kernels because each
-//! output element is still computed by exactly one worker in the same
-//! per-element order.
+//! The experiment harness (the scenario sweep and the tables) runs one
+//! training per job on up to [`max_threads`] scoped threads.  No kernel in
+//! this crate spawns threads: every product is one call of
+//! [`crate::simd::matmul_block`] on the calling thread.
 
-use crate::Matrix;
 use std::sync::OnceLock;
 
-/// Maximum number of worker threads used by the parallel kernels.
+/// Maximum number of worker threads of the job pools.
 ///
 /// Defaults to `available_parallelism()`; the `LNCL_THREADS` environment
 /// variable overrides it (values below 1 and unparsable values are ignored
@@ -29,41 +21,6 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Splits the rows of `out` into up to `shards` contiguous blocks and runs
-/// `f(first_row, num_rows, block)` for each block, in parallel on scoped
-/// threads when `shards > 1`.
-///
-/// `f` receives the absolute index of the block's first row, the number of
-/// rows in the block, and the mutable flat `rows * cols` slice backing those
-/// rows.  With `shards <= 1` (or a single-row matrix) `f` is called once on
-/// the calling thread — no spawn overhead on the small-matrix path.
-pub fn shard_rows<F>(out: &mut Matrix, shards: usize, f: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    let rows = out.rows();
-    let cols = out.cols();
-    let shards = shards.clamp(1, rows.max(1));
-    if shards <= 1 {
-        f(0, rows, out.as_mut_slice());
-        return;
-    }
-    let per_shard = rows.div_ceil(shards);
-    std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut first_row = 0;
-        while first_row < rows {
-            let take = per_shard.min(rows - first_row);
-            let (block, tail) = std::mem::take(&mut rest).split_at_mut(take * cols);
-            rest = tail;
-            let f = &f;
-            let row0 = first_row;
-            scope.spawn(move || f(row0, take, block));
-            first_row += take;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,41 +28,5 @@ mod tests {
     #[test]
     fn max_threads_is_at_least_one() {
         assert!(max_threads() >= 1);
-    }
-
-    #[test]
-    fn shard_rows_covers_every_row_exactly_once() {
-        for shards in [1usize, 2, 3, 7, 16] {
-            let mut m = Matrix::zeros(10, 3);
-            shard_rows(&mut m, shards, |first_row, num_rows, block| {
-                for r in 0..num_rows {
-                    for v in &mut block[r * 3..(r + 1) * 3] {
-                        *v += (first_row + r) as f32 + 1.0;
-                    }
-                }
-            });
-            for r in 0..10 {
-                assert!(m.row(r).iter().all(|&v| v == r as f32 + 1.0), "shards={shards} row={r}: {:?}", m.row(r));
-            }
-        }
-    }
-
-    #[test]
-    fn shard_rows_single_row_never_splits() {
-        let mut m = Matrix::zeros(1, 4);
-        shard_rows(&mut m, 8, |first_row, num_rows, block| {
-            assert_eq!((first_row, num_rows), (0, 1));
-            block.fill(2.0);
-        });
-        assert_eq!(m, Matrix::full(1, 4, 2.0));
-    }
-
-    #[test]
-    fn shard_rows_empty_matrix_is_a_noop() {
-        let mut m = Matrix::zeros(0, 5);
-        shard_rows(&mut m, 4, |_, num_rows, block| {
-            assert_eq!(num_rows, 0);
-            assert!(block.is_empty());
-        });
     }
 }

@@ -22,11 +22,11 @@
 //!
 //! Three kernels live here: [`axpy`] and [`add_assign`] for the optimiser
 //! and the E-step sums, and [`matmul_block`], the register-blocked
-//! micro-kernel under every matrix product (the blocks of
-//! [`MatmulPlan`](crate::ops::MatmulPlan), `matmul_transpose_a` and the
-//! fused convolution and GRU ops of `lncl-autograd`).  Its AVX2 body covers
-//! any width, a partial last vector included, so every product runs the
-//! detected tier.
+//! micro-kernel under every matrix product (`ops::matmul_acc` and
+//! `ops::matmul_transpose_a_acc`, each one call over the whole shape, and
+//! the fused convolution and GRU ops of `lncl-autograd`).  Its AVX2 body
+//! covers any width, a partial last vector included, so every product runs
+//! the detected tier.
 
 use std::sync::OnceLock;
 
@@ -92,7 +92,7 @@ pub fn available_tiers() -> Vec<KernelTier> {
 }
 
 /// The process-wide active tier: [`hardware_tier`] capped by `LNCL_SIMD`.
-/// Detected once and cached — plans read this at construction time.
+/// Detected once and cached — every product reads it per call.
 pub fn detected_tier() -> KernelTier {
     static TIER: OnceLock<KernelTier> = OnceLock::new();
     *TIER.get_or_init(|| {
@@ -497,7 +497,7 @@ unsafe fn matmul_block_avx2(a: Lhs<'_>, b: &[f32], b_stride: usize, out: &mut [f
 /// `(rows, depth, width)` of one [`matmul_block`] call.
 pub type Shape = (usize, usize, usize);
 
-/// The micro-kernel under every small product: for each of `rows` evenly
+/// The micro-kernel under every product: for each of `rows` evenly
 /// spaced rows of `a` (see [`Lhs`]) and each of the first `width` columns,
 ///
 /// ```text

@@ -1,11 +1,11 @@
-//! Property-style equivalence tests: the blocked / sharded / fused kernels
-//! must match naive reference implementations to 1e-6 across odd shapes
-//! (1×N, N×1, primes, non-multiples of the tile sizes).  Values are kept
-//! small so f32 rounding differences between summation orders stay well
-//! under the tolerance.
+//! Property-style equivalence tests: the products and fused kernels must
+//! match naive reference implementations to 1e-6 across odd shapes
+//! (1×N, N×1, primes, non-multiples of the kernel's vector and strip
+//! widths).  Values are kept small so f32 rounding differences between
+//! summation orders stay well under the tolerance.
 
-use lncl_tensor::ops::{self, MatmulPlan};
-use lncl_tensor::{par, Matrix, TensorRng};
+use lncl_tensor::ops;
+use lncl_tensor::{Matrix, TensorRng};
 
 const TOL: f32 = 1e-6;
 
@@ -41,9 +41,9 @@ fn assert_close(actual: &Matrix, expect: &Matrix, label: &str) {
     }
 }
 
-/// Odd shapes: row/column vectors, primes, exact tile multiples and
-/// off-by-one around the `MatmulPlan` tile sizes, plus shapes big enough to
-/// engage the blocked (multi-tile) path.
+/// Odd shapes: row/column vectors, primes, multiples of the 8-lane vectors
+/// and 64-column strips and off-by-ones around them, and products with a
+/// long depth and many strips in one kernel call.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -53,11 +53,11 @@ fn shape_grid() -> Vec<(usize, usize, usize)> {
         (7, 13, 5),
         (19, 1, 23),
         (31, 37, 29),
-        (64, 128, 256), // exact tile sizes
-        (65, 129, 257), // one past each tile size
-        (63, 127, 255), // one short of each tile size
-        (70, 200, 40),  // k spans two kc blocks
-        (130, 50, 300), // n spans two nc blocks
+        (64, 128, 256), // whole vectors and strips
+        (65, 129, 257), // one past
+        (63, 127, 255), // one short
+        (70, 200, 40),  // long depth
+        (130, 50, 300), // several column strips
     ]
 }
 
@@ -88,38 +88,14 @@ fn transpose_variants_match_naive_reference() {
 }
 
 #[test]
-fn sharded_kernels_match_serial_for_every_shard_count() {
-    // Drives the row-sharded path directly (independently of the flop
-    // threshold and the machine's core count): each worker computes a
-    // disjoint row block through the public accumulate entry point.
-    let mut rng = TensorRng::seed_from_u64(17);
-    for (m, k, n) in [(5usize, 40, 9), (33, 64, 21), (70, 200, 40)] {
-        let a = random(m, k, &mut rng);
-        let b = random(k, n, &mut rng);
-        let serial = ops::matmul(&a, &b);
-        for shards in [2usize, 3, 8] {
-            let mut out = Matrix::zeros(m, n);
-            par::shard_rows(&mut out, shards, |row0, rows, block| {
-                let a_rows = a.slice_rows(row0, row0 + rows);
-                let mut chunk = Matrix::zeros(rows, n);
-                ops::matmul_acc(&a_rows, &b, &mut chunk);
-                block.copy_from_slice(chunk.as_slice());
-            });
-            assert_close(&out, &serial, &format!("shards={shards} {m}x{k}x{n}"));
-        }
-    }
-}
-
-#[test]
-fn large_products_cross_the_parallel_threshold_and_stay_correct() {
-    // 160*180*100 = 2.88M flops > PAR_FLOPS: on multi-core machines this
-    // takes the sharded path through the public API.
+fn large_products_run_as_one_block_and_stay_correct() {
+    // 160*180*100 = 2.88M multiply-adds, far above any product the models
+    // make, through one kernel call of the public API
     let mut rng = TensorRng::seed_from_u64(19);
     let (m, k, n) = (160, 180, 100);
-    assert!(m * k * n >= MatmulPlan::PAR_FLOPS);
     let a = random(m, k, &mut rng);
     let b = random(k, n, &mut rng);
-    assert_close(&ops::matmul(&a, &b), &naive_matmul(&a, &b), "parallel matmul");
+    assert_close(&ops::matmul(&a, &b), &naive_matmul(&a, &b), "large matmul");
 }
 
 #[test]

@@ -6,11 +6,14 @@
 //! reduction order (ascending inner index, one `mul` + one `add` per
 //! summand, no FMA contraction), so which tier runs is unobservable.
 //!
-//! Shapes deliberately include odd sizes, tile off-by-ones and remainder
-//! widths so the vector main loops *and* their masked or scalar tails are
-//! exercised on every tier.
+//! [`simd::matmul_block`] takes the tier as a parameter, so these tests
+//! drive it on every available tier directly, over whole matrices as
+//! `ops::matmul_acc` calls it, and check the public entry points (which run
+//! the detected tier) against the forced-scalar kernel.  Shapes
+//! deliberately include odd sizes and remainder widths so the vector main
+//! loops *and* their masked or scalar tails are exercised on every tier.
 
-use lncl_tensor::ops::{self, MatmulPlan};
+use lncl_tensor::ops;
 use lncl_tensor::simd::{self, KernelTier};
 use lncl_tensor::{Matrix, TensorRng};
 
@@ -43,9 +46,19 @@ fn assert_bitwise(actual: &Matrix, expect: &Matrix, label: &str) {
     }
 }
 
+/// `out += a * b` through one [`simd::matmul_block`] call on `tier` over
+/// the whole matrices, the call `ops::matmul_acc` makes on the detected
+/// tier.
+fn block_product(tier: KernelTier, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let lhs = simd::Lhs { data: a.as_slice(), off: 0, row_step: k, k_step: 1 };
+    simd::matmul_block(tier, lhs, b.as_slice(), n, out.as_mut_slice(), n, (m, k, n));
+}
+
 /// Odd/remainder shapes: widths below one vector lane group, between SSE
-/// and AVX widths, off-by-ones around the 8-lane vectors and 64-column
-/// strips of the micro-kernel and the plan's kc/nc blocks, plus sizes that cross the blocked multi-tile path.
+/// and AVX widths, off-by-ones around the 8-lane vectors and the 64-column
+/// strips of the micro-kernel, and products with many strips, row blocks
+/// and a long depth in one call.
 fn shape_grid() -> Vec<(usize, usize, usize)> {
     vec![
         (1, 1, 1),
@@ -72,12 +85,11 @@ fn matmul_tiers_agree_bitwise_over_the_shape_grid() {
     for (m, k, n) in shape_grid() {
         let a = random(m, k, &mut rng);
         let b = random(k, n, &mut rng);
-        let base_plan = MatmulPlan::for_shape(m, k, n);
         let mut scalar = Matrix::zeros(m, n);
-        ops::matmul_acc_planned(&a, &b, &mut scalar, &base_plan.with_tier(KernelTier::Scalar));
+        block_product(KernelTier::Scalar, &a, &b, &mut scalar);
         for tier in simd::available_tiers() {
             let mut out = Matrix::zeros(m, n);
-            ops::matmul_acc_planned(&a, &b, &mut out, &base_plan.with_tier(tier));
+            block_product(tier, &a, &b, &mut out);
             assert_bitwise(&out, &scalar, &format!("matmul {m}x{k}x{n} tier {tier:?}"));
         }
     }
@@ -91,12 +103,11 @@ fn sparse_left_operands_agree_bitwise_across_tiers() {
     for (m, k, n) in [(7usize, 33, 17), (19, 64, 48), (33, 127, 65)] {
         let a = random_sparse(m, k, &mut rng);
         let b = random(k, n, &mut rng);
-        let base_plan = MatmulPlan::for_shape(m, k, n);
         let mut scalar = Matrix::zeros(m, n);
-        ops::matmul_acc_planned(&a, &b, &mut scalar, &base_plan.with_tier(KernelTier::Scalar));
+        block_product(KernelTier::Scalar, &a, &b, &mut scalar);
         for tier in simd::available_tiers() {
             let mut out = Matrix::zeros(m, n);
-            ops::matmul_acc_planned(&a, &b, &mut out, &base_plan.with_tier(tier));
+            block_product(tier, &a, &b, &mut out);
             assert_bitwise(&out, &scalar, &format!("sparse matmul {m}x{k}x{n} tier {tier:?}"));
         }
     }
@@ -109,48 +120,26 @@ fn accumulating_into_nonzero_output_agrees_bitwise_across_tiers() {
     let a = random(m, k, &mut rng);
     let b = random(k, n, &mut rng);
     let init = random(m, n, &mut rng);
-    let base_plan = MatmulPlan::for_shape(m, k, n);
     let mut scalar = init.clone();
-    ops::matmul_acc_planned(&a, &b, &mut scalar, &base_plan.with_tier(KernelTier::Scalar));
+    block_product(KernelTier::Scalar, &a, &b, &mut scalar);
     for tier in simd::available_tiers() {
         let mut out = init.clone();
-        ops::matmul_acc_planned(&a, &b, &mut out, &base_plan.with_tier(tier));
+        block_product(tier, &a, &b, &mut out);
         assert_bitwise(&out, &scalar, &format!("acc-into-nonzero tier {tier:?}"));
     }
 }
 
 #[test]
-fn sharded_tiers_agree_bitwise_with_serial_scalar() {
-    // sharding and tiering compose: every (shards, tier) combination must
-    // still reproduce the serial scalar product bit for bit
-    let mut rng = TensorRng::seed_from_u64(83);
-    let (m, k, n) = (48, 64, 33);
-    let a = random(m, k, &mut rng);
-    let b = random(k, n, &mut rng);
-    let serial = MatmulPlan::for_shape(m, k, n).with_tier(KernelTier::Scalar);
-    let mut expect = Matrix::zeros(m, n);
-    ops::matmul_acc_planned(&a, &b, &mut expect, &serial);
-    for shards in [2usize, 3, 5] {
-        for tier in simd::available_tiers() {
-            let plan = MatmulPlan { shards, tier, ..MatmulPlan::for_shape(m, k, n) };
-            let mut out = Matrix::zeros(m, n);
-            ops::matmul_acc_planned(&a, &b, &mut out, &plan);
-            assert_bitwise(&out, &expect, &format!("shards {shards} tier {tier:?}"));
-        }
-    }
-}
-
-#[test]
-fn planned_tiers_match_the_public_entry_points() {
-    // whatever tier for_shape picked, the public matmul/transpose wrappers
-    // must equal the forced-scalar plan bitwise — the dispatch decision
+fn scalar_kernel_matches_the_public_entry_points() {
+    // whatever tier was detected, the public matmul/transpose wrappers
+    // must equal the forced-scalar kernel bitwise — the dispatch decision
     // itself is unobservable in the results
     let mut rng = TensorRng::seed_from_u64(89);
     for (m, k, n) in [(5usize, 9, 3), (33, 64, 21), (70, 200, 40), (160, 180, 100)] {
         let a = random(m, k, &mut rng);
         let b = random(k, n, &mut rng);
         let mut scalar = Matrix::zeros(m, n);
-        ops::matmul_acc_planned(&a, &b, &mut scalar, &MatmulPlan::for_shape(m, k, n).with_tier(KernelTier::Scalar));
+        block_product(KernelTier::Scalar, &a, &b, &mut scalar);
         assert_bitwise(&ops::matmul(&a, &b), &scalar, &format!("public matmul {m}x{k}x{n}"));
     }
     // matmul_transpose_a reaches the same micro-kernel through a strided
@@ -171,14 +160,19 @@ fn planned_tiers_match_the_public_entry_points() {
         out
     };
     assert_bitwise(&ops::matmul_transpose_a(&at, &bb), &naive, "matmul_transpose_a vs naive scalar");
-}
-
-#[test]
-fn plans_take_the_detected_tier_at_every_width() {
-    // the masked AVX2 tail covers widths below one vector, so no width is
-    // kept off the detected tier
-    for n in [1usize, 2, 5, 7, 8, 64, 300] {
-        assert_eq!(MatmulPlan::for_shape(64, 64, n).tier, simd::detected_tier(), "width {n}");
+    // matmul_transpose_b runs its row-by-row dots at every size: one shape
+    // below 2048 multiply-adds and one above
+    for (m, k, n) in [(6usize, 9, 27), (33, 64, 21)] {
+        let a = random(m, k, &mut rng);
+        let b = random(n, k, &mut rng);
+        let naive = Matrix::from_fn(m, n, |i, j| {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[(i, kk)] * b[(j, kk)];
+            }
+            acc
+        });
+        assert_bitwise(&ops::matmul_transpose_b(&a, &b), &naive, &format!("matmul_transpose_b {m}x{k}x{n}"));
     }
 }
 
